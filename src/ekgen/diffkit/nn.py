@@ -126,29 +126,38 @@ def bilstm_sequence(inputs: Tensor, lstm: BiLSTM) -> Tensor:
     return lstm(inputs)
 
 
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(..., L, d) -> (..., heads, L, d / heads)."""
+    *lead, L, d = x.shape
+    n = len(lead)
+    return x.reshape(*lead, L, n_heads, d // n_heads).transpose(
+        *range(n), n + 1, n, n + 2)
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with additive mask.
 
-    q: (Lq, d), k/v: (Lk, d); mask broadcastable to (Lq, Lk), -inf where
-    attention is forbidden. Heads split the model dim.
+    q: (..., Lq, d), k/v: (..., Lk, d); leading dims broadcast, so 2-D keys
+    and values serve a batch of queries. mask broadcastable to (Lq, Lk), -inf
+    where attention is forbidden. Heads split the model dim and run as one
+    batched matmul.
     """
     d = q.shape[-1]
     if d % n_heads:
         raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
+    if mask is not None and mask.shape[-1] != k.shape[-2]:
+        raise ValueError(f"mask shape {mask.shape} vs keys {k.shape}")
     dh = d // n_heads
-    outs = []
-    for h in range(n_heads):
-        qs = q[:, h * dh:(h + 1) * dh]
-        ks = k[:, h * dh:(h + 1) * dh]
-        vs = v[:, h * dh:(h + 1) * dh]
-        scores = qs @ ks.T * (1.0 / np.sqrt(dh))
-        if mask is not None:
-            if mask.shape[-1] != k.shape[0]:
-                raise ValueError(f"mask shape {mask.shape} vs keys {k.shape}")
-            scores = scores + Tensor(mask)
-        outs.append(softmax(scores, axis=-1) @ vs)
-    return concat(outs, axis=-1)
+    qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
+    n = kh.ndim
+    scores = qh @ kh.transpose(*range(n - 2), n - 1, n - 2) * (1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    out = softmax(scores, axis=-1) @ vh               # (..., heads, Lq, dh)
+    n = out.ndim
+    out = out.transpose(*range(n - 3), n - 2, n - 3, n - 1)
+    return out.reshape(*out.shape[:-2], d)
 
 
 class MultiHeadAttention(Module):
@@ -160,8 +169,15 @@ class MultiHeadAttention(Module):
         self.wo = Linear(rng, d_model, d_model)
 
     def __call__(self, q, k, v, mask=None):
-        out = multi_head_attention(self.wq(q), self.wk(k), self.wv(v),
-                                   self.n_heads, mask)
+        return self.attend(q, self.wk(k), self.wv(v), mask)
+
+    def project_kv(self, x) -> tuple[Tensor, Tensor]:
+        """Keys and values of `x`, for reuse across many queries."""
+        return self.wk(x), self.wv(x)
+
+    def attend(self, q, keys, values, mask=None):
+        """Attention of `q` over already projected keys and values."""
+        out = multi_head_attention(self.wq(q), keys, values, self.n_heads, mask)
         return self.wo(out)
 
 
@@ -210,6 +226,23 @@ class TransformerDecoderLayer(Module):
         x = self.ln1(x + self.self_attn(x, x, x, causal_mask))
         x = self.ln2(x + self.cross_attn(x, memory, memory, memory_mask))
         return self.ln3(x + self.ff(x))
+
+    def step(self, x, memory_kv, past=None):
+        """Advance one position for each row of `x` (B, 1, d).
+
+        `memory_kv` is `cross_attn.project_kv(memory)`, made once per memory.
+        `past` holds the self-attention (keys, values) of the earlier
+        positions, (B, t, d) each, or is None at the first position. Returns
+        the output and `past` extended by this position; a position needs no
+        causal mask, since every cached key precedes it.
+        """
+        keys, values = self.self_attn.project_kv(x)
+        if past is not None:
+            keys = concat([past[0], keys], axis=-2)
+            values = concat([past[1], values], axis=-2)
+        x = self.ln1(x + self.self_attn.attend(x, keys, values))
+        x = self.ln2(x + self.cross_attn.attend(x, *memory_kv))
+        return self.ln3(x + self.ff(x)), (keys, values)
 
 
 def causal_mask(n: int) -> np.ndarray:

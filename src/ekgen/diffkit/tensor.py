@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _DTYPE = np.float32
+_GRAD_ENABLED = True
 
 
 class ShapeMismatch(ValueError):
@@ -32,6 +33,33 @@ def use_dtype(dtype):
         yield
     finally:
         _DTYPE = prev
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no autodiff graph: ops inside record no parents and no backward
+    closures, and their outputs have `requires_grad` False. For inference."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
+
+
+def _child(data, parents) -> "Tensor":
+    """Output of an op on `parents`; a graph node when any parent needs grad."""
+    rg = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    return Tensor(data, requires_grad=rg, _parents=tuple(parents) if rg else ())
+
+
+def _basic_index(idx) -> bool:
+    """True when `idx` selects a view (ints and slices), so no element repeats."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(i, slice) or (isinstance(i, (int, np.integer))
+                                        and not isinstance(i, bool))
+               for i in parts)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -86,12 +114,14 @@ class Tensor:
 
     # -- graph machinery -----------------------------------------------------
 
-    def _child(self, data, parents) -> "Tensor":
-        rg = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=rg, _parents=tuple(parents) if rg else ())
-        return out
-
     def backward(self, grad: np.ndarray | None = None):
+        """Accumulate gradients into every leaf that requires them.
+
+        Each node's backward closure is dropped once it has run, which breaks
+        the node -> closure -> node cycle so the graph is freed by reference
+        counting; a graph can therefore be backpropagated only once.
+        `_parents` stay, so the graph can still be walked afterwards.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
@@ -107,6 +137,10 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._parents and node._backward is None:
+                raise RuntimeError(
+                    "backward() through a graph that was already backpropagated; "
+                    "run the forward pass again to build a new graph")
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
@@ -115,6 +149,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            node._backward = None
 
     def _accum(self, grad: np.ndarray):
         if not self.requires_grad:
@@ -129,7 +164,7 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = self._child(self.data + other.data, (self, other))
+        out = _child(self.data + other.data, (self, other))
         if out.requires_grad:
             def _bw():
                 self._accum(out.grad)
@@ -140,7 +175,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self):
-        out = self._child(-self.data, (self,))
+        out = _child(-self.data, (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(-out.grad)
         return out
@@ -153,7 +188,7 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = self._child(self.data * other.data, (self, other))
+        out = _child(self.data * other.data, (self, other))
         if out.requires_grad:
             def _bw():
                 self._accum(out.grad * other.data)
@@ -165,7 +200,7 @@ class Tensor:
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out = self._child(self.data / other.data, (self, other))
+        out = _child(self.data / other.data, (self, other))
         if out.requires_grad:
             def _bw():
                 self._accum(out.grad / other.data)
@@ -174,7 +209,7 @@ class Tensor:
         return out
 
     def __pow__(self, p: float):
-        out = self._child(self.data ** p, (self,))
+        out = _child(self.data ** p, (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(out.grad * p * self.data ** (p - 1))
         return out
@@ -184,7 +219,7 @@ class Tensor:
         a, b = self.data, other.data
         if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
             raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-        out = self._child(a @ b, (self, other))
+        out = _child(a @ b, (self, other))
         if out.requires_grad:
             def _bw():
                 g = out.grad
@@ -205,14 +240,14 @@ class Tensor:
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        out = self._child(self.data.reshape(*shape), (self,))
+        out = _child(self.data.reshape(*shape), (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(out.grad.reshape(self.data.shape))
         return out
 
     def transpose(self, *axes) -> "Tensor":
         axes = axes or None
-        out = self._child(np.transpose(self.data, axes), (self,))
+        out = _child(np.transpose(self.data, axes), (self,))
         if out.requires_grad:
             inv = np.argsort(axes) if axes else None
             out._backward = lambda: self._accum(np.transpose(out.grad, inv))
@@ -223,17 +258,26 @@ class Tensor:
         return self.transpose()
 
     def __getitem__(self, idx) -> "Tensor":
-        out = self._child(self.data[idx], (self,))
+        out = _child(self.data[idx], (self,))
         if out.requires_grad:
-            def _bw():
-                g = np.zeros_like(self.data)
-                np.add.at(g, idx, out.grad)
-                self._accum(g)
+            if _basic_index(idx):
+                def _bw():
+                    if not self.requires_grad:
+                        return
+                    if self.grad is None:
+                        self.grad = np.zeros_like(self.data)
+                    self.grad[idx] += out.grad
+            else:
+                # integer arrays may repeat an index, whose gradients must add
+                def _bw():
+                    g = np.zeros_like(self.data)
+                    np.add.at(g, idx, out.grad)
+                    self._accum(g)
             out._backward = _bw
         return out
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
-        out = self._child(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+        out = _child(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         if out.requires_grad:
             def _bw():
                 g = out.grad
@@ -251,21 +295,21 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         y = np.tanh(self.data)
-        out = self._child(y, (self,))
+        out = _child(y, (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(out.grad * (1.0 - y * y))
         return out
 
     def sigmoid(self) -> "Tensor":
         y = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._child(y, (self,))
+        out = _child(y, (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(out.grad * y * (1.0 - y))
         return out
 
     def leaky_relu(self, slope: float = 0.2) -> "Tensor":
         y = np.where(self.data > 0, self.data, slope * self.data)
-        out = self._child(y, (self,))
+        out = _child(y, (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(
                 out.grad * np.where(self.data > 0, 1.0, slope))
@@ -281,7 +325,7 @@ class Tensor:
         inner = c * (x + 0.044715 * x ** 3)
         t = np.tanh(inner)
         y = 0.5 * x * (1.0 + t)
-        out = self._child(y, (self,))
+        out = _child(y, (self,))
         if out.requires_grad:
             dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
             dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
@@ -290,20 +334,20 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         y = np.exp(self.data)
-        out = self._child(y, (self,))
+        out = _child(y, (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(out.grad * y)
         return out
 
     def log(self) -> "Tensor":
-        out = self._child(np.log(self.data), (self,))
+        out = _child(np.log(self.data), (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(out.grad / self.data)
         return out
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
-        out = self._child(y, (self,))
+        out = _child(y, (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(out.grad * 0.5 / np.maximum(y, 1e-12))
         return out
@@ -316,9 +360,8 @@ def as_tensor(x) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    rg = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=rg, _parents=tuple(tensors) if rg else ())
-    if rg:
+    out = _child(data, tensors)
+    if out.requires_grad:
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
         def _bw():
@@ -333,9 +376,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
-    rg = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=rg, _parents=tuple(tensors) if rg else ())
-    if rg:
+    out = _child(data, tensors)
+    if out.requires_grad:
         def _bw():
             for i, t in enumerate(tensors):
                 t._accum(np.take(out.grad, i, axis=axis))
@@ -348,8 +390,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, requires_grad=x.requires_grad,
-                 _parents=(x,) if x.requires_grad else ())
+    out = _child(y, (x,))
     if out.requires_grad:
         def _bw():
             g = out.grad
@@ -363,8 +404,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
-    out = Tensor(y, requires_grad=x.requires_grad,
-                 _parents=(x,) if x.requires_grad else ())
+    out = _child(y, (x,))
     if out.requires_grad:
         p = np.exp(y)
         def _bw():

@@ -108,6 +108,22 @@ def _nn_checks(rng) -> list[CheckResult]:
     results.append(_check("transformer_decoder_layer",
                           lambda: (dec(q, mem, mask) ** 2).sum(),
                           {"q": q, "mem": mem, **dec.parameters()}, ROUGH_TOL))
+    # batched heads: 3-D queries against 2-D keys and values shared by the
+    # batch, as in beam decoding; and one 2-D causally masked case
+    qb = dk.Tensor(prng.standard_normal((2, 3, 4)), requires_grad=True)
+    kb = dk.Tensor(prng.standard_normal((5, 4)), requires_grad=True)
+    vb = dk.Tensor(prng.standard_normal((5, 4)), requires_grad=True)
+    probe = dk.Tensor(prng.standard_normal((2, 3, 4)))
+    results.append(_check("multi_head_attention_batched",
+                          lambda: (dk.multi_head_attention(qb, kb, vb, 2)
+                                   * probe).sum(),
+                          {"q": qb, "k": kb, "v": vb}, SMOOTH_TOL))
+    km = dk.Tensor(prng.standard_normal((3, 4)), requires_grad=True)
+    vm = dk.Tensor(prng.standard_normal((3, 4)), requires_grad=True)
+    results.append(_check("multi_head_attention_masked",
+                          lambda: (dk.multi_head_attention(q, km, vm, 2, mask)
+                                   * probe[0]).sum(),
+                          {"q": q, "k": km, "v": vm}, SMOOTH_TOL))
     return results
 
 

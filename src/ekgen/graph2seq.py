@@ -185,13 +185,38 @@ class Graph2SeqModel(dk.Module):
         graph = self.graph_encode(local)
         return dk.concat([graph, self.encode_passage(passage_ids)], axis=0)
 
-    def fuse_and_decode_step(self, memory: dk.Tensor,
-                             prefix_ids: list[int]) -> np.ndarray:
-        """Next-token distribution after the given prefix (starts with BOS)."""
-        if not prefix_ids or prefix_ids[0] != BOS:
+    @dk.no_grad()
+    def start_decode(self, memory: dk.Tensor) -> "DecodeState":
+        """Empty decoder cache over `memory`, with every layer's
+        cross-attention keys and values of the memory projected once."""
+        return DecodeState(
+            memory_kv=[layer.cross_attn.project_kv(memory)
+                       for layer in self.dec_layers],
+            past=[None] * len(self.dec_layers))
+
+    @dk.no_grad()
+    def fuse_and_decode_step(self, state: "DecodeState",
+                             tokens: list[int]) -> np.ndarray:
+        """Feed one token per hypothesis at the state's next position and
+        return the next-token distributions, (len(tokens), vocab).
+
+        Extends `state` by this position. The first position takes BOS only.
+        """
+        if state.pos == 0 and any(t != BOS for t in tokens):
             raise ValueError("prefix must start with BOS")
-        logits = self._decode(memory, prefix_ids)[-1]
-        return dk.softmax(logits).numpy()
+        if state.pos > self.config.max_len:
+            raise ValueError(f"prefix of {state.pos + 1} exceeds max length")
+        d = self.config.d_model
+        x = dk.embedding_lookup(self.tok_emb, tokens) * np.sqrt(d)
+        x = (x + dk.Tensor(self.pos[state.pos])).reshape(len(tokens), 1, d)
+        past = []
+        for layer, memory_kv, kv in zip(self.dec_layers, state.memory_kv,
+                                        state.past):
+            x, kv = layer.step(x, memory_kv, kv)
+            past.append(kv)
+        state.past = past
+        state.pos += 1
+        return dk.softmax(self.out_proj(x), axis=-1).numpy()[:, 0]
 
     def nll(self, passage_ids: list[int], local: LocalEKG,
             comment_ids: list[int]) -> dk.Tensor:
@@ -209,6 +234,23 @@ class Graph2SeqModel(dk.Module):
         memory = self.fuse_memory(passage_ids, local)
         pred = self._decode(memory, dec_in).numpy().argmax(axis=-1)
         return float((pred == np.asarray(target)).mean())
+
+
+@dataclass
+class DecodeState:
+    """Decoder cache of one memory, one row per live hypothesis.
+
+    Per decoder layer: the cross-attention (keys, values) of the memory,
+    shared by every row, and the self-attention (keys, values) of the
+    positions fed so far, (rows, pos, d_model) each.
+    """
+    memory_kv: list[tuple[dk.Tensor, dk.Tensor]]
+    past: list[tuple[dk.Tensor, dk.Tensor] | None]
+    pos: int = 0
+
+    def select(self, rows: list[int]):
+        """Keep cache row `rows[i]` as row i, e.g. each survivor's parent."""
+        self.past = [(k[rows], v[rows]) for k, v in self.past]
 
 
 @dataclass
@@ -280,41 +322,54 @@ class Hypothesis:
         return self.logp / n ** alpha
 
 
+@dk.no_grad()
 def beam_decode(passage_ids: list[int], local: LocalEKG, model: Graph2SeqModel,
                 beam: int = 4, max_len: int = 50,
                 length_alpha: float = 0.7) -> list[tuple[list[int], float]]:
     """Length-normalized beam search; returns (token ids, score) sorted by
-    score descending. No hypothesis exceeds `max_len` generated tokens."""
+    score descending. No hypothesis exceeds `max_len` generated tokens.
+
+    Each step advances every live hypothesis in one cached decoder call.
+    """
     memory = model.fuse_memory(passage_ids, local)
+    state = model.start_decode(memory)
     active = [Hypothesis(tokens=[BOS], logp=0.0)]
     finished: list[Hypothesis] = []
     for _ in range(max_len):
-        candidates: list[Hypothesis] = []
-        for hyp in active:
-            probs = model.fuse_and_decode_step(memory, hyp.tokens)
-            logp = np.log(np.maximum(probs, 1e-30))
-            top = np.argsort(-logp, kind="stable")[:beam]
-            for tok in top:
-                candidates.append(Hypothesis(tokens=hyp.tokens + [int(tok)],
-                                             logp=hyp.logp + float(logp[tok]),
-                                             finished=int(tok) == EOS))
-        candidates.sort(key=lambda h: -h.logp)
-        active = []
-        for h in candidates[:beam]:
-            (finished if h.finished else active).append(h)
+        probs = model.fuse_and_decode_step(state, [h.tokens[-1] for h in active])
+        logp = np.log(np.maximum(probs, 1e-30))
+        top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
+        candidates: list[tuple[int, Hypothesis]] = []
+        for row, hyp in enumerate(active):
+            for tok in top[row]:
+                candidates.append((row, Hypothesis(
+                    tokens=hyp.tokens + [int(tok)],
+                    logp=hyp.logp + float(logp[row, tok]),
+                    finished=int(tok) == EOS)))
+        candidates.sort(key=lambda c: -c[1].logp)
+        active, parents = [], []
+        for row, h in candidates[:beam]:
+            if h.finished:
+                finished.append(h)
+            else:
+                active.append(h)
+                parents.append(row)
         if not active:
             break
+        state.select(parents)
     finished.extend(active)
     finished.sort(key=lambda h: -h.score(length_alpha))
     return [(h.generated(), h.score(length_alpha)) for h in finished[:beam]]
 
 
+@dk.no_grad()
 def greedy_decode(passage_ids, local, model, max_len: int = 50):
-    """Argmax decoding; reference for the degenerate beam=1 case."""
+    """Argmax decoding that re-runs the decoder over the whole prefix at
+    every step, without the cache: the reference for the beam=1 case."""
     memory = model.fuse_memory(passage_ids, local)
     tokens = [BOS]
     for _ in range(max_len):
-        probs = model.fuse_and_decode_step(memory, tokens)
+        probs = dk.softmax(model._decode(memory, tokens)[-1]).numpy()
         tok = int(probs.argmax())
         tokens.append(tok)
         if tok == EOS:

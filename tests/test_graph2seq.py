@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from ekgen import diffkit as dk
+from ekgen import pipeline
+from ekgen.config import load_config
 from ekgen.corpus import BOS, EOS
 from ekgen.ekg import LocalEKG
+from ekgen.embed import EkgEmbeddings
 from ekgen.graph2seq import (G2SConfig, G2SExample, G2STrainConfig, GATLayer,
-                             Graph2SeqModel, beam_decode, gat_layer,
-                             greedy_decode, train_g2s)
+                             Graph2SeqModel, Hypothesis, beam_decode,
+                             gat_layer, greedy_decode, train_g2s)
 
 
 def _tiny_config(**kw):
@@ -161,26 +164,29 @@ def test_next_token_distribution_sums_to_one():
     rng = np.random.default_rng(8)
     model = Graph2SeqModel(_tiny_config())
     local = _tiny_local(rng)
-    memory = model.fuse_memory([6, 7], local)
-    probs = model.fuse_and_decode_step(memory, [BOS, 6])
-    assert probs.shape == (13,)
+    state = model.start_decode(model.fuse_memory([6, 7], local))
+    model.fuse_and_decode_step(state, [BOS])
+    probs = model.fuse_and_decode_step(state, [6])
+    assert probs.shape == (1, 13)
     assert abs(probs.sum() - 1.0) <= 1e-6
 
 
 def test_prefix_must_start_with_bos():
     rng = np.random.default_rng(9)
     model = Graph2SeqModel(_tiny_config())
-    memory = model.fuse_memory([6], _tiny_local(rng))
+    state = model.start_decode(model.fuse_memory([6], _tiny_local(rng)))
     with pytest.raises(ValueError):
-        model.fuse_and_decode_step(memory, [6, 7])
+        model.fuse_and_decode_step(state, [6])
 
 
 def test_overlong_prefix_rejected():
     rng = np.random.default_rng(10)
     model = Graph2SeqModel(_tiny_config(max_len=4))
-    memory = model.fuse_memory([6], _tiny_local(rng))
+    state = model.start_decode(model.fuse_memory([6], _tiny_local(rng)))
+    for tok in [BOS] + [6] * 4:     # a prefix of max_len + 1 tokens is allowed
+        model.fuse_and_decode_step(state, [tok])
     with pytest.raises(ValueError):
-        model.fuse_and_decode_step(memory, [BOS] + [6] * 6)
+        model.fuse_and_decode_step(state, [6])
 
 
 def test_decoder_is_causal():
@@ -199,10 +205,10 @@ def test_masking_graph_slot_changes_distribution():
     model = Graph2SeqModel(_tiny_config())
     local = _tiny_local(rng)
     memory = model.fuse_memory([6, 7], local)
-    baseline = model.fuse_and_decode_step(memory, [BOS])
+    baseline = model.fuse_and_decode_step(model.start_decode(memory), [BOS])
     blanked = dk.Tensor(memory.numpy().copy())
     blanked.data[0] = 0.0
-    changed = model.fuse_and_decode_step(blanked, [BOS])
+    changed = model.fuse_and_decode_step(model.start_decode(blanked), [BOS])
     assert np.abs(baseline - changed).max() > 1e-9
 
 
@@ -271,3 +277,100 @@ def test_beam_outputs_bounded_and_sorted():
         assert len(toks) <= 6
         # decoding stops at EOS and the terminator is stripped
         assert EOS not in toks
+
+
+# ---------------------------------------------------------------------------
+# cached decoding against the full-prefix decoder
+
+@pytest.fixture(scope="module")
+def desk_trained(tmp_path_factory):
+    """Desk-preset model after a few training steps, one example per passage
+    of the first four."""
+    ws = tmp_path_factory.mktemp("desk") / "ws"
+    cfg = load_config(preset="desk", seed=0, overrides=[
+        "phase1_steps=20", "phase2_steps=6", "g2s_steps=20"])
+    for stage in (pipeline.run_synth, pipeline.run_ingest,
+                  pipeline.run_build_ekg, pipeline.run_train_ekg,
+                  pipeline.run_train_g2s):
+        stage(ws, cfg)
+    novel, passages, _, vocab, _, _ = pipeline._load_corpus(
+        ws / "corpus" / "corpus.json")
+    ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
+    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin", vocab)
+    model = pipeline.load_g2s_model(ws, cfg, vocab)
+    examples, _ = pipeline._build_examples(novel, passages, ekg, artifact,
+                                           vocab, cfg)
+    per_passage = list({id(ex.local): ex for ex in examples}.values())
+    return model, per_passage[:4], cfg.max_len
+
+
+def _uncached_beam(passage_ids, local, model, beam, max_len,
+                   length_alpha=0.7):
+    """Beam search that re-runs the decoder over each hypothesis's whole
+    prefix at every step: the reference for the cached `beam_decode`."""
+    with dk.no_grad():
+        memory = model.fuse_memory(passage_ids, local)
+        active = [Hypothesis(tokens=[BOS], logp=0.0)]
+        finished = []
+        for _ in range(max_len):
+            candidates = []
+            for hyp in active:
+                probs = dk.softmax(model._decode(memory, hyp.tokens)[-1]).numpy()
+                logp = np.log(np.maximum(probs, 1e-30))
+                for tok in np.argsort(-logp, kind="stable")[:beam]:
+                    candidates.append(Hypothesis(
+                        tokens=hyp.tokens + [int(tok)],
+                        logp=hyp.logp + float(logp[tok]),
+                        finished=int(tok) == EOS))
+            candidates.sort(key=lambda h: -h.logp)
+            active = []
+            for h in candidates[:beam]:
+                (finished if h.finished else active).append(h)
+            if not active:
+                break
+    finished.extend(active)
+    finished.sort(key=lambda h: -h.score(length_alpha))
+    return [(h.generated(), h.score(length_alpha)) for h in finished[:beam]]
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_cached_beam_matches_uncached(desk_trained, beam):
+    model, examples, max_len = desk_trained
+    for ex in examples:
+        cached = beam_decode(ex.passage_ids, ex.local, model, beam=beam,
+                             max_len=max_len)
+        reference = _uncached_beam(ex.passage_ids, ex.local, model, beam,
+                                   max_len)
+        assert [t for t, _ in cached] == [t for t, _ in reference]
+        np.testing.assert_allclose([s for _, s in cached],
+                                   [s for _, s in reference], atol=1e-5)
+
+
+def test_cached_step_matches_full_prefix_decode(desk_trained):
+    """Every row of every cached step equals the last position of the
+    full-prefix decoder, while rows are duplicated, dropped and reordered
+    by `select` as beam search does."""
+    model, examples, max_len = desk_trained
+    ex = examples[0]
+    beams = beam_decode(ex.passage_ids, ex.local, model, beam=4,
+                        max_len=max_len)
+    seqs = [[BOS] + toks for toks, _ in beams]
+    with dk.no_grad():
+        memory = model.fuse_memory(ex.passage_ids, ex.local)
+        state = model.start_decode(memory)
+        rows = [[BOS]]
+        for t in range(1, max(len(s) for s in seqs) + 1):
+            probs = model.fuse_and_decode_step(state, [r[-1] for r in rows])
+            for row, p in zip(rows, probs):
+                full = dk.softmax(model._decode(memory, row)[-1]).numpy()
+                np.testing.assert_allclose(p, full, atol=1e-5)
+            nxt = []
+            for s in seqs:
+                if len(s) > t and s[:t + 1] not in nxt:
+                    nxt.append(s[:t + 1])
+            if not nxt:
+                break
+            if t % 2:
+                nxt.reverse()
+            state.select([rows.index(n[:-1]) for n in nxt])
+            rows = nxt

@@ -110,3 +110,52 @@ def test_backward_requires_scalar():
     x = dk.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
         (x * 2).backward()
+
+
+def test_basic_slices_write_gradient_into_place():
+    x = dk.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    out = x[1:, ::2].sum() + (x[0] * 2).sum() + x[2, 3] + x[np.int64(2)].sum()
+    out.backward()
+    expected = np.array([[2, 2, 2, 2], [1, 0, 1, 0], [2, 1, 2, 2]], dtype=float)
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_no_grad_builds_no_graph():
+    w = dk.Tensor(np.ones((3, 3)), requires_grad=True)
+    x = dk.Tensor(np.ones(3))
+    with dk.no_grad():
+        outs = [x @ w, dk.softmax(x @ w), dk.concat([w, w]), dk.stack([w, w]),
+                dk.log_softmax(w), w[0], (w * 2).sum()]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+    assert (x @ w).requires_grad
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    w = dk.Tensor(np.ones(2), requires_grad=True)
+    with dk.no_grad():
+        with dk.no_grad():
+            pass
+        assert not (w * 2).requires_grad
+    assert (w * 2).requires_grad
+    with pytest.raises(KeyError):
+        with dk.no_grad():
+            raise KeyError("boom")
+    assert (w * 2).requires_grad
+
+
+def test_backward_frees_closures_and_refuses_a_second_pass():
+    w = dk.Tensor(np.ones(3), requires_grad=True)
+    hidden = w * 3
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    np.testing.assert_allclose(w.grad, 18.0)
+    assert loss._backward is None and hidden._backward is None
+    assert loss._parents            # the graph can still be walked
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        loss.backward()
+    # a new output over part of the spent graph cannot reach `w` either
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        (hidden * 2).sum().backward()
