@@ -20,8 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ekgen import pipeline
 from ekgen.config import load_config
-
-MODES = ("EKG", "GAT_V", "GAT_VE")
+from ekgen.graph2seq import MODES
 
 
 def main() -> int:

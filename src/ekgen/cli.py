@@ -10,15 +10,36 @@ from . import pipeline
 from .config import ConfigError, load_config
 from .gradsuite import run_gradient_suite
 
-STAGES = ["synth", "ingest", "stats", "build-ekg", "train-ekg", "train-g2s",
-          "generate", "evaluate", "grad-check"]
+
+def _evaluate(ws: Path, cfg, args) -> str:
+    report = pipeline.run_evaluate(ws, cfg)
+    return f"BLEU {report['bleu']:.2f}  ROUGE-L {report['rouge_l']:.4f}"
+
+
+# stage name -> function that runs the stage and returns the line to print
+STAGES = {
+    "synth": lambda ws, cfg, args:
+        f"wrote synthetic corpus: {pipeline.run_synth(ws, cfg)['counts']}",
+    "ingest": lambda ws, cfg, args: "ingested corpus -> {}".format(
+        pipeline.run_ingest(ws, cfg, args.novel, args.lexicon, args.passages)),
+    "stats": lambda ws, cfg, args: pipeline.run_stats(ws, cfg),
+    "build-ekg": lambda ws, cfg, args:
+        f"built global EKG -> {pipeline.run_build_ekg(ws, cfg)}",
+    "train-ekg": lambda ws, cfg, args:
+        f"trained EKG embeddings -> {pipeline.run_train_ekg(ws, cfg)}",
+    "train-g2s": lambda ws, cfg, args:
+        f"trained generator -> {pipeline.run_train_g2s(ws, cfg)}",
+    "generate": lambda ws, cfg, args:
+        f"generated comments -> {pipeline.run_generate(ws, cfg)}",
+    "evaluate": _evaluate,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ekgen",
         description="Evolutionary-knowledge-graph comment generation pipeline")
-    parser.add_argument("subcommand", choices=STAGES)
+    parser.add_argument("subcommand", choices=[*STAGES, "grad-check"])
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
@@ -58,39 +79,16 @@ def main(argv=None) -> int:
     ws = Path(args.workspace)
     try:
         with pipeline.workspace_lock(ws):
-            if args.subcommand == "synth":
-                info = pipeline.run_synth(ws, cfg)
-                print(f"wrote synthetic corpus: {info['counts']}")
-            elif args.subcommand == "ingest":
-                out = pipeline.run_ingest(ws, cfg, args.novel, args.lexicon,
-                                          args.passages)
-                print(f"ingested corpus -> {out}")
-            elif args.subcommand == "stats":
-                print(pipeline.run_stats(ws, cfg))
-            elif args.subcommand == "build-ekg":
-                out = pipeline.run_build_ekg(ws, cfg)
-                print(f"built global EKG -> {out}")
-            elif args.subcommand == "train-ekg":
-                out = pipeline.run_train_ekg(ws, cfg)
-                print(f"trained EKG embeddings -> {out}")
-            elif args.subcommand == "train-g2s":
-                out = pipeline.run_train_g2s(ws, cfg)
-                print(f"trained generator -> {out}")
-            elif args.subcommand == "generate":
-                out = pipeline.run_generate(ws, cfg)
-                print(f"generated comments -> {out}")
-            elif args.subcommand == "evaluate":
-                report = pipeline.run_evaluate(ws, cfg)
-                print(f"BLEU {report['bleu']:.2f}  ROUGE-L {report['rouge_l']:.4f}")
-    except pipeline.MissingArtifact as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+            print(STAGES[args.subcommand](ws, cfg, args))
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except RuntimeError as e:
+    except pipeline.WorkspaceLocked as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -30,7 +30,6 @@ class PipelineConfig:
     eps_ls: float = 0.1
     alpha: float = 0.0                # triplet margin
     lambda_r: float = 1.0
-    encoder_kind: str = "hashed"      # hashed | attention
     phase1_steps: int = 150
     phase2_steps: int = 60
     embed_lr: float = 0.05
@@ -75,8 +74,6 @@ class PipelineConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.token_mode not in ("char", "word"):
             raise ConfigError("token_mode must be 'char' or 'word'")
-        if self.encoder_kind not in ("hashed", "attention"):
-            raise ConfigError("encoder_kind must be 'hashed' or 'attention'")
         if self.d_model % (2 * self.n_heads):
             raise ConfigError("d_model must be divisible by 2*n_heads")
         return self

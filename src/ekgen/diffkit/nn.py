@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, as_tensor, concat, stack, softmax, log_softmax,
-                     layer_norm, parameter, zeros)
+from .tensor import (Tensor, as_tensor, concat, stack, softmax, layer_norm,
+                     parameter, zeros)
 
 
 class Module:
@@ -64,22 +64,13 @@ class LSTMCell(Module):
     def __call__(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         z = x @ self.w_ih + h @ self.w_hh + self.b
         n = self.d_hidden
-        i = z[0:n].sigmoid() if z.ndim == 1 else z[:, 0:n].sigmoid()
-        if z.ndim == 1:
-            f = z[n:2 * n].sigmoid()
-            g = z[2 * n:3 * n].tanh()
-            o = z[3 * n:4 * n].sigmoid()
-        else:
-            f = z[:, n:2 * n].sigmoid()
-            g = z[:, 2 * n:3 * n].tanh()
-            o = z[:, 3 * n:4 * n].sigmoid()
+        i = z[..., 0:n].sigmoid()
+        f = z[..., n:2 * n].sigmoid()
+        g = z[..., 2 * n:3 * n].tanh()
+        o = z[..., 3 * n:4 * n].sigmoid()
         c_next = f * c + i * g
         h_next = o * c_next.tanh()
         return h_next, c_next
-
-
-def lstm_cell(x, h, c, cell: LSTMCell):
-    return cell(x, h, c)
 
 
 class BiLSTM(Module):
@@ -120,10 +111,6 @@ class BiLSTM(Module):
                 bw[t] = h
             steps = [concat([fw[t], bw[t]], axis=-1) for t in range(T)]
         return stack(steps)
-
-
-def bilstm_sequence(inputs: Tensor, lstm: BiLSTM) -> Tensor:
-    return lstm(inputs)
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:

@@ -7,7 +7,7 @@ switches the whole graph to float64 via `use_dtype`.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,10 +17,6 @@ _GRAD_ENABLED = True
 
 class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible for an op."""
-
-
-def current_dtype():
-    return _DTYPE
 
 
 @contextlib.contextmanager
@@ -55,10 +51,11 @@ def _child(data, parents) -> "Tensor":
 
 
 def _basic_index(idx) -> bool:
-    """True when `idx` selects a view (ints and slices), so no element repeats."""
+    """True when `idx` selects a view (ints, slices and `...`), so no element
+    repeats."""
     parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(isinstance(i, slice) or (isinstance(i, (int, np.integer))
-                                        and not isinstance(i, bool))
+    return all(isinstance(i, slice) or i is Ellipsis
+               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
                for i in parts)
 
 

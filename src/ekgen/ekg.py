@@ -3,9 +3,8 @@ passage-local sub-graph selection used by the generator."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +36,6 @@ class GlobalEKG:
 
     def cooccurring_pairs(self) -> set[tuple[int, int]]:
         return {pair for g in self.graphs for pair in g.edges}
-
-    def to_json(self) -> str:
-        payload = {
-            "T": self.T,
-            "vertices": [sorted(g.vertices) for g in self.graphs],
-            "edges": [sorted([i, j] for (i, j) in g.edges) for g in self.graphs],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 @dataclass

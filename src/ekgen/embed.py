@@ -4,21 +4,19 @@ Vertex embeddings: a per-chapter table trained to predict masked entity
 mentions, with a temporally smoothed loss coupling adjacent chapters.
 Edge embeddings: a two-stage relation network trained with a margin-based
 reconstruction (triplet) loss against whole-sentence features. Sentence
-features come from a pluggable encoder; the default is a frozen hashed
-character-n-gram projection, with a small trainable self-attention
-encoder available for experiments.
+features are a frozen hashed n-gram projection, computed once before
+training.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffkit as dk
-from .corpus import Mention, Novel, Vocabulary, MASK, CLS
+from .corpus import Mention, Novel
 from .ekg import GlobalEKG, LocalEKG
 
 MASK_TOKEN = "<mask>"
@@ -29,12 +27,10 @@ class TrainingDiverged(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sentence encoders
+# sentence features
 
 class HashedNgramEncoder:
     """Frozen, deterministic sentence features from hashed character n-grams."""
-
-    kind = "hashed"
 
     def __init__(self, d_f: int = 64, ngram_sizes: tuple[int, ...] = (1, 2, 3),
                  seed: int = 0):
@@ -61,48 +57,9 @@ class HashedNgramEncoder:
     def encode_cls(self, tokens: list[str]) -> dk.Tensor:
         return dk.Tensor(self._bag(tokens))
 
-    def parameters(self) -> dict[str, dk.Tensor]:
-        return {}
-
     def config(self) -> dict:
         return {"d_f": self.d_f, "ngram_sizes": list(self.ngram_sizes),
                 "seed": self.seed}
-
-
-class AttentionSentenceEncoder(dk.Module):
-    """Small 2-layer self-attention encoder trained jointly in phase 1."""
-
-    kind = "attention"
-
-    def __init__(self, vocab: Vocabulary, d_f: int = 64, n_heads: int = 2,
-                 n_layers: int = 2, max_len: int = 128, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.vocab = vocab
-        self.d_f = d_f
-        self.max_len = max_len
-        self.tok_emb = dk.parameter(rng, len(vocab), d_f)
-        self.layers = [dk.TransformerEncoderLayer(rng, d_f, n_heads, 2 * d_f)
-                       for _ in range(n_layers)]
-        self.pos = dk.sinusoidal_positions(max_len, d_f)
-
-    def _run(self, ids: list[int]) -> dk.Tensor:
-        ids = ids[:self.max_len]
-        x = dk.embedding_lookup(self.tok_emb, ids) + dk.Tensor(self.pos[:len(ids)])
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def encode_masked(self, tokens: list[str], mask_pos: int) -> dk.Tensor:
-        ids = self.vocab.encode(tokens)
-        ids[mask_pos] = MASK
-        return self._run(ids)[min(mask_pos, self.max_len - 1)]
-
-    def encode_cls(self, tokens: list[str]) -> dk.Tensor:
-        ids = [CLS] + self.vocab.encode(tokens)
-        return self._run(ids)[0]
-
-    def config(self) -> dict:
-        return {"d_f": self.d_f, "max_len": self.max_len}
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +99,6 @@ class RelationNetwork(dk.Module):
 
     def reconstruct(self, v_i: dk.Tensor, r: dk.Tensor, v_j: dk.Tensor) -> dk.Tensor:
         return self.layer2(dk.concat([v_i, r, v_j], axis=-1)).leaky_relu(self.slope)
-
-
-def rn_edge_embedding(v_i: dk.Tensor, v_j: dk.Tensor,
-                      rn: RelationNetwork) -> dk.Tensor:
-    return rn.edge_embedding(v_i, v_j)
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +205,12 @@ def vertex_loss_smoothed(example: VertexExample, table: VertexEmbeddingTable,
 
 def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable,
                       lambdas: tuple[float, float, float], eps_ls: float,
-                      encoder, features: np.ndarray | None = None) -> dk.Tensor:
-    """Sum of smoothed losses over all examples.
+                      features: np.ndarray) -> dk.Tensor:
+    """Sum of smoothed losses over all examples, batched per chapter.
 
-    When `features` (precomputed masked-sentence features, one row per
-    example) is given the computation is batched per chapter; used with the
-    frozen hashed encoder for speed.
+    `features` holds the masked-sentence feature of each example, one row
+    per example; `vertex_loss_smoothed` is the per-example reference.
     """
-    if features is None:
-        total = None
-        for ex in examples:
-            term = vertex_loss_smoothed(ex, table, lambdas, eps_ls, encoder)
-            total = term if total is None else total + term
-        return total
     by_t: dict[int, list[int]] = {}
     for idx, ex in enumerate(examples):
         by_t.setdefault(ex.t, []).append(idx)
@@ -285,16 +230,15 @@ def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable
 
 
 def edge_triplet_loss(example: EdgeExample, table: VertexEmbeddingTable,
-                      rn: RelationNetwork, encoder) -> dk.Tensor | None:
-    """Margin reconstruction loss for one positive/negative pair, or None
-    when no negative was available."""
+                      rn: RelationNetwork, f_c: dk.Tensor) -> dk.Tensor | None:
+    """Margin reconstruction loss for one positive/negative pair against the
+    sentence feature `f_c`, or None when no negative was available."""
     if example.negative is None:
         return None
     i, j = example.pair
     k = example.negative
     w_t = table.at(example.t)
     v_i, v_j, v_k = w_t[i], w_t[j], w_t[k]
-    f_c = encoder.encode_cls(example.tokens)
     r_pos = rn.edge_embedding(v_i, v_j)
     f_pos = rn.reconstruct(v_i, r_pos, v_j)
     r_neg = rn.edge_embedding(v_i, v_k)
@@ -318,7 +262,6 @@ class EmbedTrainConfig:
     lr: float = 0.05
     rn_lr: float = 0.01
     seed: int = 0
-    encoder_kind: str = "hashed"
 
 
 @dataclass
@@ -329,23 +272,20 @@ class EkgEmbeddings:
     d_f: int
     table: VertexEmbeddingTable
     rn: RelationNetwork
-    encoder: object
+    encoder: HashedNgramEncoder
     history: dict = field(default_factory=dict)
 
     def save(self, path):
         arrays = {"table.w": self.table.w.data}
         for name, p in self.rn.parameters().items():
             arrays[f"rn.{name}"] = p.data
-        for name, p in self.encoder.parameters().items():
-            arrays[f"encoder.{name}"] = p.data
         extra = {"T": self.T, "n_e": self.n_e, "d_f": self.d_f,
                  "margin": self.rn.margin,
-                 "encoder_kind": self.encoder.kind,
                  "encoder_config": self.encoder.config()}
         dk.save_arrays(path, arrays, magic=dk.EMBED_MAGIC, extra=extra)
 
     @classmethod
-    def load(cls, path, vocab: Vocabulary | None = None) -> "EkgEmbeddings":
+    def load(cls, path) -> "EkgEmbeddings":
         arrays, extra = dk.load_arrays(path, magic=dk.EMBED_MAGIC)
         T, n_e, d_f = extra["T"], extra["n_e"], extra["d_f"]
         table = VertexEmbeddingTable(T, n_e, d_f)
@@ -353,55 +293,34 @@ class EkgEmbeddings:
         rn = RelationNetwork(d_f, margin=extra.get("margin", 0.0))
         rn.load_state({k[3:]: v for k, v in arrays.items() if k.startswith("rn.")})
         cfg = extra["encoder_config"]
-        if extra["encoder_kind"] == "hashed":
-            encoder = HashedNgramEncoder(d_f=cfg["d_f"],
-                                         ngram_sizes=tuple(cfg["ngram_sizes"]),
-                                         seed=cfg["seed"])
-        else:
-            if vocab is None:
-                raise ValueError("attention encoder artifact needs the vocabulary")
-            encoder = AttentionSentenceEncoder(vocab, d_f=cfg["d_f"],
-                                               max_len=cfg["max_len"])
-            encoder.load_state({k[8:]: v for k, v in arrays.items()
-                                if k.startswith("encoder.")})
+        encoder = HashedNgramEncoder(d_f=cfg["d_f"],
+                                     ngram_sizes=tuple(cfg["ngram_sizes"]),
+                                     seed=cfg["seed"])
         return cls(T=T, n_e=n_e, d_f=d_f, table=table, rn=rn, encoder=encoder)
 
 
 def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
-              config: EmbedTrainConfig, n_e: int,
-              vocab: Vocabulary | None = None) -> EkgEmbeddings:
+              config: EmbedTrainConfig, n_e: int) -> EkgEmbeddings:
     """Two-phase training: vertex table first, then the relation network
-    with the table frozen."""
+    with the table frozen. Sentence features are computed once up front."""
     T = novel.num_chapters
     table = VertexEmbeddingTable(T, n_e, config.d_f, seed=config.seed)
-    if config.encoder_kind == "hashed":
-        encoder = HashedNgramEncoder(d_f=config.d_f, seed=config.seed)
-    else:
-        if vocab is None:
-            raise ValueError("attention encoder needs the vocabulary")
-        encoder = AttentionSentenceEncoder(vocab, d_f=config.d_f,
-                                           seed=config.seed + 1)
+    encoder = HashedNgramEncoder(d_f=config.d_f, seed=config.seed)
     rn = RelationNetwork(config.d_f, margin=config.margin, seed=config.seed + 2)
 
     v_examples = make_vertex_examples(novel, mentions)
-    frozen = config.encoder_kind == "hashed"
-    features = None
-    if frozen and v_examples:
-        features = np.stack([encoder.encode_masked(ex.tokens, ex.mask_pos).numpy()
-                             for ex in v_examples])
+    features = np.stack([encoder.encode_masked(ex.tokens, ex.mask_pos).numpy()
+                         for ex in v_examples])
 
     history: dict[str, list[float]] = {"phase1": [], "phase2": [],
                                        "skipped_negatives": []}
 
-    # phase 1: vertex embeddings (plus encoder when trainable)
-    params = {"table.w": table.w}
-    if not frozen:
-        params.update({f"enc.{k}": v for k, v in encoder.parameters().items()})
-    opt = dk.Adam(params)
+    # phase 1: vertex embeddings
+    opt = dk.Adam({"table.w": table.w})
     for step in range(config.phase1_steps):
         opt.zero_grad()
         loss = vertex_loss_total(v_examples, table, config.lambdas,
-                                 config.eps_ls, encoder, features)
+                                 config.eps_ls, features)
         val = loss.item()
         if not np.isfinite(val):
             raise TrainingDiverged(f"phase 1 loss became {val} at step {step}")
@@ -413,10 +332,7 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
 
     # phase 2: relation network; the table is frozen
     e_examples = make_edge_examples(novel, global_ekg)
-    if frozen and e_examples:
-        cls_features = [encoder.encode_cls(ex.tokens) for ex in e_examples]
-    else:
-        cls_features = None
+    cls_features = [encoder.encode_cls(ex.tokens) for ex in e_examples]
     table.w.requires_grad = False
     rn_opt = dk.Adam(rn.parameters())
     for step in range(config.phase2_steps if config.lambda_r > 0 else 0):
@@ -425,12 +341,11 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
         rn_opt.zero_grad()
         total = None
         skipped = 0
-        for idx, ex in enumerate(e_examples):
+        for ex, f_c in zip(e_examples, cls_features):
             if ex.negative is None:
                 skipped += 1
                 continue
-            enc = _FixedCls(cls_features[idx]) if cls_features else encoder
-            term = edge_triplet_loss(ex, table, rn, enc)
+            term = edge_triplet_loss(ex, table, rn, f_c)
             total = term if total is None else total + term
         history["skipped_negatives"].append(skipped)
         if total is None:
@@ -450,27 +365,17 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
                          encoder=encoder, history=history)
 
 
-class _FixedCls:
-    """Wraps a precomputed sentence feature as an encoder."""
-
-    def __init__(self, feature: dk.Tensor):
-        self._f = feature
-
-    def encode_cls(self, tokens):
-        return self._f
-
-
 def materialize_embeddings(artifact: EkgEmbeddings,
                            local: LocalEKG) -> LocalEKG:
-    """Fill the local EKG with dense (T, c_e, d) and (T, c_r, d) sequences."""
+    """Fill the local EKG with dense (T, c_e, d) and (T, c_r, d) sequences.
+
+    Every (chapter, edge) pair goes through the relation network in one
+    call; with no edges the result is (T, 0, d)."""
     W = artifact.table.w.data
-    ids = np.asarray(local.vertex_ids)
-    local.vertex_seq = W[:, ids, :].copy()
-    c_r = len(local.edges)
-    edge_seq = np.zeros((artifact.T, c_r, artifact.d_f), dtype=W.dtype)
-    for t in range(artifact.T):
-        for e, (i, j) in enumerate(local.edges):
-            r = artifact.rn.edge_embedding(dk.Tensor(W[t, i]), dk.Tensor(W[t, j]))
-            edge_seq[t, e] = r.numpy()
-    local.edge_seq = edge_seq
+    local.vertex_seq = W[:, np.asarray(local.vertex_ids), :].copy()
+    pairs = np.asarray(local.edges, dtype=int).reshape(-1, 2)
+    with dk.no_grad():
+        r = artifact.rn.edge_embedding(dk.Tensor(W[:, pairs[:, 0]]),
+                                       dk.Tensor(W[:, pairs[:, 1]]))
+    local.edge_seq = r.numpy().astype(W.dtype, copy=False)
     return local

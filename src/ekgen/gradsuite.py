@@ -15,7 +15,7 @@ from . import diffkit as dk
 from .ekg import LocalEKG
 from .embed import (EdgeExample, HashedNgramEncoder, RelationNetwork,
                     VertexEmbeddingTable, VertexExample, edge_triplet_loss,
-                    vertex_loss_smoothed, vertex_loss_total)
+                    vertex_loss_total)
 from .graph2seq import G2SConfig, Graph2SeqModel
 
 SMOOTH_TOL = 1e-6
@@ -138,27 +138,30 @@ def _loss_checks(rng) -> list[CheckResult]:
                               entity_id=int(rng.integers(n_e)),
                               tokens=list("abcXdef"), mask_pos=3)
                 for _ in range(4)]
+    features = np.stack([encoder.encode_masked(e.tokens, e.mask_pos).numpy()
+                         for e in examples])
     results.append(_check(
         "vertex_loss_plain",
-        lambda: vertex_loss_total(examples, table, (0.0, 1.0, 0.0), 0.0, encoder),
+        lambda: vertex_loss_total(examples, table, (0.0, 1.0, 0.0), 0.0, features),
         {"w": table.w}, ROUGH_TOL))
     results.append(_check(
         "vertex_loss_smoothed",
-        lambda: vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, encoder),
+        lambda: vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, features),
         {"w": table.w}, ROUGH_TOL))
 
     rn = RelationNetwork(d_f, margin=0.3, seed=int(rng.integers(1 << 30)))
     ex = EdgeExample(t=2, pair=(0, 1), tokens=list("ghijkl"), negative=2)
+    f_c = encoder.encode_cls(ex.tokens)
     def triplet():
-        loss = edge_triplet_loss(ex, table, rn, encoder)
+        loss = edge_triplet_loss(ex, table, rn, f_c)
         # keep away from the hinge kink: margin chosen so the hinge is active
         return loss
     results.append(_check("edge_triplet_loss", triplet,
                           {"w": table.w, **rn.parameters()}, ROUGH_TOL))
 
     def multitask():
-        return (vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, encoder)
-                + 1.0 * edge_triplet_loss(ex, table, rn, encoder))
+        return (vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, features)
+                + 1.0 * edge_triplet_loss(ex, table, rn, f_c))
     results.append(_check("multi_task_loss", multitask,
                           {"w": table.w, **rn.parameters()}, ROUGH_TOL))
 

@@ -9,19 +9,16 @@ attention only), GAT_VE (vertex + edge attention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffkit as dk
-from .corpus import BOS, EOS, PAD, Vocabulary
+from .corpus import BOS, EOS, PAD
 from .ekg import LocalEKG
+from .embed import TrainingDiverged
 
 MODES = ("EKG", "GAT_V", "GAT_VE")
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 @dataclass
@@ -39,7 +36,6 @@ class G2SConfig:
     max_passage: int = 256
     eps_ls: float = 0.1
     gat_slope: float = 0.2
-    shared_embedding: bool = True
     seed: int = 0
 
     @property
@@ -267,8 +263,6 @@ class G2STrainConfig:
     warmup: int = 50
     lr_scale: float = 1.0
     seed: int = 0
-    log_every: int = 10
-    checkpoint_dir: str | None = None
 
 
 def train_g2s(examples: list[G2SExample], model: Graph2SeqModel,

@@ -16,8 +16,6 @@ import os
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as cp
 from . import diffkit as dk
 from .config import PipelineConfig
@@ -28,11 +26,12 @@ from .graph2seq import (G2SConfig, G2SExample, G2STrainConfig, Graph2SeqModel,
 from .metrics import EvalPair, bleu_corpus, rouge_l
 from .synth import SyntheticSpec, generate as synth_generate
 
-STAGE_ORDER = ["synth", "ingest", "build-ekg", "train-ekg", "train-g2s",
-               "generate", "evaluate"]
-
 
 class MissingArtifact(FileNotFoundError):
+    pass
+
+
+class WorkspaceLocked(RuntimeError):
     pass
 
 
@@ -54,7 +53,7 @@ def workspace_lock(ws: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(f"workspace {ws} is locked by another run ({lock})")
+        raise WorkspaceLocked(f"workspace {ws} is locked by another run ({lock})")
     try:
         os.close(fd)
         yield
@@ -236,25 +235,23 @@ def run_build_ekg(ws: Path, cfg: PipelineConfig) -> Path:
     ekg = build_global_ekg(novel, mentions)
     out_dir = ws / "ekg"
     out_dir.mkdir(parents=True, exist_ok=True)
-    full = out_dir / "global.json"
-    topo = out_dir / "topology.json"
-    _save_ekg(full, ekg)
-    topo.write_text(ekg.to_json(), encoding="utf-8")
-    _record(ws, "build-ekg", cfg, [full, topo])
-    return full
+    out = out_dir / "global.json"
+    _save_ekg(out, ekg)
+    _record(ws, "build-ekg", cfg, [out])
+    return out
 
 
 def run_train_ekg(ws: Path, cfg: PipelineConfig) -> Path:
     corpus_path = _require(ws / "corpus" / "corpus.json", "ingest")
     ekg_path = _require(ws / "ekg" / "global.json", "build-ekg")
-    novel, passages, mentions, vocab, n_e, _ = _load_corpus(corpus_path)
+    novel, _, mentions, _, n_e, _ = _load_corpus(corpus_path)
     ekg = _load_ekg(ekg_path)
     train_cfg = EmbedTrainConfig(
         d_f=cfg.d_f, lambdas=cfg.lambdas, eps_ls=cfg.eps_ls, margin=cfg.alpha,
         lambda_r=cfg.lambda_r, phase1_steps=cfg.phase1_steps,
         phase2_steps=cfg.phase2_steps, lr=cfg.embed_lr, rn_lr=cfg.rn_lr,
-        seed=cfg.seed, encoder_kind=cfg.encoder_kind)
-    artifact = train_ekg(novel, mentions, ekg, train_cfg, n_e, vocab)
+        seed=cfg.seed)
+    artifact = train_ekg(novel, mentions, ekg, train_cfg, n_e)
     out_dir = ws / "embed"
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "ekg_embed.bin"
@@ -295,7 +292,7 @@ def run_train_g2s(ws: Path, cfg: PipelineConfig) -> Path:
     embed_path = _require(ws / "embed" / "ekg_embed.bin", "train-ekg")
     novel, passages, mentions, vocab, n_e, _ = _load_corpus(corpus_path)
     ekg = _load_ekg(ekg_path)
-    artifact = EkgEmbeddings.load(embed_path, vocab)
+    artifact = EkgEmbeddings.load(embed_path)
     examples, _ = _build_examples(novel, passages, ekg, artifact, vocab, cfg)
     model = Graph2SeqModel(_g2s_config(cfg, len(vocab)))
     history = train_g2s(examples, model,
@@ -332,7 +329,7 @@ def run_generate(ws: Path, cfg: PipelineConfig, limit: int | None = None) -> Pat
     embed_path = _require(ws / "embed" / "ekg_embed.bin", "train-ekg")
     novel, passages, mentions, vocab, n_e, mode = _load_corpus(corpus_path)
     ekg = _load_ekg(ekg_path)
-    artifact = EkgEmbeddings.load(embed_path, vocab)
+    artifact = EkgEmbeddings.load(embed_path)
     model = load_g2s_model(ws, cfg, vocab)
     sep = "" if mode == "char" else " "
     out_dir = ws / "generate"

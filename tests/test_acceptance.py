@@ -59,7 +59,7 @@ def _load_trained(run):
     novel, passages, mentions, vocab, n_e, _ = pipeline._load_corpus(
         ws / "corpus" / "corpus.json")
     ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
-    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin", vocab)
+    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin")
     model = pipeline.load_g2s_model(ws, cfg, vocab)
     examples, _ = pipeline._build_examples(novel, passages, ekg, artifact,
                                            vocab, cfg)
@@ -123,7 +123,8 @@ def test_criterion_03_hinge_contract(capsys):
             encoder = HashedNgramEncoder(d_f=6, seed=0)
             ex = EdgeExample(t=1, pair=(0, 1), tokens=list("abcdef"),
                              negative=2)
-            loss = edge_triplet_loss(ex, table, rn, encoder)
+            loss = edge_triplet_loss(ex, table, rn,
+                                     encoder.encode_cls(ex.tokens))
             assert loss.item() == 0.0
             loss.backward()
             for p in {**rn.parameters(), "w": table.w}.values():

@@ -1,5 +1,4 @@
 import itertools
-import json
 from collections import Counter
 
 import numpy as np
@@ -79,13 +78,6 @@ def test_edge_count_matches_brute_force_recount(data):
             expected += len(list(itertools.combinations(sorted(here), 2)))
     got = sum(len(ev) for g in ekg.graphs for ev in g.edges.values())
     assert got == expected
-
-
-def test_topology_json_schema():
-    novel = _novel(["A x B"])
-    mentions = [Mention(0, 1, (0, 1)), Mention(1, 1, (2, 3))]
-    payload = json.loads(build_global_ekg(novel, mentions).to_json())
-    assert payload == {"T": 1, "vertices": [[0, 1]], "edges": [[[0, 1]]]}
 
 
 # ---------------------------------------------------------------------------

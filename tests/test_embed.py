@@ -124,10 +124,10 @@ def test_batched_total_matches_per_example_sum():
                     for _ in range(9)]
         features = np.stack([encoder.encode_masked(e.tokens, e.mask_pos).numpy()
                              for e in examples])
-        slow = vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1,
-                                 encoder).item()
+        slow = sum(vertex_loss_smoothed(e, table, (0.5, 1.0, 0.3), 0.1,
+                                        encoder).item() for e in examples)
         fast = vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1,
-                                 encoder, features).item()
+                                 features).item()
         assert fast == pytest.approx(slow, rel=1e-10)
 
 
@@ -142,7 +142,7 @@ def test_rn_zero_weights_give_zero_edge_embedding():
     np.testing.assert_allclose(r.numpy(), 0.0)
 
 
-def test_rn_edge_embedding_is_order_sensitive():
+def test_relation_edge_embedding_is_order_sensitive():
     rn = RelationNetwork(d_f=4, seed=1)
     a = dk.Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
     b = dk.Tensor(np.array([0.0, 1.0, 0.0, 0.0]))
@@ -175,7 +175,7 @@ def test_hinge_inactive_gives_zero_loss_and_zero_gradients():
         rn = RelationNetwork(d_f=6, margin=-1e3, seed=9)
         encoder = HashedNgramEncoder(d_f=6, seed=0)
         ex = EdgeExample(t=1, pair=(0, 1), tokens=list("abcdef"), negative=2)
-        loss = edge_triplet_loss(ex, table, rn, encoder)
+        loss = edge_triplet_loss(ex, table, rn, encoder.encode_cls(ex.tokens))
         assert loss.item() == 0.0
         loss.backward()
         for p in {**rn.parameters(), "w": table.w}.values():
@@ -187,7 +187,7 @@ def test_no_negative_returns_none():
     rn = RelationNetwork(d_f=4)
     encoder = HashedNgramEncoder(d_f=4)
     ex = EdgeExample(t=1, pair=(0, 1), tokens=list("ab"), negative=None)
-    assert edge_triplet_loss(ex, table, rn, encoder) is None
+    assert edge_triplet_loss(ex, table, rn, encoder.encode_cls(ex.tokens)) is None
 
 
 def test_negative_sampling_respects_constraints():
@@ -293,6 +293,40 @@ def test_materialize_shapes_and_determinism():
                       edges=[(0, 2), (2, 4), (4, 6), (6, 8)])
     materialize_embeddings(artifact, second)
     np.testing.assert_array_equal(local.edge_seq, second.edge_seq)
+
+
+def _edge_seq_per_pair(artifact, local):
+    """Relation-network edge embeddings one (chapter, edge) pair at a time."""
+    W = artifact.table.w.data
+    out = np.zeros((artifact.T, len(local.edges), artifact.d_f), dtype=W.dtype)
+    for t in range(artifact.T):
+        for e, (i, j) in enumerate(local.edges):
+            r = artifact.rn.edge_embedding(dk.Tensor(W[t, i]), dk.Tensor(W[t, j]))
+            out[t, e] = r.numpy()
+    return out
+
+
+@pytest.mark.parametrize("vertex_ids, edges", [
+    ([0, 2, 4, 6, 8], [(0, 2), (0, 8), (2, 4), (4, 6), (6, 8)]),
+    ([1, 5], [(1, 5)]),
+    ([3], []),
+])
+def test_materialize_matches_per_pair_reference(vertex_ids, edges):
+    T, d = 4, 16
+    table = VertexEmbeddingTable(T=T, n_e=9, d_f=d, seed=3)
+    table.w.data *= 20.0       # outputs of a few units, as after training
+    artifact = EkgEmbeddings(T=T, n_e=9, d_f=d, table=table,
+                             rn=RelationNetwork(d_f=d, seed=4),
+                             encoder=HashedNgramEncoder(d_f=d))
+    local = materialize_embeddings(
+        artifact, LocalEKG(passage_id="p", t=1, vertex_ids=vertex_ids,
+                           edges=edges))
+    expected = _edge_seq_per_pair(artifact, local)
+    assert local.edge_seq.shape == (T, len(edges), d)
+    assert local.edge_seq.dtype == table.w.data.dtype
+    np.testing.assert_allclose(local.edge_seq, expected, rtol=1e-5, atol=1e-5)
+    np.testing.assert_array_equal(local.vertex_seq,
+                                  table.w.data[:, vertex_ids, :])
 
 
 def test_hashed_encoder_deterministic_and_normalized():

@@ -296,7 +296,7 @@ def desk_trained(tmp_path_factory):
     novel, passages, _, vocab, _, _ = pipeline._load_corpus(
         ws / "corpus" / "corpus.json")
     ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
-    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin", vocab)
+    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin")
     model = pipeline.load_g2s_model(ws, cfg, vocab)
     examples, _ = pipeline._build_examples(novel, passages, ekg, artifact,
                                            vocab, cfg)

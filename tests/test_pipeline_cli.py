@@ -6,6 +6,7 @@ from ekgen import cli, pipeline
 from ekgen.config import load_config
 from ekgen.corpus import Comment, Passage
 from ekgen.ekg import build_global_ekg
+from ekgen.embed import TrainingDiverged
 
 
 SMALL = ["synth_passages=6", "synth_entities=4", "synth_chapters=2",
@@ -31,7 +32,7 @@ def test_full_small_pipeline_produces_all_artifacts(tmp_path):
     report = pipeline.run_full_pipeline(ws, cfg, generate_limit=2)
     assert set(report) == {"bleu", "precisions", "bp", "rouge_l"}
     for rel in ["data/novel.json", "corpus/corpus.json", "ekg/global.json",
-                "ekg/topology.json", "embed/ekg_embed.bin", "g2s/model.bin",
+                "embed/ekg_embed.bin", "g2s/model.bin",
                 "g2s/model.json", "generate/comments.jsonl",
                 "evaluate/report.json", "manifest.json"]:
         assert (ws / rel).exists(), rel
@@ -105,6 +106,14 @@ def test_cli_locked_workspace_exit_code(tmp_path):
     (ws / ".lock").touch()
     code = cli.main(["synth", "--workspace", str(ws)])
     assert code == 4
+
+
+def test_cli_stage_failure_exit_code(tmp_path, monkeypatch):
+    def diverge(ws, cfg):
+        raise TrainingDiverged("NLL became nan at step 1")
+    monkeypatch.setattr(pipeline, "run_train_g2s", diverge)
+    code = cli.main(["train-g2s", "--workspace", str(tmp_path / "ws")])
+    assert code == 1
 
 
 def test_cli_synth_and_stats(tmp_path, capsys):

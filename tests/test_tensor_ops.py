@@ -114,9 +114,10 @@ def test_backward_requires_scalar():
 
 def test_basic_slices_write_gradient_into_place():
     x = dk.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    out = x[1:, ::2].sum() + (x[0] * 2).sum() + x[2, 3] + x[np.int64(2)].sum()
+    out = (x[1:, ::2].sum() + (x[0] * 2).sum() + x[2, 3] + x[np.int64(2)].sum()
+           + x[..., 1:2].sum())
     out.backward()
-    expected = np.array([[2, 2, 2, 2], [1, 0, 1, 0], [2, 1, 2, 2]], dtype=float)
+    expected = np.array([[2, 3, 2, 2], [1, 1, 1, 0], [2, 2, 2, 2]], dtype=float)
     np.testing.assert_array_equal(x.grad, expected)
 
 
