@@ -8,6 +8,8 @@ from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, load_config
+from .corpus import CorpusParseError, ReferenceError_
+from .diffkit import CheckpointError
 from .gradsuite import run_gradient_suite
 
 
@@ -80,7 +82,9 @@ def main(argv=None) -> int:
     try:
         with pipeline.workspace_lock(ws):
             print(STAGES[args.subcommand](ws, cfg, args))
-    except FileNotFoundError as e:
+    except (FileNotFoundError, CorpusParseError, ReferenceError_,
+            CheckpointError) as e:
+        # a missing or unreadable input or artifact
         print(f"error: {e}", file=sys.stderr)
         return 3
     except pipeline.WorkspaceLocked as e:

@@ -38,19 +38,36 @@ def save_arrays(path, arrays: dict[str, np.ndarray], magic: bytes = MAGIC,
 
 
 def load_arrays(path, magic: bytes = MAGIC) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a file written by `save_arrays`. A wrong magic, a manifest that is
+    not JSON, or a manifest or array that runs past the bytes actually read
+    raises `CheckpointError`."""
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(len(magic))
-        if head != magic:
-            raise CheckpointError(f"{path}: bad magic {head!r}, expected {magic!r}")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        blob = fh.read()
+        data = fh.read()
+    head = data[:len(magic)]
+    if head != magic:
+        raise CheckpointError(f"{path}: bad magic {head!r}, expected {magic!r}")
+    start = len(magic) + 4
+    if len(data) < start:
+        raise CheckpointError(f"{path}: truncated header")
+    (mlen,) = struct.unpack_from("<I", data, len(magic))
+    if len(data) < start + mlen:
+        raise CheckpointError(f"{path}: truncated manifest ({len(data) - start} "
+                              f"of {mlen} bytes)")
+    try:
+        manifest = json.loads(data[start:start + mlen].decode("utf-8"))
+    except ValueError as e:        # undecodable bytes or malformed JSON
+        raise CheckpointError(f"{path}: unreadable manifest: {e}") from e
+    blob = data[start + mlen:]
     arrays = {}
     for entry in manifest["params"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
+        offset = entry["offset"]
+        if offset + 4 * count > len(blob):
+            raise CheckpointError(
+                f"{path}: array {entry['name']!r} ends at byte {offset + 4 * count} "
+                f"of a {len(blob)}-byte data section; the file is truncated")
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         arrays[entry["name"]] = arr.reshape(shape).astype(np.float32)
     return arrays, manifest.get("extra", {})

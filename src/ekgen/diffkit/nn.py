@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, as_tensor, concat, stack, softmax, layer_norm,
-                     parameter, zeros)
+from .tensor import (Tensor, _child, _tracks, as_tensor, concat, softmax,
+                     layer_norm, parameter, zeros)
 
 
 class Module:
@@ -53,7 +53,10 @@ class Linear(Module):
 
 
 class LSTMCell(Module):
-    """Standard LSTM cell; gate order i, f, g, o."""
+    """Parameters of a standard LSTM cell; gate order i, f, g, o.
+
+    `lstm_sequence` runs them over a whole sequence.
+    """
 
     def __init__(self, rng, d_in: int, d_hidden: int):
         self.d_hidden = d_hidden
@@ -61,20 +64,80 @@ class LSTMCell(Module):
         self.w_hh = parameter(rng, d_hidden, 4 * d_hidden)
         self.b = zeros(4 * d_hidden)
 
-    def __call__(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        z = x @ self.w_ih + h @ self.w_hh + self.b
-        n = self.d_hidden
-        i = z[..., 0:n].sigmoid()
-        f = z[..., n:2 * n].sigmoid()
-        g = z[..., 2 * n:3 * n].tanh()
-        o = z[..., 3 * n:4 * n].sigmoid()
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
-        return h_next, c_next
+
+def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False) -> Tensor:
+    """Hidden states of `cell` run from a zero state over the leading axis of
+    `x` (T, ..., d_in), as one autodiff node of shape (T, ..., d_hidden).
+
+    The input projection is one matmul over all T steps; each step adds only
+    its recurrent term. With `reverse` the steps run from T - 1 down to 0, and
+    row t is still the state after reading step t. The backward pass is
+    backpropagation through time over the gates cached here, which are kept
+    only when a graph is being built.
+    """
+    x = as_tensor(x)
+    parents = (x, cell.w_ih, cell.w_hh, cell.b)
+    track = _tracks(parents)
+    n = cell.d_hidden
+    w_ih, w_hh, b = cell.w_ih.data, cell.w_hh.data, cell.b.data
+    xw = x.data @ w_ih
+    T = xw.shape[0]
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    hs = np.empty(xw.shape[:-1] + (n,), dtype=xw.dtype)
+    if track:
+        gates = np.empty_like(xw)        # i, f, g, o after their nonlinearity
+        cs = np.empty_like(hs)
+        tcs = np.empty_like(hs)          # tanh of each cell state
+    h = np.zeros(hs.shape[1:], dtype=xw.dtype)
+    c = np.zeros_like(h)
+    for t in order:
+        z = xw[t] + h @ w_hh + b
+        act = 1.0 / (1.0 + np.exp(-z))
+        act[..., 2 * n:3 * n] = np.tanh(z[..., 2 * n:3 * n])
+        i, f, g, o = (act[..., k * n:(k + 1) * n] for k in range(4))
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs[t] = h
+        if track:
+            gates[t], cs[t], tcs[t] = act, c, tc
+    out = _child(hs, parents)
+    if not track:
+        return out
+
+    def _bw():
+        dh_out = out.grad
+        # state each step read: the neighbour in the running order, or zero
+        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
+        if reverse:
+            h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
+        else:
+            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
+        dz = np.empty_like(gates)
+        dh = np.zeros_like(h)
+        dc = np.zeros_like(h)
+        for t in reversed(order):
+            i, f, g, o = (gates[t, ..., k * n:(k + 1) * n] for k in range(4))
+            dh = dh + dh_out[t]
+            dc = dc + dh * o * (1.0 - tcs[t] * tcs[t])
+            dz[t, ..., 0:n] = dc * g * i * (1.0 - i)
+            dz[t, ..., n:2 * n] = dc * c_prev[t] * f * (1.0 - f)
+            dz[t, ..., 2 * n:3 * n] = dc * i * (1.0 - g * g)
+            dz[t, ..., 3 * n:] = dh * tcs[t] * o * (1.0 - o)
+            dc = dc * f
+            dh = dz[t] @ w_hh.T
+        flat = dz.reshape(-1, 4 * n)
+        cell.w_ih._accum(x.data.reshape(-1, w_ih.shape[0]).T @ flat)
+        cell.w_hh._accum(h_prev.reshape(-1, n).T @ flat)
+        cell.b._accum(flat.sum(axis=0))
+        if x.requires_grad:
+            x._accum(dz @ w_ih.T)
+    out._backward = _bw
+    return out
 
 
 class BiLSTM(Module):
-    """Stacked bidirectional LSTM over a (T, d_in) sequence.
+    """Stacked bidirectional LSTM over a (T, ..., d_in) sequence.
 
     Output at step t is concat(forward h_t, backward h_t), so the feature
     width is 2 * d_hidden.
@@ -92,25 +155,13 @@ class BiLSTM(Module):
             d = 2 * d_hidden
 
     def __call__(self, inputs: Tensor) -> Tensor:
-        T = inputs.shape[0]
-        if T == 0:
+        if inputs.shape[0] == 0:
             raise ValueError("BiLSTM requires a non-empty sequence")
-        steps = [inputs[t] for t in range(T)]
+        x = inputs
         for fcell, bcell in zip(self.fwd, self.bwd):
-            h = Tensor(np.zeros(self.d_hidden))
-            c = Tensor(np.zeros(self.d_hidden))
-            fw = []
-            for t in range(T):
-                h, c = fcell(steps[t], h, c)
-                fw.append(h)
-            h = Tensor(np.zeros(self.d_hidden))
-            c = Tensor(np.zeros(self.d_hidden))
-            bw = [None] * T
-            for t in reversed(range(T)):
-                h, c = bcell(steps[t], h, c)
-                bw[t] = h
-            steps = [concat([fw[t], bw[t]], axis=-1) for t in range(T)]
-        return stack(steps)
+            x = concat([lstm_sequence(x, fcell),
+                        lstm_sequence(x, bcell, reverse=True)], axis=-1)
+        return x
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:

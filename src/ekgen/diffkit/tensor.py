@@ -44,9 +44,14 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def _tracks(parents) -> bool:
+    """True when an op on `parents` must record a graph node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _child(data, parents) -> "Tensor":
     """Output of an op on `parents`; a graph node when any parent needs grad."""
-    rg = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    rg = _tracks(parents)
     return Tensor(data, requires_grad=rg, _parents=tuple(parents) if rg else ())
 
 

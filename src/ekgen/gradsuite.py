@@ -16,7 +16,7 @@ from .ekg import LocalEKG
 from .embed import (EdgeExample, HashedNgramEncoder, RelationNetwork,
                     VertexEmbeddingTable, VertexExample, edge_triplet_loss,
                     vertex_loss_total)
-from .graph2seq import G2SConfig, Graph2SeqModel
+from .graph2seq import G2SConfig, GATLayer, Graph2SeqModel, gat_layer
 
 SMOOTH_TOL = 1e-6
 ROUGH_TOL = 1e-4
@@ -87,12 +87,18 @@ def _nn_checks(rng) -> list[CheckResult]:
     seed = int(rng.integers(1 << 30))
     prng = np.random.default_rng(seed)
     cell = dk.LSTMCell(prng, 3, 4)
-    x = dk.Tensor(prng.standard_normal(3), requires_grad=True)
-    h0 = dk.Tensor(np.zeros(4))
-    c0 = dk.Tensor(np.zeros(4))
+    x = dk.Tensor(prng.standard_normal((1, 3)), requires_grad=True)
     results.append(_check("lstm_cell",
-                          lambda: (lambda hc: (hc[0] * hc[1]).sum())(cell(x, h0, c0)),
+                          lambda: (dk.lstm_sequence(x, cell) ** 2).sum(),
                           {"x": x, **cell.parameters()}, SMOOTH_TOL))
+    # a (T, batch, d_in) sequence in both directions
+    xs = dk.Tensor(prng.standard_normal((3, 2, 3)), requires_grad=True)
+    hprobe = dk.Tensor(prng.standard_normal((3, 2, 4)))
+    for name, reverse in (("lstm_sequence", False),
+                          ("lstm_sequence_reverse", True)):
+        results.append(_check(
+            name, lambda: (dk.lstm_sequence(xs, cell, reverse) * hprobe).sum(),
+            {"x": xs, **cell.parameters()}, SMOOTH_TOL))
     lstm = dk.BiLSTM(prng, 3, 2, n_layers=2)
     seq = dk.Tensor(prng.standard_normal((3, 3)), requires_grad=True)
     results.append(_check("bilstm", lambda: (lstm(seq) ** 2).sum(),
@@ -124,6 +130,16 @@ def _nn_checks(rng) -> list[CheckResult]:
                           lambda: (dk.multi_head_attention(q, km, vm, 2, mask)
                                    * probe[0]).sum(),
                           {"q": q, "k": km, "v": vm}, SMOOTH_TOL))
+    # vertex 4 has no edges; leaky_relu's kink makes these rough
+    gat = GATLayer(prng, 4)
+    gv = dk.Tensor(prng.standard_normal((5, 4)), requires_grad=True)
+    ge = dk.Tensor(prng.standard_normal((3, 4)), requires_grad=True)
+    gprobe = dk.Tensor(prng.standard_normal((5, 4)))
+    edges = [(0, 1), (1, 2), (0, 3)]
+    for name, mode in (("gat_layer_v", "GAT_V"), ("gat_layer_ve", "GAT_VE")):
+        results.append(_check(
+            name, lambda: (gat_layer(gv, ge, edges, gat, mode) * gprobe).sum(),
+            {"v": gv, "e": ge, **gat.parameters()}, ROUGH_TOL))
     return results
 
 

@@ -54,9 +54,10 @@ class G2SConfig:
 class GATLayer(dk.Module):
     """Single-head graph attention with edge-feature terms.
 
-    Attention logits for vertex i cover its self-loop, every neighbor j,
-    and (in GAT_VE mode) every incident edge feature; one joint softmax
-    per vertex normalizes them together.
+    Attention logits for vertex i cover itself, every neighbor j and (in
+    GAT_VE mode) every incident edge feature; one joint softmax per vertex
+    normalizes them together. All vertices share one dense masked softmax
+    over the columns [vertices | edges].
     """
 
     def __init__(self, rng, d: int, slope: float = 0.2):
@@ -64,7 +65,16 @@ class GATLayer(dk.Module):
         self.a_g = dk.parameter(rng, 2 * d)
         self.a_h = dk.parameter(rng, 2 * d)
         self.slope = slope
-        self.last_coefficients: list[np.ndarray] = []  # per-vertex, post-softmax
+        # per vertex, post-softmax: self, neighbors and then incident edges,
+        # each in edge order
+        self.last_coefficients: list[np.ndarray] = []
+
+    def _logits(self, a: dk.Tensor, rows: dk.Tensor, cols: dk.Tensor) -> dk.Tensor:
+        """leaky(a[:d] . rows_i + a[d:] . cols_j) for every pair (i, j)."""
+        d = rows.shape[-1]
+        src = (rows @ a[:d]).reshape(rows.shape[0], 1)
+        dst = (cols @ a[d:]).reshape(1, cols.shape[0])
+        return (src + dst).leaky_relu(self.slope)
 
     def __call__(self, vfeats: dk.Tensor, efeats: dk.Tensor | None,
                  edges: list[tuple[int, int]], use_edges: bool) -> dk.Tensor:
@@ -72,33 +82,29 @@ class GATLayer(dk.Module):
         wv = self.w(vfeats)
         wr = self.w(efeats) if (use_edges and efeats is not None
                                 and efeats.shape[0]) else None
-        neighbors: dict[int, list[int]] = {i: [] for i in range(c_e)}
-        incident: dict[int, list[tuple[int, int]]] = {i: [] for i in range(c_e)}
+        cols = [[i] for i in range(c_e)]
+        incident: list[list[int]] = [[] for _ in range(c_e)]
         for e_idx, (a, b) in enumerate(edges):
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-            incident[a].append((e_idx, b))
-            incident[b].append((e_idx, a))
-        rows = []
-        self.last_coefficients = []
-        for i in range(c_e):
-            wv_i = wv[i]
-            logits = []
-            values = []
-            for j in [i] + neighbors[i]:
-                score = (self.a_g @ dk.concat([wv_i, wv[j]])).leaky_relu(self.slope)
-                logits.append(score)
-                values.append(wv[j])
-            if wr is not None:
-                for e_idx, _ in incident[i]:
-                    score = (self.a_h @ dk.concat([wv_i, wr[e_idx]])
-                             ).leaky_relu(self.slope)
-                    logits.append(score)
-                    values.append(wr[e_idx])
-            coefs = dk.softmax(dk.stack(logits))
-            self.last_coefficients.append(coefs.numpy().copy())
-            rows.append(dk.stack(values).T @ coefs)
-        return dk.stack(rows)
+            if b in cols[a]:
+                raise ValueError(f"edge {e_idx} ({a}, {b}) is a self-loop or "
+                                 "repeats a vertex pair")
+            cols[a].append(b)
+            cols[b].append(a)
+            incident[a].append(c_e + e_idx)
+            incident[b].append(c_e + e_idx)
+        logits = self._logits(self.a_g, wv, wv)
+        values = wv
+        if wr is not None:
+            logits = dk.concat([logits, self._logits(self.a_h, wv, wr)], axis=1)
+            values = dk.concat([wv, wr])
+            cols = [c + e for c, e in zip(cols, incident)]
+        mask = np.full(logits.shape, -1e9)
+        for i, c in enumerate(cols):
+            mask[i, c] = 0.0
+        coefs = dk.softmax(logits + dk.Tensor(mask), axis=-1)
+        p = coefs.numpy()
+        self.last_coefficients = [p[i, c] for i, c in enumerate(cols)]
+        return coefs @ values
 
 
 def gat_layer(vfeats, efeats, edges, layer: GATLayer, mode: str) -> dk.Tensor:
@@ -126,7 +132,8 @@ class Graph2SeqModel(dk.Module):
 
     def temporal_encode(self, local: LocalEKG) -> tuple[dk.Tensor, dk.Tensor | None]:
         """Bi-LSTM over each T-step sequence; features taken at the
-        passage's chapter index."""
+        passage's chapter index. The edge sequence is encoded only in GAT_VE
+        mode, the one mode that reads it; elsewhere the edge output is None."""
         if local.vertex_seq is None:
             raise ValueError("local EKG has no materialized embeddings")
         T = local.vertex_seq.shape[0]
@@ -135,7 +142,8 @@ class Graph2SeqModel(dk.Module):
         t_idx = local.t - 1
         v_out = self.lstm(dk.Tensor(local.vertex_seq))[t_idx]
         e_out = None
-        if local.edge_seq is not None and local.edge_seq.shape[1]:
+        if (self.config.mode == "GAT_VE" and local.edge_seq is not None
+                and local.edge_seq.shape[1]):
             e_out = self.lstm(dk.Tensor(local.edge_seq))[t_idx]
         return v_out, e_out
 

@@ -93,6 +93,111 @@ def test_gat_ve_mode_sensitive_to_edge_features():
     assert np.abs(out1 - out2).max() > 1e-6
 
 
+def _reference_gat(layer, vfeats, efeats, edges, use_edges):
+    """Per-vertex, per-neighbor loop of tiny ops: the reference for the dense
+    masked softmax of `GATLayer`. Returns the output and the coefficients."""
+    c_e = vfeats.shape[0]
+    wv = layer.w(vfeats)
+    wr = layer.w(efeats) if (use_edges and efeats is not None
+                             and efeats.shape[0]) else None
+    neighbors = {i: [] for i in range(c_e)}
+    incident = {i: [] for i in range(c_e)}
+    for e_idx, (a, b) in enumerate(edges):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+        incident[a].append(e_idx)
+        incident[b].append(e_idx)
+    rows, coefficients = [], []
+    for i in range(c_e):
+        logits, values = [], []
+        for j in [i] + neighbors[i]:
+            logits.append((layer.a_g @ dk.concat([wv[i], wv[j]])
+                           ).leaky_relu(layer.slope))
+            values.append(wv[j])
+        if wr is not None:
+            for e_idx in incident[i]:
+                logits.append((layer.a_h @ dk.concat([wv[i], wr[e_idx]])
+                               ).leaky_relu(layer.slope))
+                values.append(wr[e_idx])
+        coefs = dk.softmax(dk.stack(logits))
+        coefficients.append(coefs.numpy().copy())
+        rows.append(dk.stack(values).T @ coefs)
+    return dk.stack(rows), coefficients
+
+
+@pytest.mark.parametrize("c_e,edges", [
+    (1, []),                                       # one vertex
+    (4, [(0, 1), (1, 2)]),                         # vertex 3 has no edges
+    (6, [(0, 1), (0, 2), (3, 4), (1, 4), (2, 5), (0, 5)]),
+])
+@pytest.mark.parametrize("mode", ["GAT_V", "GAT_VE"])
+def test_gat_matches_per_vertex_reference(c_e, edges, mode):
+    rng = np.random.default_rng(17 + c_e)
+    layer = GATLayer(rng, 8)
+    vdata = rng.standard_normal((c_e, 8))
+    edata = rng.standard_normal((len(edges), 8))
+    probe = dk.Tensor(rng.standard_normal((c_e, 8)))
+
+    def dense(v, e):
+        return gat_layer(v, e, edges, layer, mode), layer.last_coefficients
+
+    def loop(v, e):
+        return _reference_gat(layer, v, e, edges, mode == "GAT_VE")
+
+    results = []
+    for run in (dense, loop):
+        layer.zero_grad()
+        v = dk.Tensor(vdata, requires_grad=True)
+        e = dk.Tensor(edata, requires_grad=True) if edges else None
+        out, coefs = run(v, e)
+        (out * probe).sum().backward()
+        grads = {k: p.grad for k, p in layer.parameters().items()}
+        results.append((out.numpy(), coefs, v.grad,
+                        None if e is None else e.grad, grads))
+    (out, coefs, dv, de, grads), (ref_out, ref_coefs, ref_dv, ref_de,
+                                  ref_grads) = results
+    tol = dict(rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(out, ref_out, **tol)
+    assert len(coefs) == len(ref_coefs) == c_e
+    for got, want in zip(coefs, ref_coefs):
+        np.testing.assert_allclose(got, want, **tol)
+    np.testing.assert_allclose(dv, ref_dv, **tol)
+    if edges and mode == "GAT_VE":
+        np.testing.assert_allclose(de, ref_de, **tol)
+    else:
+        assert de is None or not de.any()
+    for name, want in ref_grads.items():
+        if want is None:
+            assert grads[name] is None or not grads[name].any(), name
+        else:
+            np.testing.assert_allclose(grads[name], want, err_msg=name, **tol)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 1)],
+                                   [(0, 1), (2, 1), (1, 2)],
+                                   [(0, 1), (2, 2)]])
+def test_gat_rejects_repeated_pair_and_self_loop(edges):
+    rng = np.random.default_rng(18)
+    layer = GATLayer(rng, 4)
+    v = dk.Tensor(rng.standard_normal((3, 4)))
+    e = dk.Tensor(rng.standard_normal((len(edges), 4)))
+    with pytest.raises(ValueError):
+        layer(v, e, edges, use_edges=True)
+
+
+@pytest.mark.parametrize("mode", ["EKG", "GAT_V"])
+def test_edge_sequence_unused_outside_gat_ve(mode):
+    rng = np.random.default_rng(19)
+    model = Graph2SeqModel(_tiny_config(mode=mode))
+    local = _tiny_local(rng)
+    assert model.temporal_encode(local)[1] is None
+    without = LocalEKG(passage_id=local.passage_id, t=local.t,
+                       vertex_ids=local.vertex_ids, edges=local.edges,
+                       vertex_seq=local.vertex_seq, edge_seq=None)
+    np.testing.assert_array_equal(model.graph_encode(local).numpy(),
+                                  model.graph_encode(without).numpy())
+
+
 def test_ekg_mode_bypasses_gat_parameters():
     rng = np.random.default_rng(4)
     model = Graph2SeqModel(_tiny_config(mode="EKG"))

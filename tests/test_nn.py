@@ -12,10 +12,9 @@ def _zeroed(module):
 
 def test_lstm_cell_zero_weights_zero_output():
     cell = _zeroed(dk.LSTMCell(np.random.default_rng(0), 3, 4))
-    h, c = cell(dk.Tensor(np.ones(3)), dk.Tensor(np.zeros(4)),
-                dk.Tensor(np.zeros(4)))
+    # a non-zero cell state after step 0 would show in step 1's output
+    h = dk.lstm_sequence(dk.Tensor(np.ones((2, 3))), cell)
     np.testing.assert_allclose(h.numpy(), 0.0)
-    np.testing.assert_allclose(c.numpy(), 0.0)
 
 
 def _scalar_lstm_oracle(x_seq, cell):
@@ -50,11 +49,80 @@ def test_lstm_matches_scalar_loop_oracle():
     cell = dk.LSTMCell(rng, 3, 4)
     seq = rng.standard_normal((3, 3))
     expected = _scalar_lstm_oracle(seq, cell)
-    h = dk.Tensor(np.zeros(4))
-    c = dk.Tensor(np.zeros(4))
+    h = dk.lstm_sequence(dk.Tensor(seq), cell).numpy()
     for t in range(3):
-        h, c = cell(dk.Tensor(seq[t]), h, c)
-        np.testing.assert_allclose(h.numpy(), expected[t], atol=1e-5)
+        np.testing.assert_allclose(h[t], expected[t], atol=1e-5)
+    # reversed, row t is the state after reading steps T-1 .. t
+    h = dk.lstm_sequence(dk.Tensor(seq), cell, reverse=True).numpy()
+    for t, want in enumerate(_scalar_lstm_oracle(seq[::-1], cell)):
+        np.testing.assert_allclose(h[2 - t], want, atol=1e-5)
+
+
+def _reference_cell_step(cell, x, h, c):
+    """One LSTM step built from elementary tensor ops."""
+    z = x @ cell.w_ih + h @ cell.w_hh + cell.b
+    n = cell.d_hidden
+    i = z[..., 0:n].sigmoid()
+    f = z[..., n:2 * n].sigmoid()
+    g = z[..., 2 * n:3 * n].tanh()
+    o = z[..., 3 * n:4 * n].sigmoid()
+    c_next = f * c + i * g
+    return o * c_next.tanh(), c_next
+
+
+def _reference_bilstm(lstm, inputs):
+    """Per-step BiLSTM loop of tiny ops: the reference for the fused
+    `lstm_sequence` path."""
+    T = inputs.shape[0]
+    steps = [inputs[t] for t in range(T)]
+    for fcell, bcell in zip(lstm.fwd, lstm.bwd):
+        h = c = dk.Tensor(np.zeros(lstm.d_hidden))
+        fw = []
+        for t in range(T):
+            h, c = _reference_cell_step(fcell, steps[t], h, c)
+            fw.append(h)
+        h = c = dk.Tensor(np.zeros(lstm.d_hidden))
+        bw = [None] * T
+        for t in reversed(range(T)):
+            h, c = _reference_cell_step(bcell, steps[t], h, c)
+            bw[t] = h
+        steps = [dk.concat([fw[t], bw[t]], axis=-1) for t in range(T)]
+    return dk.stack(steps)
+
+
+def test_bilstm_matches_per_step_reference():
+    rng = np.random.default_rng(12)
+    lstm = dk.BiLSTM(rng, 64, 32, n_layers=2)
+    data = rng.standard_normal((16, 5, 64))
+    probe = dk.Tensor(rng.standard_normal((16, 5, 64)))
+    results = []
+    for run in (lstm, lambda x: _reference_bilstm(lstm, x)):
+        lstm.zero_grad()
+        x = dk.Tensor(data, requires_grad=True)
+        out = run(x)
+        (out * probe).sum().backward()
+        grads = {k: p.grad.copy() for k, p in lstm.parameters().items()}
+        results.append((out.numpy(), x.grad, grads))
+    (out, dx, grads), (ref_out, ref_dx, ref_grads) = results
+    np.testing.assert_allclose(out, ref_out, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(dx, ref_dx, rtol=1e-5, atol=1e-5)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-5,
+                                   atol=1e-5, err_msg=name)
+
+
+def test_lstm_sequence_builds_one_node_and_no_graph_under_no_grad():
+    rng = np.random.default_rng(13)
+    cell = dk.LSTMCell(rng, 3, 4)
+    x = dk.Tensor(rng.standard_normal((5, 3)))
+    out = dk.lstm_sequence(x, cell)
+    assert out.requires_grad and out._parents == (x, cell.w_ih, cell.w_hh,
+                                                  cell.b)
+    with dk.no_grad():
+        inference = dk.lstm_sequence(x, cell)
+    assert not inference.requires_grad and inference._backward is None
+    np.testing.assert_array_equal(inference.numpy(), out.numpy())
 
 
 def test_bilstm_t1_uses_single_input_both_directions():

@@ -140,3 +140,48 @@ def test_stats_relation_average_counts_cooccurring_pairs(tmp_path):
     line = next(l for l in text.splitlines() if "relations" in l)
     value = float(line.split("|")[1])
     assert value >= 0.0
+
+
+def _small_args():
+    return [a for item in SMALL for a in ("--set", item)]
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_malformed_novel_exit_code(tmp_path, capsys):
+    ws = str(tmp_path / "ws")
+    assert cli.main(["synth", "--workspace", ws] + _small_args()) == 0
+    bad = tmp_path / "novel.json"
+    bad.write_text('{"id": "n", "chapters": [')
+    code = cli.main(["ingest", "--workspace", ws, "--novel", str(bad)]
+                    + _small_args())
+    assert code == 3
+    _assert_one_line_error(capsys)
+
+
+def test_cli_dangling_entity_reference_exit_code(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
+    lexicon = ws / "data" / "lexicon.json"
+    raw = json.loads(lexicon.read_text())
+    raw["entities"][0]["id"] = 99            # ids are no longer 0..n-1
+    lexicon.write_text(json.dumps(raw))
+    capsys.readouterr()
+    code = cli.main(["ingest", "--workspace", str(ws)] + _small_args())
+    assert code == 3
+    _assert_one_line_error(capsys)
+
+
+def test_cli_truncated_checkpoint_exit_code(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    for stage in ("synth", "ingest", "build-ekg", "train-ekg"):
+        assert cli.main([stage, "--workspace", str(ws)] + _small_args()) == 0
+    artifact = ws / "embed" / "ekg_embed.bin"
+    artifact.write_bytes(artifact.read_bytes()[:-5])
+    capsys.readouterr()
+    code = cli.main(["train-g2s", "--workspace", str(ws)] + _small_args())
+    assert code == 3
+    _assert_one_line_error(capsys)
