@@ -200,6 +200,18 @@ def load_lexicon(path) -> EntityLexicon:
     return EntityLexicon(entries)
 
 
+def _field(raw: dict, key: str, kind: type, where: str):
+    """`raw[key]` when it holds a JSON value of `kind`; otherwise a
+    `CorpusParseError` at `where` (bools do not count as integers)."""
+    if key not in raw:
+        raise CorpusParseError(f"{where}: missing field {key!r}")
+    value = raw[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CorpusParseError(
+            f"{where}: field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
     path = Path(path)
     passages = []
@@ -207,27 +219,35 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as e:
-                raise CorpusParseError(f"{path}:{lineno}: {e.msg}") from e
-            ch_idx = int(raw["chapter"])
+                raise CorpusParseError(f"{where}: {e.msg}") from e
+            if not isinstance(raw, dict):
+                raise CorpusParseError(f"{where}: expected a JSON object")
+            ch_idx = _field(raw, "chapter", int, where)
             if not 1 <= ch_idx <= novel.num_chapters:
                 raise ReferenceError_(
-                    f"{path}:{lineno}: chapter {ch_idx} out of range 1..{novel.num_chapters}")
+                    f"{where}: chapter {ch_idx} out of range 1..{novel.num_chapters}")
             chapter = novel.chapters[ch_idx - 1]
-            start, end = int(raw["start"]), int(raw["end"])
+            start, end = _field(raw, "start", int, where), _field(raw, "end", int, where)
             if not (0 <= start < end <= len(chapter.tokens)):
                 raise ReferenceError_(
-                    f"{path}:{lineno}: span [{start},{end}) outside chapter "
+                    f"{where}: span [{start},{end}) outside chapter "
                     f"{ch_idx} of {len(chapter.tokens)} tokens")
-            comments = [Comment(text=tokenize(c["text"], mode), upvotes=int(c["upvotes"]))
-                        for c in raw.get("comments", [])]
+            raw_comments = raw.get("comments", [])
+            if not (isinstance(raw_comments, list)
+                    and all(isinstance(c, dict) for c in raw_comments)):
+                raise CorpusParseError(f"{where}: 'comments' must be a list of objects")
+            comments = [Comment(text=tokenize(_field(c, "text", str, where), mode),
+                                upvotes=_field(c, "upvotes", int, where))
+                        for c in raw_comments]
             for c in comments:
                 if not c.text:
-                    raise CorpusParseError(f"{path}:{lineno}: empty comment text")
+                    raise CorpusParseError(f"{where}: empty comment text")
                 if c.upvotes < 0:
-                    raise CorpusParseError(f"{path}:{lineno}: negative upvotes")
+                    raise CorpusParseError(f"{where}: negative upvotes")
             passages.append(Passage(id=raw.get("id", f"p{lineno}"), chapter_index=ch_idx,
                                     span=(start, end), text=chapter.tokens[start:end],
                                     comments=comments))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffkit as dk
+from .diffkit.tensor import _child
 from .corpus import Mention, Novel
 from .ekg import GlobalEKG, LocalEKG
 
@@ -39,12 +40,16 @@ class HashedNgramEncoder:
         self.seed = seed
 
     def _bag(self, tokens: list[str]) -> np.ndarray:
-        vec = np.zeros(self.d_f)
+        """Signed counts of the hashed n-grams, scaled to unit length. Each
+        hash picks a slot (`h % d_f`) and a sign (bit 16)."""
+        hashes = []
         for n in self.ngram_sizes:
-            for i in range(len(tokens) - n + 1):
-                key = ("\x01".join(tokens[i:i + n]) + f"\x02{n}\x02{self.seed}").encode()
-                h = zlib.crc32(key)
-                vec[h % self.d_f] += 1.0 if (h >> 16) & 1 else -1.0
+            tag = f"\x02{n}\x02{self.seed}"
+            hashes += [zlib.crc32(("\x01".join(tokens[i:i + n]) + tag).encode())
+                       for i in range(len(tokens) - n + 1)]
+        h = np.array(hashes, dtype=np.int64)
+        vec = np.bincount(h % self.d_f, weights=np.where((h >> 16) & 1, 1.0, -1.0),
+                          minlength=self.d_f).astype(np.float64, copy=False)
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 
@@ -229,22 +234,81 @@ def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable
     return total
 
 
-def edge_triplet_loss(example: EdgeExample, table: VertexEmbeddingTable,
-                      rn: RelationNetwork, f_c: dk.Tensor) -> dk.Tensor | None:
-    """Margin reconstruction loss for one positive/negative pair against the
-    sentence feature `f_c`, or None when no negative was available."""
-    if example.negative is None:
+def _row_by_row(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x @ w` for each row of `x` on its own: numpy runs one vector-matrix
+    product per row, bitwise equal to the 1-D `row @ w`; a 2-D `x @ w` runs
+    one matrix product that sums in another order."""
+    return (x[:, None, :] @ w)[:, 0]
+
+
+def _sum_outer_in_order(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sum of `outer(x[r], g[r])` over the rows, added one row after another
+    as the autodiff engine accumulates them, one outer product at a time."""
+    total = np.outer(x[0], g[0])
+    for r in range(1, len(x)):
+        total += np.outer(x[r], g[r])
+    return total
+
+
+def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
+    """Backward of leaky_relu at input `z`, in `Tensor.leaky_relu`'s dtypes:
+    the factor is float64 and the product is cast back."""
+    return (g * np.where(z > 0, 1.0, slope)).astype(z.dtype)
+
+
+def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
+                      rn: RelationNetwork, features: np.ndarray) -> dk.Tensor | None:
+    """Summed margin reconstruction loss of every example that has a negative,
+    against its sentence feature (the same row of `features`), as one autodiff
+    node; None when no example has a negative.
+
+    Rows are stacked as (example, positive then negative). Each step matches
+    the graph of one example bit for bit: matmuls run row by row, the hinges
+    add in example order, and parameter gradients add row after row. The
+    vertex table gets gradients only when it requires them.
+    """
+    keep = [n for n, ex in enumerate(examples) if ex.negative is not None]
+    if not keep:
         return None
-    i, j = example.pair
-    k = example.negative
-    w_t = table.at(example.t)
-    v_i, v_j, v_k = w_t[i], w_t[j], w_t[k]
-    r_pos = rn.edge_embedding(v_i, v_j)
-    f_pos = rn.reconstruct(v_i, r_pos, v_j)
-    r_neg = rn.edge_embedding(v_i, v_k)
-    f_neg = rn.reconstruct(v_i, r_neg, v_k)
-    gap = dk.l2_distance(f_pos, f_c) - dk.l2_distance(f_neg, f_c) + rn.margin
-    return gap.relu()
+    W = table.w.data
+    d = W.shape[-1]
+    t = np.repeat([examples[n].t - 1 for n in keep], 2)
+    i = np.repeat([examples[n].pair[0] for n in keep], 2)
+    j = np.array([(examples[n].pair[1], examples[n].negative) for n in keep]).ravel()
+    f_c = np.repeat(np.asarray(features, dtype=W.dtype)[keep], 2, axis=0)
+    l1, l2, slope = rn.layer1, rn.layer2, rn.slope
+    x1 = np.concatenate([W[t, i], W[t, j]], axis=-1)
+    z1 = _row_by_row(x1, l1.w.data) + l1.b.data
+    r = np.where(z1 > 0, z1, slope * z1)
+    x2 = np.concatenate([W[t, i], r, W[t, j]], axis=-1)
+    z2 = _row_by_row(x2, l2.w.data) + l2.b.data
+    diff = np.where(z2 > 0, z2, slope * z2) - f_c
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    gap = (dist[0::2] - dist[1::2]) + np.asarray(rn.margin, dtype=W.dtype)
+    hinge = np.where(gap > 0, gap, 0.0 * gap)
+    out = _child(np.cumsum(hinge)[-1], (table.w, l1.w, l1.b, l2.w, l2.b))
+    if not out.requires_grad:
+        return out
+
+    def _bw():
+        g_gap = _leaky_grad(out.grad, gap, 0.0)
+        g_dist = np.stack([g_gap, -g_gap], axis=-1).ravel()
+        g_sq = (g_dist * 0.5 / np.maximum(dist, 1e-12))[:, None] * diff
+        g_z2 = _leaky_grad(g_sq + g_sq, z2, slope)
+        g_x2 = _row_by_row(g_z2, l2.w.data.T)
+        g_z1 = _leaky_grad(g_x2[:, d:2 * d], z1, slope)
+        l2.b._accum(np.cumsum(g_z2, axis=0)[-1])
+        l2.w._accum(_sum_outer_in_order(x2, g_z2))
+        l1.b._accum(np.cumsum(g_z1, axis=0)[-1])
+        l1.w._accum(_sum_outer_in_order(x1, g_z1))
+        if table.w.requires_grad:
+            g_x1 = _row_by_row(g_z1, l1.w.data.T)
+            g_w = np.zeros_like(W)
+            np.add.at(g_w, (t, i), g_x1[:, :d] + g_x2[:, :d])
+            np.add.at(g_w, (t, j), g_x1[:, d:] + g_x2[:, 2 * d:])
+            table.w._accum(g_w)
+    out._backward = _bw
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +396,17 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
 
     # phase 2: relation network; the table is frozen
     e_examples = make_edge_examples(novel, global_ekg)
-    cls_features = [encoder.encode_cls(ex.tokens) for ex in e_examples]
+    cls_features = np.array([encoder.encode_cls(ex.tokens).numpy()
+                             for ex in e_examples]).reshape(-1, config.d_f)
     table.w.requires_grad = False
     rn_opt = dk.Adam(rn.parameters())
     for step in range(config.phase2_steps if config.lambda_r > 0 else 0):
         rng = np.random.default_rng((config.seed, 7919, step))
         sample_negatives(e_examples, global_ekg, rng)
         rn_opt.zero_grad()
-        total = None
-        skipped = 0
-        for ex, f_c in zip(e_examples, cls_features):
-            if ex.negative is None:
-                skipped += 1
-                continue
-            term = edge_triplet_loss(ex, table, rn, f_c)
-            total = term if total is None else total + term
-        history["skipped_negatives"].append(skipped)
+        history["skipped_negatives"].append(
+            sum(ex.negative is None for ex in e_examples))
+        total = edge_triplet_loss(e_examples, table, rn, cls_features)
         if total is None:
             break
         loss = config.lambda_r * total

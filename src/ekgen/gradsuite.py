@@ -143,6 +143,17 @@ def _nn_checks(rng) -> list[CheckResult]:
     return results
 
 
+def _triplet_gap(ex, table, rn, f_c) -> float:
+    """Distance of the positive minus that of the negative: the hinge of
+    `ex` is active when this plus the margin is above zero."""
+    w = table.w.data[ex.t - 1]
+    def dist(k):
+        v_i, v_k = dk.Tensor(w[ex.pair[0]]), dk.Tensor(w[k])
+        f = rn.reconstruct(v_i, rn.edge_embedding(v_i, v_k), v_k)
+        return dk.l2_distance(f, f_c).item()
+    return dist(ex.pair[1]) - dist(ex.negative)
+
+
 def _loss_checks(rng) -> list[CheckResult]:
     """Eq-level losses: plain and smoothed vertex loss, triplet loss, the
     multi-task sum, and the full generator NLL."""
@@ -167,17 +178,32 @@ def _loss_checks(rng) -> list[CheckResult]:
 
     rn = RelationNetwork(d_f, margin=0.3, seed=int(rng.integers(1 << 30)))
     ex = EdgeExample(t=2, pair=(0, 1), tokens=list("ghijkl"), negative=2)
-    f_c = encoder.encode_cls(ex.tokens)
-    def triplet():
-        loss = edge_triplet_loss(ex, table, rn, f_c)
-        # keep away from the hinge kink: margin chosen so the hinge is active
-        return loss
-    results.append(_check("edge_triplet_loss", triplet,
+    f_c = encoder.encode_cls(ex.tokens).numpy()[None]
+    # margin chosen so the hinge is active, away from its kink
+    results.append(_check("edge_triplet_loss",
+                          lambda: edge_triplet_loss([ex], table, rn, f_c),
                           {"w": table.w, **rn.parameters()}, ROUGH_TOL))
+
+    # four examples, one without a negative; the margin sits halfway across
+    # the widest space between the hinges' kinks, so some hinges are active,
+    # the others inactive, and none is near its kink
+    batch = [EdgeExample(t=1, pair=(0, 1), tokens=list("abcd"), negative=2),
+             EdgeExample(t=3, pair=(1, 3), tokens=list("efgh"), negative=0),
+             EdgeExample(t=2, pair=(2, 0), tokens=list("ijkl"), negative=None),
+             EdgeExample(t=2, pair=(3, 2), tokens=list("mnop"), negative=1)]
+    feats = np.stack([encoder.encode_cls(e.tokens).numpy() for e in batch])
+    batch_rn = RelationNetwork(d_f, seed=int(rng.integers(1 << 30)))
+    kinks = sorted(-_triplet_gap(e, table, batch_rn, f)
+                   for e, f in zip(batch, feats) if e.negative is not None)
+    k = int(np.argmax(np.diff(kinks)))
+    batch_rn.margin = (kinks[k] + kinks[k + 1]) / 2
+    results.append(_check("edge_triplet_loss_batch",
+                          lambda: edge_triplet_loss(batch, table, batch_rn, feats),
+                          {"w": table.w, **batch_rn.parameters()}, ROUGH_TOL))
 
     def multitask():
         return (vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, features)
-                + 1.0 * edge_triplet_loss(ex, table, rn, f_c))
+                + 1.0 * edge_triplet_loss([ex], table, rn, f_c))
     results.append(_check("multi_task_loss", multitask,
                           {"w": table.w, **rn.parameters()}, ROUGH_TOL))
 

@@ -70,7 +70,10 @@ def _record(ws: Path, stage: str, cfg: PipelineConfig, outputs: list[Path]):
         "config": json.loads(cfg.to_json()),
         "outputs": {str(p.relative_to(ws)): _sha256(p) for p in sorted(outputs)},
     }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    # a crash mid-write leaves the previous manifest, not a torn one
+    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
+    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    os.replace(tmp, manifest_path)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +318,30 @@ def run_train_g2s(ws: Path, cfg: PipelineConfig) -> Path:
     return out
 
 
+# settings that fix a trained generator's parameters and what they mean
+_MODEL_KEYS = ("mode", "d_model", "d_f", "n_heads", "encoder_layers",
+               "decoder_layers", "bilstm_layers", "gat_layers")
+
+
 def load_g2s_model(ws: Path, cfg: PipelineConfig, vocab) -> Graph2SeqModel:
+    """The trained generator, after checking that its `model.json` sidecar
+    records this run's model settings and vocabulary; a mismatch raises
+    `CheckpointError`."""
     model_path = _require(ws / "g2s" / "model.bin", "train-g2s")
+    sidecar_path = _require(ws / "g2s" / "model.json", "train-g2s")
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        trained = {k: sidecar["config"][k] for k in _MODEL_KEYS}
+        trained["vocab_hash"] = sidecar["vocab_hash"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise dk.CheckpointError(f"{sidecar_path}: unreadable sidecar: {e!r}") from e
+    run = {k: getattr(cfg, k) for k in _MODEL_KEYS}
+    run["vocab_hash"] = vocab.content_hash()
+    differ = [f"{k} {trained[k]!r} (this run: {run[k]!r})"
+              for k in trained if trained[k] != run[k]]
+    if differ:
+        raise dk.CheckpointError(
+            f"{model_path} was trained with {', '.join(differ)}")
     model = Graph2SeqModel(_g2s_config(cfg, len(vocab)))
     arrays, _ = dk.load_arrays(model_path)
     model.load_state(arrays)

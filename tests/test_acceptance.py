@@ -123,8 +123,8 @@ def test_criterion_03_hinge_contract(capsys):
             encoder = HashedNgramEncoder(d_f=6, seed=0)
             ex = EdgeExample(t=1, pair=(0, 1), tokens=list("abcdef"),
                              negative=2)
-            loss = edge_triplet_loss(ex, table, rn,
-                                     encoder.encode_cls(ex.tokens))
+            loss = edge_triplet_loss([ex], table, rn,
+                                     encoder.encode_cls(ex.tokens).numpy()[None])
             assert loss.item() == 0.0
             loss.backward()
             for p in {**rn.parameters(), "w": table.w}.values():

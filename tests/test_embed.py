@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,8 @@ def test_hinge_inactive_gives_zero_loss_and_zero_gradients():
         rn = RelationNetwork(d_f=6, margin=-1e3, seed=9)
         encoder = HashedNgramEncoder(d_f=6, seed=0)
         ex = EdgeExample(t=1, pair=(0, 1), tokens=list("abcdef"), negative=2)
-        loss = edge_triplet_loss(ex, table, rn, encoder.encode_cls(ex.tokens))
+        loss = edge_triplet_loss([ex], table, rn,
+                                 encoder.encode_cls(ex.tokens).numpy()[None])
         assert loss.item() == 0.0
         loss.backward()
         for p in {**rn.parameters(), "w": table.w}.values():
@@ -186,8 +189,117 @@ def test_no_negative_returns_none():
     table = VertexEmbeddingTable(T=1, n_e=3, d_f=4)
     rn = RelationNetwork(d_f=4)
     encoder = HashedNgramEncoder(d_f=4)
-    ex = EdgeExample(t=1, pair=(0, 1), tokens=list("ab"), negative=None)
-    assert edge_triplet_loss(ex, table, rn, encoder.encode_cls(ex.tokens)) is None
+    examples = [EdgeExample(t=1, pair=(0, 1), tokens=list("ab"), negative=None),
+                EdgeExample(t=1, pair=(1, 2), tokens=list("cd"), negative=None)]
+    features = np.stack([encoder.encode_cls(ex.tokens).numpy() for ex in examples])
+    assert edge_triplet_loss(examples, table, rn, features) is None
+    assert edge_triplet_loss([], table, rn, np.zeros((0, 4))) is None
+
+
+def _per_example_triplet_loss(example, table, rn, f_c):
+    """Margin reconstruction loss of one positive/negative pair against the
+    sentence feature `f_c`, built from engine ops, or None when no negative
+    was available; `edge_triplet_loss` must match its sum bitwise."""
+    if example.negative is None:
+        return None
+    i, j = example.pair
+    k = example.negative
+    w_t = table.at(example.t)
+    v_i, v_j, v_k = w_t[i], w_t[j], w_t[k]
+    r_pos = rn.edge_embedding(v_i, v_j)
+    f_pos = rn.reconstruct(v_i, r_pos, v_j)
+    r_neg = rn.edge_embedding(v_i, v_k)
+    f_neg = rn.reconstruct(v_i, r_neg, v_k)
+    gap = dk.l2_distance(f_pos, f_c) - dk.l2_distance(f_neg, f_c) + rn.margin
+    return gap.relu()
+
+
+@pytest.fixture(scope="module")
+def synth_edge_batch(tmp_path_factory):
+    """Edge examples of a synthetic corpus with negatives sampled four times
+    over, the last one without a negative, and their sentence features. With
+    240 examples, adding the hinges in another order changes the sum."""
+    from ekgen import pipeline
+    from ekgen.config import load_config
+    ws = tmp_path_factory.mktemp("edges")
+    cfg = load_config(preset="desk", seed=0)
+    pipeline.run_synth(ws, cfg)
+    novel, _, mentions, _, n_e, _ = pipeline._load_corpus(
+        pipeline.run_ingest(ws, cfg))
+    ekg = build_global_ekg(novel, mentions)
+    examples = []
+    for seed in range(4):
+        examples += sample_negatives(make_edge_examples(novel, ekg), ekg,
+                                     np.random.default_rng(seed))
+    examples[-1].negative = None
+    encoder = HashedNgramEncoder(d_f=cfg.d_f)
+    features = np.stack([encoder.encode_cls(ex.tokens).numpy()
+                         for ex in examples])
+    return examples, novel.num_chapters, n_e, cfg.d_f, features
+
+
+@pytest.mark.parametrize("frozen_table", [True, False])
+def test_batched_triplet_loss_is_bitwise_the_per_example_sum(synth_edge_batch,
+                                                             frozen_table):
+    examples, T, n_e, d_f, features = synth_edge_batch
+    table = VertexEmbeddingTable(T, n_e, d_f, seed=5)
+    table.w.requires_grad = not frozen_table
+    rn = RelationNetwork(d_f, seed=6)
+    params = {**rn.parameters(), "table.w": table.w}
+
+    reference = None
+    for ex, f_c in zip(examples, features):
+        term = _per_example_triplet_loss(ex, table, rn, dk.Tensor(f_c))
+        if term is not None:
+            reference = term if reference is None else reference + term
+    (0.7 * reference).backward()
+    expected = {k: p.grad for k, p in params.items()}
+
+    for p in params.values():
+        p.zero_grad()
+    loss = edge_triplet_loss(examples, table, rn, features)
+    assert np.array_equal(loss.data, reference.data)
+    (0.7 * loss).backward()
+    hinges = [_per_example_triplet_loss(ex, table, rn, dk.Tensor(f)).item()
+              for ex, f in zip(examples, features) if ex.negative is not None]
+    assert 0 < sum(h > 0 for h in hinges) < len(hinges)
+    for name, p in rn.parameters().items():
+        assert p.grad.dtype == np.float32
+        assert np.array_equal(p.grad, expected[name]), name
+    if frozen_table:
+        assert table.w.grad is None
+    else:
+        np.testing.assert_allclose(table.w.grad, expected["table.w"],
+                                   rtol=1e-5, atol=1e-6)
+
+
+def _reference_bag(encoder, tokens):
+    """Hashed n-gram bag, one n-gram at a time."""
+    vec = np.zeros(encoder.d_f)
+    for n in encoder.ngram_sizes:
+        for i in range(len(tokens) - n + 1):
+            key = ("\x01".join(tokens[i:i + n])
+                   + f"\x02{n}\x02{encoder.seed}").encode()
+            h = zlib.crc32(key)
+            vec[h % encoder.d_f] += 1.0 if (h >> 16) & 1 else -1.0
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+@pytest.mark.parametrize("d_f", [3, 64])
+def test_bag_matches_one_ngram_at_a_time(d_f):
+    rng = np.random.default_rng(d_f)
+    alphabet = list("abcdefgh") + ["<mask>", "萧炎", "的"]
+    token_lists = [[], ["a"], ["萧炎"]] + [
+        [alphabet[k] for k in rng.integers(len(alphabet), size=int(n))]
+        for n in rng.integers(2, 80, size=20)]
+    for seed in (0, 7):
+        encoder = HashedNgramEncoder(d_f=d_f, seed=seed)
+        for tokens in token_lists:
+            got = encoder._bag(tokens)
+            want = _reference_bag(encoder, tokens)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want), tokens
 
 
 def test_negative_sampling_respects_constraints():

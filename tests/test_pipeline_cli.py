@@ -185,3 +185,96 @@ def test_cli_truncated_checkpoint_exit_code(tmp_path, capsys):
     code = cli.main(["train-g2s", "--workspace", str(ws)] + _small_args())
     assert code == 3
     _assert_one_line_error(capsys)
+
+
+def _drop(key):
+    return lambda raw: raw.pop(key)
+
+
+def _set(key, value):
+    return lambda raw: raw.__setitem__(key, value)
+
+
+def _set_in_comment(key, value):
+    return lambda raw: raw["comments"][0].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop("chapter"), _drop("start"), _drop("end"),
+    _set("chapter", "one"), _set("start", 1.5), _set("end", None),
+    _set("comments", "not a list"),
+    _set_in_comment("upvotes", "many"), _set_in_comment("text", 7),
+    lambda raw: raw["comments"][0].pop("text"),
+    lambda raw: raw["comments"][0].pop("upvotes"),
+], ids=["no-chapter", "no-start", "no-end", "chapter-str", "start-float",
+        "end-null", "comments-str", "upvotes-str", "text-int", "no-text",
+        "no-upvotes"])
+def test_cli_malformed_passage_field_exit_code(tmp_path, capsys, corrupt):
+    ws = tmp_path / "ws"
+    assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
+    path = ws / "data" / "passages.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    raw = json.loads(lines[1])
+    corrupt(raw)
+    lines[1] = json.dumps(raw)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = cli.main(["ingest", "--workspace", str(ws)] + _small_args())
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture
+def trained_ws(tmp_path):
+    """A GAT_VE workspace trained through train-g2s at the smallest size."""
+    ws = tmp_path / "ws"
+    args = _small_args() + ["--set", "g2s_steps=1"]
+    for stage in ("synth", "ingest", "build-ekg", "train-ekg", "train-g2s"):
+        assert cli.main([stage, "--workspace", str(ws)] + args) == 0
+    return ws, args
+
+
+@pytest.mark.parametrize("override", ["mode=EKG", "mode=GAT_V", "d_model=16",
+                                      "gat_layers=2", "n_heads=4"])
+def test_cli_generate_refuses_other_model_settings(trained_ws, capsys, override):
+    ws, args = trained_ws
+    capsys.readouterr()
+    code = cli.main(["generate", "--workspace", str(ws)] + args
+                    + ["--set", override])
+    assert code == 3
+    _assert_one_line_error(capsys)
+    assert not (ws / "generate").exists()
+    assert cli.main(["generate", "--workspace", str(ws)] + args) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.__setitem__("vocab_hash", "0" * 16), "vocab_hash"),
+    (lambda raw: raw.pop("config"), "unreadable sidecar"),
+], ids=["other-vocabulary", "no-config"])
+def test_cli_generate_refuses_other_or_unreadable_sidecar(trained_ws, capsys,
+                                                         edit, message):
+    ws, args = trained_ws
+    sidecar = ws / "g2s" / "model.json"
+    raw = json.loads(sidecar.read_text())
+    edit(raw)
+    sidecar.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["generate", "--workspace", str(ws)] + args) == 3
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+
+
+def test_failed_manifest_replace_keeps_previous_manifest(tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    cfg = _cfg()
+    pipeline.run_synth(ws, cfg)
+    before = (ws / "manifest.json").read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(pipeline.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        pipeline.run_ingest(ws, cfg)
+    assert (ws / "manifest.json").read_bytes() == before
+    assert set(json.loads(before)["stages"]) == {"synth"}
