@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
+import time
 from pathlib import Path
 
 from . import pipeline
@@ -79,11 +81,12 @@ def main(argv=None) -> int:
         return 0 if failed == 0 else 1
 
     ws = Path(args.workspace)
+    start = time.perf_counter()
     try:
         with pipeline.workspace_lock(ws):
             print(STAGES[args.subcommand](ws, cfg, args))
     except (FileNotFoundError, CorpusParseError, ReferenceError_,
-            CheckpointError) as e:
+            CheckpointError, pipeline.CorruptArtifact) as e:
         # a missing or unreadable input or artifact
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -93,7 +96,16 @@ def main(argv=None) -> int:
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    print(f"{args.subcommand}: {time.perf_counter() - start:.2f} s, "
+          f"peak RSS {_peak_rss_mb():.1f} MB", file=sys.stderr)
     return 0
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (`ru_maxrss` is in
+    kilobytes on Linux and in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 if __name__ == "__main__":

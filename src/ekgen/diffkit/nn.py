@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, _child, _tracks, as_tensor, concat, softmax,
-                     layer_norm, parameter, zeros)
+from .tensor import (Tensor, _child, _const, _matmul_grads, _node_grad,
+                     _softmax_data, _softmax_grad, _tracks, as_tensor, concat,
+                     layer_norm, linear, parameter, zeros)
 
 
 class Module:
@@ -48,8 +49,7 @@ class Linear(Module):
         self.b = zeros(d_out) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = as_tensor(x) @ self.w
-        return y + self.b if self.b is not None else y
+        return linear(x, self.w, self.b)
 
 
 class LSTMCell(Module):
@@ -65,7 +65,8 @@ class LSTMCell(Module):
         self.b = zeros(4 * d_hidden)
 
 
-def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False) -> Tensor:
+def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
+                  row: int | None = None) -> Tensor:
     """Hidden states of `cell` run from a zero state over the leading axis of
     `x` (T, ..., d_in), as one autodiff node of shape (T, ..., d_hidden).
 
@@ -74,6 +75,11 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False) -> Tensor:
     row t is still the state after reading step t. The backward pass is
     backpropagation through time over the gates cached here, which are kept
     only when a graph is being built.
+
+    With `row`, the node is only that row's state, (..., d_hidden), and only
+    the steps that reach it run: 0..row, or T - 1..row with `reverse`. Its
+    value and gradients equal those of row `row` of the whole sequence; the
+    steps left out would only have added zeros to the gradients.
     """
     x = as_tensor(x)
     parents = (x, cell.w_ih, cell.w_hh, cell.b)
@@ -82,8 +88,13 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False) -> Tensor:
     w_ih, w_hh, b = cell.w_ih.data, cell.w_hh.data, cell.b.data
     xw = x.data @ w_ih
     T = xw.shape[0]
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    hs = np.empty(xw.shape[:-1] + (n,), dtype=xw.dtype)
+    if row is None:
+        order = range(T - 1, -1, -1) if reverse else range(T)
+    else:
+        row = range(T)[row]
+        order = range(T - 1, row - 1, -1) if reverse else range(row + 1)
+    # zeros: the weight gradients read every row, including steps not run
+    hs = np.zeros(xw.shape[:-1] + (n,), dtype=xw.dtype)
     if track:
         gates = np.empty_like(xw)        # i, f, g, o after their nonlinearity
         cs = np.empty_like(hs)
@@ -101,19 +112,23 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False) -> Tensor:
         hs[t] = h
         if track:
             gates[t], cs[t], tcs[t] = act, c, tc
-    out = _child(hs, parents)
+    out = _child(hs if row is None else hs[row], parents)
     if not track:
         return out
 
     def _bw():
-        dh_out = out.grad
+        if row is None:
+            dh_out = out.grad
+        else:
+            dh_out = np.zeros_like(hs)
+            dh_out[row] += out.grad
         # state each step read: the neighbour in the running order, or zero
         h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
         if reverse:
             h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
         else:
             h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
-        dz = np.empty_like(gates)
+        dz = np.zeros_like(gates)
         dh = np.zeros_like(h)
         dc = np.zeros_like(h)
         for t in reversed(order):
@@ -155,21 +170,26 @@ class BiLSTM(Module):
             d = 2 * d_hidden
 
     def __call__(self, inputs: Tensor) -> Tensor:
+        return self._layers(inputs, self.n_layers)
+
+    def row(self, inputs: Tensor, t: int) -> Tensor:
+        """Row `t` of `self(inputs)`, with equal value and gradients. The
+        last layer runs forward only over steps 0..t and backward only over
+        T - 1..t, the steps that reach row t."""
+        x = self._layers(inputs, self.n_layers - 1)
+        return concat([lstm_sequence(x, self.fwd[-1], row=t),
+                       lstm_sequence(x, self.bwd[-1], reverse=True, row=t)],
+                      axis=-1)
+
+    def _layers(self, inputs: Tensor, n: int) -> Tensor:
+        """Output sequence of the first `n` layers."""
         if inputs.shape[0] == 0:
             raise ValueError("BiLSTM requires a non-empty sequence")
         x = inputs
-        for fcell, bcell in zip(self.fwd, self.bwd):
+        for fcell, bcell in zip(self.fwd[:n], self.bwd[:n]):
             x = concat([lstm_sequence(x, fcell),
                         lstm_sequence(x, bcell, reverse=True)], axis=-1)
         return x
-
-
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., L, d) -> (..., heads, L, d / heads)."""
-    *lead, L, d = x.shape
-    n = len(lead)
-    return x.reshape(*lead, L, n_heads, d // n_heads).transpose(
-        *range(n), n + 1, n, n + 2)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -180,6 +200,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     and values serve a batch of queries. mask broadcastable to (Lq, Lk), -inf
     where attention is forbidden. Heads split the model dim and run as one
     batched matmul.
+
+    One graph node with parents (q, k, v). Its numbers are those of the
+    elementary graph that splits heads (reshape, swap axes), takes
+    `softmax(qh @ kh^T * dh ** -0.5 + mask) @ vh` and merges heads, and it
+    passes the same views to each matmul.
     """
     d = q.shape[-1]
     if d % n_heads:
@@ -187,15 +212,34 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if mask is not None and mask.shape[-1] != k.shape[-2]:
         raise ValueError(f"mask shape {mask.shape} vs keys {k.shape}")
     dh = d // n_heads
-    qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
-    n = kh.ndim
-    scores = qh @ kh.transpose(*range(n - 2), n - 1, n - 2) * (1.0 / np.sqrt(dh))
+
+    def split(t):                        # (..., L, d) -> (..., heads, L, dh)
+        return np.swapaxes(t.data.reshape(*t.shape[:-1], n_heads, dh), -3, -2)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.swapaxes(kh, -1, -2)
+    scale = _const(1.0 / np.sqrt(dh))
+    scores = qh @ kt * scale
     if mask is not None:
-        scores = scores + Tensor(mask)
-    out = softmax(scores, axis=-1) @ vh               # (..., heads, Lq, dh)
-    n = out.ndim
-    out = out.transpose(*range(n - 3), n - 2, n - 3, n - 1)
-    return out.reshape(*out.shape[:-2], d)
+        scores = scores + _const(mask)
+    weights = _softmax_data(scores, -1)
+    heads = weights @ vh                 # (..., heads, Lq, dh)
+    merged = np.swapaxes(heads, -3, -2)
+    out = _child(merged.reshape(*merged.shape[:-2], d), (q, k, v))
+    if out.requires_grad:
+        def _bw():
+            g_heads = _node_grad(np.swapaxes(
+                out.grad.reshape(merged.shape), -3, -2), heads)
+            g_weights, g_vh = _matmul_grads(weights, vh, g_heads)
+            g_scores = _softmax_grad(weights, g_weights, -1) * scale
+            g_qh, g_kt = _matmul_grads(qh, kt, g_scores)
+            # merge heads back: swap the axes again, then undo the reshape
+            q._accum(np.swapaxes(g_qh, -3, -2).reshape(q.shape))
+            k._accum(np.swapaxes(np.swapaxes(g_kt, -1, -2), -3, -2)
+                     .reshape(k.shape))
+            v._accum(np.swapaxes(g_vh, -3, -2).reshape(v.shape))
+        out._backward = _bw
+    return out
 
 
 class MultiHeadAttention(Module):

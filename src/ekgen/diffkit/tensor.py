@@ -77,6 +77,45 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _const(value) -> np.ndarray:
+    """`value` as the data of a constant tensor, e.g. the `1 / n` of a mean."""
+    return np.asarray(value, dtype=_DTYPE)
+
+
+def _node_grad(grad: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The gradient an interior node of `data`'s shape and dtype would hold
+    after its first `_accum(grad)`, up to memory order: C-contiguous, as
+    that node's copy is, so later sums and matmuls see the same layout."""
+    return np.ascontiguousarray(
+        _unbroadcast(np.asarray(grad, dtype=data.dtype), data.shape))
+
+
+def _check_matmul(a: np.ndarray, b: np.ndarray):
+    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+
+
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Gradients of `a @ b` with respect to `a` and to `b`, given `g`."""
+    if b.ndim == 1:
+        return ((np.outer(g, b) if a.ndim == 2 else g * b),
+                (a.T @ g if a.ndim == 2 else a * g))
+    if a.ndim == 1:
+        return g @ b.T, np.outer(a, g)
+    return (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+            _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+
+
+def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
@@ -219,21 +258,13 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         other = as_tensor(other)
         a, b = self.data, other.data
-        if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-            raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+        _check_matmul(a, b)
         out = _child(a @ b, (self, other))
         if out.requires_grad:
             def _bw():
-                g = out.grad
-                if b.ndim == 1:
-                    self._accum(np.outer(g, b) if a.ndim == 2 else g * b)
-                    other._accum(a.T @ g if a.ndim == 2 else a * g)
-                elif a.ndim == 1:
-                    self._accum(g @ b.T)
-                    other._accum(np.outer(a, g))
-                else:
-                    self._accum(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
-                    other._accum(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+                ga, gb = _matmul_grads(a, b, out.grad)
+                self._accum(ga)
+                other._accum(gb)
             out._backward = _bw
         return out
 
@@ -389,15 +420,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_data(x.data, axis)
     out = _child(y, (x,))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
-            x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-        out._backward = _bw
+        out._backward = lambda: x._accum(_softmax_grad(y, out.grad, axis))
     return out
 
 
@@ -447,13 +473,69 @@ def l2_distance(a: Tensor, b: Tensor) -> Tensor:
     return (d * d).sum().sqrt()
 
 
+# Fused ops. Each is one graph node whose forward repeats, expression by
+# expression, the float arithmetic of the graph of elementary ops it
+# replaces, and whose backward makes the same `_accum` calls on its parents
+# in the same order with the same values. Its parents are listed in the
+# order in which that graph reached them, so the backward pass still visits
+# the rest of the graph in the same order: results are bitwise those of
+# the elementary graph.
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """`x @ w + b` as one graph node; without `b` it is `x @ w`."""
+    x = as_tensor(x)
+    if b is None:
+        return x @ w
+    _check_matmul(x.data, w.data)
+    y = x.data @ w.data
+    out = _child(y + b.data, (x, w, b))
+    if out.requires_grad:
+        def _bw():
+            g = out.grad
+            b._accum(g)
+            gx, gw = _matmul_grads(x.data, w.data, _node_grad(g, y))
+            x._accum(gx)
+            w._accum(gw)
+        out._backward = _bw
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + eps) ** -0.5
-    return centered * inv * gain + bias
+    """Normalize over the last axis, then scale and shift.
+
+    One graph node; its numbers are those of
+    `centered * (var + eps) ** -0.5 * gain + bias` with
+    `centered = x - x.mean(-1)` and `var = (centered * centered).mean(-1)`
+    built from elementary ops.
+    """
+    x = as_tensor(x)
+    p = -0.5
+    inv_n = _const(1.0 / x.data.shape[-1])
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
+    centered = x.data + (-mu)
+    var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_n + _const(eps)
+    inv = var_eps ** p
+    normed = centered * inv
+    out = _child(normed * gain.data + bias.data, (x, gain, bias))
+    if out.requires_grad:
+        def _bw():
+            g = out.grad
+            bias._accum(g)
+            g_scaled = _node_grad(g, normed)
+            g_normed = g_scaled * gain.data
+            gain._accum(g_scaled * normed)
+            g_centered = g_normed * inv
+            g_inv = _unbroadcast(g_normed * centered, inv.shape)
+            g_var = g_inv * p * var_eps ** (p - 1) * inv_n
+            # the square's two factors are one tensor: two accumulations
+            g_sq = g_var * centered
+            g_centered += g_sq
+            g_centered += g_sq
+            x._accum(g_centered)
+            g_mu = -_unbroadcast(g_centered, mu.shape) * inv_n
+            x._accum(np.broadcast_to(g_mu, x.data.shape))
+        out._backward = _bw
+    return out
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:

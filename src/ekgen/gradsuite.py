@@ -224,7 +224,45 @@ def _loss_checks(rng) -> list[CheckResult]:
     return results
 
 
+def _fused_checks(rng) -> list[CheckResult]:
+    """Fused ops at the shapes and options the model does not reach in the
+    entries above: `linear` on 1-D input and without bias, `layer_norm` over
+    a 3-D batch, and `BiLSTM.row` at the first, a middle and the last row."""
+    results = []
+    w = dk.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = dk.Tensor(rng.standard_normal(3), requires_grad=True)
+    x2 = dk.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    x1 = dk.Tensor(rng.standard_normal(4), requires_grad=True)
+    probe = rng.standard_normal((5, 3))
+    for name, x, bias, pr in (("linear", x2, b, probe),
+                              ("linear_1d", x1, b, probe[0]),
+                              ("linear_no_bias", x2, None, probe)):
+        params = {"x": x, "w": w}
+        if bias is not None:
+            params["b"] = bias
+        results.append(_check(
+            name, lambda: (dk.linear(x, w, bias) * dk.Tensor(pr)).sum(),
+            params, SMOOTH_TOL))
+    x3 = dk.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    g = dk.Tensor(rng.standard_normal(4) * 0.5 + 1.0, requires_grad=True)
+    bb = dk.Tensor(rng.standard_normal(4), requires_grad=True)
+    ln_probe = dk.Tensor(rng.standard_normal((2, 3, 4)))
+    results.append(_check("layer_norm_3d",
+                          lambda: (dk.layer_norm(x3, g, bb) * ln_probe).sum(),
+                          {"x": x3, "g": g, "b": bb}, SMOOTH_TOL))
+    lstm = dk.BiLSTM(np.random.default_rng(int(rng.integers(1 << 30))), 3, 2,
+                     n_layers=2)
+    seq = dk.Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
+    row_probe = dk.Tensor(rng.standard_normal((2, 4)))
+    for t in (0, 1, 2):
+        results.append(_check(
+            f"bilstm_row_t{t}", lambda: (lstm.row(seq, t) * row_probe).sum(),
+            {"seq": seq, **lstm.parameters()}, ROUGH_TOL))
+    return results
+
+
 def run_gradient_suite(seed: int = 0) -> list[CheckResult]:
     with dk.use_dtype(np.float64):
         rng = np.random.default_rng(seed)
-        return _op_checks(rng) + _nn_checks(rng) + _loss_checks(rng)
+        return (_op_checks(rng) + _nn_checks(rng) + _loss_checks(rng)
+                + _fused_checks(rng))

@@ -132,19 +132,21 @@ class Graph2SeqModel(dk.Module):
 
     def temporal_encode(self, local: LocalEKG) -> tuple[dk.Tensor, dk.Tensor | None]:
         """Bi-LSTM over each T-step sequence; features taken at the
-        passage's chapter index. The edge sequence is encoded only in GAT_VE
-        mode, the one mode that reads it; elsewhere the edge output is None."""
+        passage's chapter index, so the last layer runs only the steps that
+        reach it. The edge sequence is encoded only in GAT_VE mode, the one
+        mode that reads it; elsewhere the edge output is None. The two
+        outputs are separate graphs."""
         if local.vertex_seq is None:
             raise ValueError("local EKG has no materialized embeddings")
         T = local.vertex_seq.shape[0]
         if T == 0:
             raise ValueError("empty temporal sequence")
         t_idx = local.t - 1
-        v_out = self.lstm(dk.Tensor(local.vertex_seq))[t_idx]
+        v_out = self.lstm.row(dk.Tensor(local.vertex_seq), t_idx)
         e_out = None
         if (self.config.mode == "GAT_VE" and local.edge_seq is not None
                 and local.edge_seq.shape[1]):
-            e_out = self.lstm(dk.Tensor(local.edge_seq))[t_idx]
+            e_out = self.lstm.row(dk.Tensor(local.edge_seq), t_idx)
         return v_out, e_out
 
     def graph_encode(self, local: LocalEKG) -> dk.Tensor:

@@ -35,6 +35,11 @@ class WorkspaceLocked(RuntimeError):
     pass
 
 
+class CorruptArtifact(ValueError):
+    """A workspace artifact that exists but cannot be read, e.g. one torn by
+    a crash mid-write."""
+
+
 def _require(path: Path, stage: str) -> Path:
     if not path.exists():
         raise MissingArtifact(
@@ -46,15 +51,66 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_artifact(path: Path, parse):
+    """`parse` of the JSON in `path`; a file that is not the JSON `parse`
+    expects raises `CorruptArtifact` naming it."""
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        raise CorruptArtifact(f"{path}: unreadable artifact ({e!r}); "
+                              "run the stage that writes it again") from e
+
+
+def _lock_owner(lock: Path) -> int | None:
+    """Pid recorded in an existing lock file, or None when it records none."""
+    try:
+        pid = int(lock.read_text(encoding="ascii").strip())
+    except ValueError:
+        return None
+    return pid if pid > 0 else None
+
+
+def _pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:           # exists, owned by another user
+        pass
+    return True
+
+
 @contextlib.contextmanager
 def workspace_lock(ws: Path):
+    """Hold the workspace for one run: `.lock` records this process's pid.
+    A lock whose pid no longer exists (its run was killed) is reclaimed; a
+    live owner, or a lock file that records no pid, raises `WorkspaceLocked`.
+    """
     ws.mkdir(parents=True, exist_ok=True)
     lock = ws / ".lock"
+    while True:
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            try:
+                pid = _lock_owner(lock)
+            except FileNotFoundError:
+                continue                  # released meanwhile: try again
+        if pid is None:
+            raise WorkspaceLocked(
+                f"workspace {ws} is locked: {lock} records no process id; "
+                f"if no run is using the workspace, delete {lock}")
+        if _pid_exists(pid):
+            raise WorkspaceLocked(
+                f"workspace {ws} is locked by running process {pid} ({lock})")
+        # the owner died without releasing the lock; read again right before
+        # removing it, so a lock just taken by another run is left alone
+        with contextlib.suppress(FileNotFoundError):
+            if _lock_owner(lock) == pid:
+                lock.unlink()
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise WorkspaceLocked(f"workspace {ws} is locked by another run ({lock})")
-    try:
+        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)
         yield
     finally:
@@ -105,7 +161,10 @@ def _save_corpus(path: Path, novel: cp.Novel, passages, mentions, vocab, n_e,
 
 
 def _load_corpus(path: Path):
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    return _read_artifact(path, _parse_corpus)
+
+
+def _parse_corpus(raw: dict):
     novel = cp.Novel(
         id=raw["novel"]["id"], title=raw["novel"]["title"],
         chapters=[cp.Chapter(index=c["index"], text="", tokens=c["tokens"],
@@ -141,7 +200,10 @@ def _save_ekg(path: Path, ekg: GlobalEKG):
 
 
 def _load_ekg(path: Path) -> GlobalEKG:
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    return _read_artifact(path, _parse_ekg)
+
+
+def _parse_ekg(raw: dict) -> GlobalEKG:
     graphs = [TemporalKG(t=g["t"], vertices=set(g["vertices"]),
                          edges={tuple(e["pair"]): [tuple(s) for s in e["evidence"]]
                                 for e in g["edges"]})
@@ -382,13 +444,20 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
     by_id = {p.id: p for p in passages}
     pairs = []
     with open(gen_path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            p = by_id[rec["passage_id"]]
-            # best-scoring non-empty beam; beams are already sorted by score
-            hyp = next((cp.tokenize(c["text"], mode)
-                        for c in rec["comments"] if c["text"]), None)
-            refs = [c.text for c in p.comments[:5]]
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                pid = rec["passage_id"]
+                # best-scoring non-empty beam; beams are sorted by score
+                hyp = next((cp.tokenize(c["text"], mode)
+                            for c in rec["comments"] if c["text"]), None)
+            except (ValueError, KeyError, TypeError) as e:
+                raise CorruptArtifact(f"{gen_path}:{lineno}: unreadable "
+                                      f"record ({e!r})") from e
+            if not isinstance(pid, str) or pid not in by_id:
+                raise CorruptArtifact(f"{gen_path}:{lineno}: passage_id "
+                                      f"{pid!r} is not in {corpus_path}")
+            refs = [c.text for c in by_id[pid].comments[:5]]
             if hyp and refs:
                 pairs.append(EvalPair(hypothesis=hyp, references=refs))
     if not pairs:

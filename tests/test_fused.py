@@ -1,0 +1,365 @@
+"""The fused ops (`linear`, `layer_norm`, the attention core and
+`BiLSTM.row`) against the graphs of elementary ops they replace, kept here
+as references. Outputs and every gradient must be bitwise equal, not merely
+close: the desk overfit criterion moves under one-ulp changes."""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from ekgen import diffkit as dk
+from ekgen import pipeline
+from ekgen.config import load_config
+from ekgen.corpus import BOS
+from ekgen.diffkit import nn as dk_nn
+from ekgen.embed import EkgEmbeddings
+from ekgen.graph2seq import Graph2SeqModel, G2STrainConfig, train_g2s
+
+D = 64
+SHAPES = {"desk": 13, "novel": 200}      # passage lengths of the workloads
+
+
+# ---------------------------------------------------------------------------
+# references: the elementary graphs the fused ops replace
+
+def reference_linear(self, x):
+    y = dk.as_tensor(x) @ self.w
+    return y + self.b if self.b is not None else y
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = (var + eps) ** -0.5
+    return centered * inv * gain + bias
+
+
+def _split_heads(x, n_heads):
+    *lead, L, d = x.shape
+    n = len(lead)
+    return x.reshape(*lead, L, n_heads, d // n_heads).transpose(
+        *range(n), n + 1, n, n + 2)
+
+
+def reference_attention(q, k, v, n_heads, mask=None):
+    d = q.shape[-1]
+    dh = d // n_heads
+    qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
+    n = kh.ndim
+    scores = qh @ kh.transpose(*range(n - 2), n - 1, n - 2) * (1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = scores + dk.Tensor(mask)
+    out = dk.softmax(scores, axis=-1) @ vh
+    n = out.ndim
+    out = out.transpose(*range(n - 3), n - 2, n - 3, n - 1)
+    return out.reshape(*out.shape[:-2], d)
+
+
+def reference_bilstm_row(self, inputs, t):
+    return self(inputs)[t]
+
+
+@contextlib.contextmanager
+def references():
+    """Route every fused layer of the model through its reference graph."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk.Linear, "__call__", reference_linear)
+        mp.setattr(dk_nn, "layer_norm", reference_layer_norm)
+        mp.setattr(dk_nn, "multi_head_attention", reference_attention)
+        mp.setattr(dk.BiLSTM, "row", reference_bilstm_row)
+        yield
+
+
+# ---------------------------------------------------------------------------
+# harness
+
+def _leaf(data, grad=None):
+    t = dk.Tensor(data, requires_grad=True)
+    if grad is not None:
+        t.grad = np.asarray(grad, dtype=t.data.dtype).copy()
+    return t
+
+
+def _run(build, arrays, held, probe):
+    """Fresh leaves from `arrays` (those named in `held` already holding a
+    gradient), one forward through `build`, one backward of `probe`; the
+    output and every leaf gradient."""
+    leaves = {k: _leaf(a, held.get(k)) for k, a in arrays.items()}
+    out = build(**leaves)
+    out.backward(probe)
+    return out.numpy().copy(), {k: t.grad for k, t in leaves.items()}
+
+
+def _assert_bitwise(fused, reference):
+    (out, grads), (ref_out, ref_grads) = fused, reference
+    assert out.dtype == ref_out.dtype
+    np.testing.assert_array_equal(out, ref_out)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert (g is None) == (ref_grads[name] is None), name
+        if g is not None:
+            np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
+
+
+def _probe(rng, shape, strided):
+    """A gradient for the op's output, as a transposed view when `strided`
+    so the op also sees an output gradient that is not C-contiguous."""
+    if not strided:
+        return rng.standard_normal(shape).astype(np.float32)
+    return rng.standard_normal(shape[::-1]).astype(np.float32).T
+
+
+# ---------------------------------------------------------------------------
+# linear
+
+@pytest.mark.parametrize("size", list(SHAPES))
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("held", [False, True])
+def test_linear_bitwise_reference(size, bias, held):
+    rng = np.random.default_rng(1)
+    L = SHAPES[size]
+    arrays = {"x": rng.standard_normal((L, D)),
+              "w": rng.standard_normal((D, 2 * D)) * 0.1}
+    if bias:
+        arrays["b"] = rng.standard_normal(2 * D)
+    held_grads = {"x": rng.standard_normal((L, D)),
+                  "w": rng.standard_normal((D, 2 * D))} if held else {}
+    probe = _probe(rng, (L, 2 * D), strided=held)
+
+    def fused(x, w, b=None):
+        return dk.linear(x, w, b)
+
+    def reference(x, w, b=None):
+        y = x @ w
+        return y + b if b is not None else y
+
+    _assert_bitwise(_run(fused, arrays, held_grads, probe),
+                    _run(reference, arrays, held_grads, probe))
+
+
+def test_linear_batched_rows_and_vector_input():
+    rng = np.random.default_rng(2)
+    for x_shape in [(4, 1, D), (D,)]:
+        arrays = {"x": rng.standard_normal(x_shape),
+                  "w": rng.standard_normal((D, D)) * 0.1,
+                  "b": rng.standard_normal(D)}
+        probe = rng.standard_normal(x_shape[:-1] + (D,)).astype(np.float32)
+        _assert_bitwise(
+            _run(lambda x, w, b: dk.linear(x, w, b), arrays, {}, probe),
+            _run(lambda x, w, b: x @ w + b, arrays, {}, probe))
+
+
+def test_linear_builds_one_node():
+    rng = np.random.default_rng(3)
+    layer = dk.Linear(rng, 4, 3)
+    x = dk.Tensor(rng.standard_normal((2, 4)))
+    out = layer(x)
+    assert out._parents == (x, layer.w, layer.b)
+    with dk.no_grad():
+        assert not layer(x).requires_grad
+
+
+# ---------------------------------------------------------------------------
+# layer norm
+
+@pytest.mark.parametrize("shape", [(13, D), (200, D), (4, 1, D), (2, 3, 4)],
+                         ids=["desk", "novel", "decode-step", "3d"])
+@pytest.mark.parametrize("held", [False, True])
+def test_layer_norm_bitwise_reference(shape, held):
+    rng = np.random.default_rng(4)
+    d = shape[-1]
+    arrays = {"x": rng.standard_normal(shape) * 3.0 + 1.0,
+              "gain": rng.standard_normal(d) * 0.5 + 1.0,
+              "bias": rng.standard_normal(d)}
+    held_grads = {"x": rng.standard_normal(shape),
+                  "gain": rng.standard_normal(d)} if held else {}
+    probe = _probe(rng, shape, strided=held)
+    _assert_bitwise(_run(dk.layer_norm, arrays, held_grads, probe),
+                    _run(reference_layer_norm, arrays, held_grads, probe))
+
+
+# ---------------------------------------------------------------------------
+# attention core
+
+@pytest.mark.parametrize("size", list(SHAPES))
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("held", [False, True])
+def test_attention_bitwise_reference(size, masked, held):
+    rng = np.random.default_rng(5)
+    L = SHAPES[size]
+    Lq = L + 1 if masked else L          # causal decoder self-attention
+    arrays = {"q": rng.standard_normal((Lq, D)),
+              "k": rng.standard_normal((Lq if masked else L, D)),
+              "v": rng.standard_normal((Lq if masked else L, D))}
+    mask = dk.causal_mask(Lq) if masked else None
+    held_grads = {name: rng.standard_normal(a.shape)
+                  for name, a in arrays.items()} if held else {}
+    probe = _probe(rng, (Lq, D), strided=held)
+    _assert_bitwise(
+        _run(lambda q, k, v: dk.multi_head_attention(q, k, v, 4, mask),
+             arrays, held_grads, probe),
+        _run(lambda q, k, v: reference_attention(q, k, v, 4, mask),
+             arrays, held_grads, probe))
+
+
+def test_attention_over_one_tensor_with_held_gradient():
+    """Queries, keys and values are one tensor that already holds a
+    gradient, so the order of the three accumulations shows."""
+    rng = np.random.default_rng(14)
+    arrays = {"x": rng.standard_normal((SHAPES["desk"], D))}
+    held = {"x": rng.standard_normal((SHAPES["desk"], D))}
+    probe = rng.standard_normal((SHAPES["desk"], D)).astype(np.float32)
+    _assert_bitwise(
+        _run(lambda x: dk.multi_head_attention(x, x, x, 4), arrays, held,
+             probe),
+        _run(lambda x: reference_attention(x, x, x, 4), arrays, held, probe))
+
+
+def test_attention_batched_queries_over_shared_memory():
+    """3-D queries against 2-D keys and values, as beam decoding has them;
+    the key and value gradients sum over the batch."""
+    rng = np.random.default_rng(6)
+    arrays = {"q": rng.standard_normal((4, 3, D)),
+              "k": rng.standard_normal((SHAPES["desk"], D)),
+              "v": rng.standard_normal((SHAPES["desk"], D))}
+    probe = rng.standard_normal((4, 3, D)).astype(np.float32)
+    _assert_bitwise(
+        _run(lambda q, k, v: dk.multi_head_attention(q, k, v, 4), arrays, {},
+             probe),
+        _run(lambda q, k, v: reference_attention(q, k, v, 4), arrays, {},
+             probe))
+
+
+def test_attention_keys_and_values_shared_by_two_layers():
+    """One memory projection feeds the cross-attention of two stacked
+    layers, so its keys and values collect gradients from both."""
+    rng = np.random.default_rng(7)
+    layers = [dk.MultiHeadAttention(np.random.default_rng(s), D, 4)
+              for s in (8, 9)]
+    data = {"x": rng.standard_normal((14, D)),
+            "memory": rng.standard_normal((18, D))}
+    probe = rng.standard_normal((14, D)).astype(np.float32)
+
+    def run():
+        for layer in layers:
+            layer.zero_grad()
+        x, memory = (_leaf(a) for a in data.values())
+        keys, values = layers[0].project_kv(memory)
+        h = x
+        for layer in layers:
+            h = layer.attend(h, keys, values)
+        h.backward(probe)
+        grads = {f"{i}.{k}": p.grad.copy() for i, layer in enumerate(layers)
+                 for k, p in layer.parameters().items() if p.grad is not None}
+        return h.numpy().copy(), {"x": x.grad, "memory": memory.grad, **grads}
+
+    fused = run()
+    with references():
+        reference = run()
+    _assert_bitwise(fused, reference)
+
+
+def test_attention_builds_one_node():
+    rng = np.random.default_rng(10)
+    q, k, v = (dk.Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+               for _ in range(3))
+    out = dk.multi_head_attention(q, k, v, 2)
+    assert out._parents == (q, k, v)
+
+
+# ---------------------------------------------------------------------------
+# BiLSTM row
+
+@pytest.mark.parametrize("T,c_e", [(3, 5), (16, 5), (16, 1)],
+                         ids=["desk", "novel", "one-vertex"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_bilstm_row_bitwise_reference(T, c_e, layers):
+    rng = np.random.default_rng(11)
+    lstm = dk.BiLSTM(np.random.default_rng(12), D, D // 2, n_layers=layers)
+    data = rng.standard_normal((T, c_e, D))
+    probe = rng.standard_normal((c_e, D)).astype(np.float32)
+    # parameters already hold a gradient, as after the other sequence
+    held = {k: rng.standard_normal(p.shape).astype(np.float32)
+            for k, p in lstm.parameters().items()}
+    for t in sorted({0, 1, T // 2, T - 1} & set(range(T))):
+        results = []
+        for run in (lambda x: lstm.row(x, t), lambda x: lstm(x)[t]):
+            for k, p in lstm.parameters().items():
+                p.grad = held[k].copy()
+            x = _leaf(data)
+            out = run(x)
+            out.backward(probe)
+            results.append((out.numpy().copy(),
+                            {"x": x.grad, **{k: p.grad.copy() for k, p in
+                                             lstm.parameters().items()}}))
+        _assert_bitwise(*results)
+
+
+def test_bilstm_row_takes_negative_index_and_rejects_out_of_range():
+    rng = np.random.default_rng(13)
+    lstm = dk.BiLSTM(rng, 3, 2)
+    x = dk.Tensor(rng.standard_normal((4, 3)))
+    np.testing.assert_array_equal(lstm.row(x, -1).numpy(), lstm(x)[-1].numpy())
+    with pytest.raises(IndexError):
+        lstm.row(x, 4)
+
+
+# ---------------------------------------------------------------------------
+# the model: decoding and training
+
+@pytest.fixture(scope="module")
+def desk_setup(tmp_path_factory):
+    """Desk-preset examples after a short embedding run."""
+    ws = tmp_path_factory.mktemp("fused") / "ws"
+    cfg = load_config(preset="desk", seed=0, overrides=[
+        "phase1_steps=20", "phase2_steps=6"])
+    for stage in (pipeline.run_synth, pipeline.run_ingest,
+                  pipeline.run_build_ekg, pipeline.run_train_ekg):
+        stage(ws, cfg)
+    novel, passages, _, vocab, _, _ = pipeline._load_corpus(
+        ws / "corpus" / "corpus.json")
+    ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
+    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin")
+    examples, _ = pipeline._build_examples(novel, passages, ekg, artifact,
+                                           vocab, cfg)
+    return cfg, vocab, examples
+
+
+def _train(cfg, vocab, examples, steps=5):
+    model = Graph2SeqModel(pipeline._g2s_config(cfg, len(vocab)))
+    history = train_g2s(examples, model, G2STrainConfig(
+        steps=steps, batch_size=cfg.batch_size, warmup=cfg.warmup, seed=0))
+    return history["loss"], {k: v.copy() for k, v in model.state().items()}
+
+
+def test_train_g2s_parameters_bitwise_reference(desk_setup):
+    cfg, vocab, examples = desk_setup
+    loss, state = _train(cfg, vocab, examples)
+    with references():
+        ref_loss, ref_state = _train(cfg, vocab, examples)
+    assert loss == ref_loss
+    assert state.keys() == ref_state.keys()
+    for name in state:
+        np.testing.assert_array_equal(state[name], ref_state[name],
+                                      err_msg=name)
+
+
+def _decode_steps(model, ex, steps=4):
+    """Next-token probabilities of three hypotheses over a few steps."""
+    state = model.start_decode(model.fuse_memory(ex.passage_ids, ex.local))
+    probs = [model.fuse_and_decode_step(state, [BOS, BOS, BOS])]
+    for tok in ex.comment_ids[:steps]:
+        probs.append(model.fuse_and_decode_step(state, [tok, BOS, tok]))
+    return np.stack(probs)
+
+
+def test_decode_step_probabilities_bitwise_reference(desk_setup):
+    cfg, vocab, examples = desk_setup
+    model = Graph2SeqModel(pipeline._g2s_config(cfg, len(vocab)))
+    for ex in examples[:3]:
+        fused = _decode_steps(model, ex)
+        with references():
+            reference = _decode_steps(model, ex)
+        np.testing.assert_array_equal(fused, reference)

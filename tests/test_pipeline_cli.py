@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +160,7 @@ def test_cli_malformed_novel_exit_code(tmp_path, capsys):
     assert cli.main(["synth", "--workspace", ws] + _small_args()) == 0
     bad = tmp_path / "novel.json"
     bad.write_text('{"id": "n", "chapters": [')
+    capsys.readouterr()
     code = cli.main(["ingest", "--workspace", ws, "--novel", str(bad)]
                     + _small_args())
     assert code == 3
@@ -278,3 +283,94 @@ def test_failed_manifest_replace_keeps_previous_manifest(tmp_path, monkeypatch):
         pipeline.run_ingest(ws, cfg)
     assert (ws / "manifest.json").read_bytes() == before
     assert set(json.loads(before)["stages"]) == {"synth"}
+
+
+# ---------------------------------------------------------------------------
+# torn artifacts, the workspace lock and the per-stage report
+
+@pytest.fixture
+def generated_ws(trained_ws):
+    ws, args = trained_ws
+    assert cli.main(["generate", "--workspace", str(ws)] + args) == 0
+    return ws, args
+
+
+@pytest.mark.parametrize("artifact, stage", [
+    ("corpus/corpus.json", "stats"),
+    ("ekg/global.json", "train-ekg"),
+    ("generate/comments.jsonl", "evaluate"),
+])
+def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage):
+    ws, args = generated_ws
+    path = ws / artifact
+    text = path.read_text(encoding="utf-8").rstrip("\n")
+    last = text.split("\n")[-1]
+    # a crash halfway through writing the last line
+    path.write_text(text[:len(text) - len(last) // 2], encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([stage, "--workspace", str(ws)] + args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+
+
+def test_cli_evaluate_unknown_passage_exit_code(generated_ws, capsys):
+    ws, args = generated_ws
+    path = ws / "generate" / "comments.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[-1])
+    rec["passage_id"] = "no-such-passage"
+    lines[-1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--workspace", str(ws)] + args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{len(lines)}: ") \
+        and "no-such-passage" in err and err.count("\n") == 1, err
+
+
+def test_workspace_lock_records_owner_pid(tmp_path):
+    ws = tmp_path / "ws"
+    with pipeline.workspace_lock(ws):
+        assert (ws / ".lock").read_text().strip() == str(os.getpid())
+    assert not (ws / ".lock").exists()
+
+
+def test_cli_reclaims_lock_of_exited_run(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()                      # exited and reaped: its pid is free
+    (ws / ".lock").write_text(f"{proc.pid}\n")
+    assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
+    assert not (ws / ".lock").exists()
+
+
+def test_cli_live_lock_owner_exit_code(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / ".lock").write_text(f"{os.getpid()}\n")
+    assert cli.main(["synth", "--workspace", str(ws)]) == 4
+    err = capsys.readouterr().err
+    assert f"running process {os.getpid()}" in err and err.count("\n") == 1
+    assert (ws / ".lock").exists()
+
+
+def test_cli_lock_without_pid_says_how_to_clear(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / ".lock").write_text("")
+    assert cli.main(["synth", "--workspace", str(ws)]) == 4
+    err = capsys.readouterr().err
+    assert f"delete {ws / '.lock'}" in err and err.count("\n") == 1, err
+    assert (ws / ".lock").exists()
+
+
+def test_cli_stage_reports_wall_time_and_peak_rss(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"synth: \d+\.\d\d s, peak RSS \d+\.\d MB\n", err), err
+    assert "RSS" not in out
+    for path in ws.rglob("*"):
+        if path.is_file():
+            assert "RSS" not in path.read_text(encoding="utf-8"), path
