@@ -8,4 +8,5 @@ from .nn import (Module, Linear, LSTMCell, lstm_sequence, BiLSTM,
                  sinusoidal_positions)
 from .optim import Adam, lr_schedule
 from .gradcheck import grad_check, GradCheckReport
-from .checkpoint import save_arrays, load_arrays, CheckpointError, MAGIC, EMBED_MAGIC
+from .checkpoint import (save_arrays, load_arrays, atomic_open, CheckpointError,
+                         MAGIC, EMBED_MAGIC)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -14,6 +16,21 @@ EMBED_MAGIC = b"EKGE1"
 
 class CheckpointError(IOError):
     pass
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a file beside `path` for writing; when the block ends without an
+    exception it replaces `path` in one step, otherwise it is removed. So
+    `path` holds its previous content or all of the new one, never part."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], magic: bytes = MAGIC,
@@ -30,7 +47,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], magic: bytes = MAGIC,
         offset += len(raw)
     manifest = json.dumps({"params": entries, "extra": extra or {}},
                           sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(manifest)))
         fh.write(manifest)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,9 @@ class GlobalEKG:
     graphs: list[TemporalKG]
     entity_frequency: Counter
 
+    # Both are computed on first use and kept: a GlobalEKG is not changed
+    # after it is built or loaded.
+    @cached_property
     def union_adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {}
         for g in self.graphs:
@@ -34,6 +38,7 @@ class GlobalEKG:
                 adj.setdefault(j, set()).add(i)
         return adj
 
+    @cached_property
     def cooccurring_pairs(self) -> set[tuple[int, int]]:
         return {pair for g in self.graphs for pair in g.edges}
 
@@ -103,7 +108,7 @@ def extract_local_ekg(global_ekg: GlobalEKG, passage: Passage,
     else:
         selected = list(seeds)
         chosen = set(selected)
-        adj = global_ekg.union_adjacency()
+        adj = global_ekg.union_adjacency
         queue = deque(selected)
         while queue and len(selected) < K:
             cur = queue.popleft()
@@ -115,7 +120,7 @@ def extract_local_ekg(global_ekg: GlobalEKG, passage: Passage,
                     if len(selected) >= K:
                         break
     vertex_ids = sorted(selected)
-    pairs = global_ekg.cooccurring_pairs()
+    pairs = global_ekg.cooccurring_pairs
     edges = [(a, b) for ai, a in enumerate(vertex_ids)
              for b in vertex_ids[ai + 1:] if (a, b) in pairs]
     if not edges and len(vertex_ids) > 1:

@@ -10,13 +10,14 @@ training.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffkit as dk
-from .diffkit.tensor import _child
+from .diffkit.tensor import _child, _const
 from .corpus import Mention, Novel
 from .ekg import GlobalEKG, LocalEKG
 
@@ -30,6 +31,13 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 # sentence features
 
+def _masked(tokens: list[str], mask_pos: int) -> list[str]:
+    """`tokens` with the one at `mask_pos` replaced by the mask token."""
+    masked = list(tokens)
+    masked[mask_pos] = MASK_TOKEN
+    return masked
+
+
 class HashedNgramEncoder:
     """Frozen, deterministic sentence features from hashed character n-grams."""
 
@@ -39,25 +47,54 @@ class HashedNgramEncoder:
         self.ngram_sizes = tuple(ngram_sizes)
         self.seed = seed
 
-    def _bag(self, tokens: list[str]) -> np.ndarray:
-        """Signed counts of the hashed n-grams, scaled to unit length. Each
-        hash picks a slot (`h % d_f`) and a sign (bit 16)."""
-        hashes = []
-        for n in self.ngram_sizes:
+    def encode_many(self, sentences: list[list[str]]) -> np.ndarray:
+        """One row per sentence: signed counts of its hashed n-grams, scaled
+        to unit length (float64, (n, d_f)). An n-gram hashes as `crc32` of
+        its tokens joined by `\\x01` plus a size and seed tag; the hash picks
+        a slot (`h % d_f`) and a sign (bit 16). Each distinct n-gram is
+        hashed once. The counts are whole numbers, so their sums and sums of
+        squares are exact in any order, and every row equals the one its
+        sentence gets alone."""
+        tokens = list(itertools.chain.from_iterable(sentences))
+        index = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
+        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
+                          count=len(tokens))
+        lens = np.array([len(s) for s in sentences], dtype=np.int64)
+        sent = np.repeat(np.arange(len(sentences)), lens)
+        # tokens from each position to the end of its sentence
+        room = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))
+        cells, signs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        rank = ids
+        for n in range(1, max(self.ngram_sizes) + 1):
+            start = np.flatnonzero(room >= n)
+            # number the n-grams at `start` among the distinct ones, from
+            # the numbers of the (n-1)-grams they extend
+            key = rank[start] * len(index) + ids[start + n - 1] if n > 1 else ids
+            distinct, which = np.unique(key, return_inverse=True)
+            rank = np.zeros_like(ids)
+            rank[start] = which
+            if n not in self.ngram_sizes:
+                continue
+            at = np.zeros(len(distinct), dtype=np.int64)
+            at[which] = start                 # a position of each distinct n-gram
             tag = f"\x02{n}\x02{self.seed}"
-            hashes += [zlib.crc32(("\x01".join(tokens[i:i + n]) + tag).encode())
-                       for i in range(len(tokens) - n + 1)]
-        h = np.array(hashes, dtype=np.int64)
-        vec = np.bincount(h % self.d_f, weights=np.where((h >> 16) & 1, 1.0, -1.0),
-                          minlength=self.d_f).astype(np.float64, copy=False)
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else vec
+            h = np.array([zlib.crc32(("\x01".join(tokens[s:s + n]) + tag).encode())
+                          for s in at.tolist()], dtype=np.int64)
+            cells.append(sent[start] * self.d_f + (h % self.d_f)[which])
+            signs.append(np.where((h >> 16) & 1, 1.0, -1.0)[which])
+        vecs = np.bincount(np.concatenate(cells), weights=np.concatenate(signs),
+                           minlength=len(sentences) * self.d_f
+                           ).astype(np.float64, copy=False).reshape(-1, self.d_f)
+        norms = np.sqrt((vecs * vecs).sum(axis=-1, keepdims=True))
+        return np.divide(vecs, norms, out=vecs, where=norms > 0)
+
+    def _bag(self, tokens: list[str]) -> np.ndarray:
+        """`encode_many` of one sentence."""
+        return self.encode_many([tokens])[0]
 
     def encode_masked(self, tokens: list[str], mask_pos: int) -> dk.Tensor:
-        masked = list(tokens)
-        masked[mask_pos] = MASK_TOKEN
         # position-tagged mask n-gram keeps some locality information
-        return dk.Tensor(self._bag(masked))
+        return dk.Tensor(self._bag(_masked(tokens, mask_pos)))
 
     def encode_cls(self, tokens: list[str]) -> dk.Tensor:
         return dk.Tensor(self._bag(tokens))
@@ -167,16 +204,29 @@ def make_edge_examples(novel: Novel, global_ekg: GlobalEKG,
 def sample_negatives(examples: list[EdgeExample], global_ekg: GlobalEKG,
                      rng: np.random.Generator) -> list[EdgeExample]:
     """Pick one negative entity per positive: in V(t), not in the pair, and
-    not adjacent to the first vertex at t. Unsatisfiable examples get None."""
-    kept = []
+    not adjacent to the first vertex at t. Unsatisfiable examples get None.
+
+    Each chapter's adjacency is built once, and the sorted candidates once
+    per (chapter, pair); every example takes one `rng.choice`, in order."""
+    adjacency: list[dict[int, set[int]]] = []
+    for g in global_ekg.graphs:
+        adj: dict[int, set[int]] = {}
+        for (a, b) in g.edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        adjacency.append(adj)
+    candidates: dict[tuple[int, int, int], np.ndarray] = {}
     for ex in examples:
-        g = global_ekg.graphs[ex.t - 1]
         i, j = ex.pair
-        adj_i = {b if a == i else a for (a, b) in g.edges if i in (a, b)}
-        candidates = sorted(g.vertices - {i, j} - adj_i)
-        ex.negative = (int(rng.choice(candidates)) if candidates else None)
-        kept.append(ex)
-    return kept
+        key = (ex.t, i, j)
+        if key not in candidates:
+            g = global_ekg.graphs[ex.t - 1]
+            near = adjacency[ex.t - 1].get(i, set())
+            candidates[key] = np.array(sorted(g.vertices - {i, j} - near),
+                                       dtype=np.int64)
+        pool = candidates[key]
+        ex.negative = int(rng.choice(pool)) if len(pool) else None
+    return list(examples)
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +260,64 @@ def vertex_loss_smoothed(example: VertexExample, table: VertexEmbeddingTable,
 
 def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable,
                       lambdas: tuple[float, float, float], eps_ls: float,
-                      features: np.ndarray) -> dk.Tensor:
-    """Sum of smoothed losses over all examples, batched per chapter.
+                      features: np.ndarray) -> dk.Tensor | None:
+    """Sum of smoothed losses over all examples, batched per chapter, as one
+    autodiff node; None when no term applies.
 
     `features` holds the masked-sentence feature of each example, one row
-    per example; `vertex_loss_smoothed` is the per-example reference.
+    per example; `vertex_loss_smoothed` is the per-example reference. Each
+    (chapter, smoothing term) is one `rows @ W[tt - 1].T` and one batched
+    `cross_entropy_label_smoothed`, the terms added in order of chapter and
+    then of λ. The node matches that graph of elementary ops bit for bit:
+    the forward repeats its expressions, and the backward adds each term's
+    gradient into the table in the same order as that graph.
     """
     by_t: dict[int, list[int]] = {}
     for idx, ex in enumerate(examples):
         by_t.setdefault(ex.t, []).append(idx)
-    total = None
-    feats = dk.Tensor(features)
+    W = table.w.data
+    feats = _const(features)
+    c_pick, c_smooth = _const(1.0 - eps_ls), _const(eps_ls / W.shape[1])
+    terms, total = [], None
     for t, idxs in sorted(by_t.items()):
         rows = feats[np.asarray(idxs)]
+        at = np.arange(len(idxs))
         targets = np.asarray([examples[i].entity_id for i in idxs])
+        inv_m = _const(1.0 / len(idxs))
         for lam, tt in ((lambdas[0], t - 1), (lambdas[1], t), (lambdas[2], t + 1)):
             if lam == 0.0 or not 1 <= tt <= table.T:
                 continue
-            logits = rows @ table.at(tt).T
-            ce = dk.cross_entropy_label_smoothed(logits, targets, eps_ls)
-            term = (lam * len(idxs)) * ce     # CE reduces by mean
+            logits = rows @ W[tt - 1].T
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            ce = logp[at, targets].sum() * inv_m
+            if eps_ls != 0.0:
+                ce = ce * c_pick + logp.sum(axis=-1).sum() * inv_m * c_smooth
+            scale = _const(lam * len(idxs))      # CE reduces by mean
+            term = -ce * scale
             total = term if total is None else total + term
-    return total
+            terms.append((tt, rows, at, targets, inv_m, logp, scale))
+    if total is None:
+        return None
+    out = _child(total, (table.w,))
+    if not out.requires_grad:
+        return out
+
+    def _bw():
+        if table.w.grad is None:
+            table.w.grad = np.zeros_like(W)
+        for tt, rows, at, targets, inv_m, logp, scale in terms:
+            g_ce = -(out.grad * scale)
+            g_logp = np.zeros_like(logp)
+            if eps_ls == 0.0:
+                g_logp[at, targets] += g_ce * inv_m
+            else:
+                g_logp[at, targets] += g_ce * c_pick * inv_m
+                g_logp += g_ce * c_smooth * inv_m
+            g_logits = g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
+            table.w.grad[tt - 1] += (rows.T @ g_logits).T
+    out._backward = _bw
+    return out
 
 
 def _row_by_row(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -373,8 +459,8 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
     rn = RelationNetwork(config.d_f, margin=config.margin, seed=config.seed + 2)
 
     v_examples = make_vertex_examples(novel, mentions)
-    features = np.stack([encoder.encode_masked(ex.tokens, ex.mask_pos).numpy()
-                         for ex in v_examples])
+    features = encoder.encode_many([_masked(ex.tokens, ex.mask_pos)
+                                    for ex in v_examples])
 
     history: dict[str, list[float]] = {"phase1": [], "phase2": [],
                                        "skipped_negatives": []}
@@ -396,8 +482,7 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
 
     # phase 2: relation network; the table is frozen
     e_examples = make_edge_examples(novel, global_ekg)
-    cls_features = np.array([encoder.encode_cls(ex.tokens).numpy()
-                             for ex in e_examples]).reshape(-1, config.d_f)
+    cls_features = encoder.encode_many([ex.tokens for ex in e_examples])
     table.w.requires_grad = False
     rn_opt = dk.Adam(rn.parameters())
     for step in range(config.phase2_steps if config.lambda_r > 0 else 0):

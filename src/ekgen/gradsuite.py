@@ -261,8 +261,22 @@ def _fused_checks(rng) -> list[CheckResult]:
     return results
 
 
+def _vertex_boundary_checks(rng) -> list[CheckResult]:
+    """The smoothed vertex loss at T = 2, where every chapter drops a
+    neighbour's term, with one chapter holding a single example (a 1-row
+    matmul)."""
+    table = VertexEmbeddingTable(2, 4, 6, seed=int(rng.integers(1 << 30)))
+    examples = [VertexExample(t=t, entity_id=e, tokens=[], mask_pos=0)
+                for t, e in ((1, 0), (2, 3), (1, 2), (1, 1))]
+    features = rng.standard_normal((len(examples), 6))
+    return [_check(
+        "vertex_loss_boundary",
+        lambda: vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, features),
+        {"w": table.w}, ROUGH_TOL)]
+
+
 def run_gradient_suite(seed: int = 0) -> list[CheckResult]:
     with dk.use_dtype(np.float64):
         rng = np.random.default_rng(seed)
         return (_op_checks(rng) + _nn_checks(rng) + _loss_checks(rng)
-                + _fused_checks(rng))
+                + _fused_checks(rng) + _vertex_boundary_checks(rng))

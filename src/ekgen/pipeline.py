@@ -126,10 +126,14 @@ def _record(ws: Path, stage: str, cfg: PipelineConfig, outputs: list[Path]):
         "config": json.loads(cfg.to_json()),
         "outputs": {str(p.relative_to(ws)): _sha256(p) for p in sorted(outputs)},
     }
-    # a crash mid-write leaves the previous manifest, not a torn one
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    os.replace(tmp, manifest_path)
+    _write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=1))
+
+
+def _write_text(path: Path, text: str):
+    """Write `text` to `path` as `dk.atomic_open` does: a crash mid-write
+    leaves the previous file, not a torn one."""
+    with dk.atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +161,7 @@ def _save_corpus(path: Path, novel: cp.Novel, passages, mentions, vocab, n_e,
                      for m in mentions],
         "vocab": vocab.id_to_token,
     }
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    _write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def _load_corpus(path: Path):
@@ -196,7 +200,7 @@ def _save_ekg(path: Path, ekg: GlobalEKG):
                               for (i, j), ev in sorted(g.edges.items())]}
                    for g in ekg.graphs],
     }
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    _write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def _load_ekg(path: Path) -> GlobalEKG:
@@ -237,11 +241,18 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     clustered = cp.cluster_chapters(novel, cfg.min_chapter_tokens, cfg.token_mode)
     passages = cp.remap_passages(passages, novel, clustered)
     mentions = cp.match_mentions(clustered, lexicon, cfg.token_mode)
+    if not mentions:
+        raise cp.CorpusParseError(f"{lexicon_path}: no entity name or alias "
+                                  f"occurs in {novel_path}")
     cp.attach_entities(passages, mentions)
     passages = cp.merge_passages(passages, cfg.overlap_threshold)
     cp.refresh_passage_text(passages, clustered)
     cp.attach_entities(passages, mentions)
     passages = cp.filter_passages(passages)
+    if not passages:
+        raise cp.CorpusParseError(
+            f"{lexicon_path}: no passage of {passages_path} mentions one of its "
+            "entities and has at least 3 comments")
     streams = [ch.tokens for ch in clustered.chapters]
     streams += [c.text for p in passages for c in p.comments]
     vocab = cp.build_vocab(streams, cfg.min_freq)
@@ -262,7 +273,7 @@ def report_stats(novel, passages, ekg: GlobalEKG | None = None) -> str:
         avg_entities = sum(len(p.entity_ids) for p in passages) / n_passages
         avg_comments = n_comments / n_passages
         if ekg is not None:
-            pairs = ekg.cooccurring_pairs()
+            pairs = ekg.cooccurring_pairs
             avg_relations = sum(
                 sum(1 for ai, a in enumerate(sorted(p.entity_ids))
                     for b in sorted(p.entity_ids)[ai + 1:] if (a, b) in pairs)
@@ -289,7 +300,7 @@ def run_stats(ws: Path, cfg: PipelineConfig) -> str:
     ekg = build_global_ekg(novel, mentions)
     text = report_stats(novel, passages, ekg)
     out = ws / "corpus" / "stats.txt"
-    out.write_text(text + "\n", encoding="utf-8")
+    _write_text(out, text + "\n")
     _record(ws, "stats", cfg, [out])
     return text
 
@@ -322,7 +333,7 @@ def run_train_ekg(ws: Path, cfg: PipelineConfig) -> Path:
     out = out_dir / "ekg_embed.bin"
     artifact.save(out)
     hist = out_dir / "history.json"
-    hist.write_text(json.dumps(artifact.history, sort_keys=True), encoding="utf-8")
+    _write_text(hist, json.dumps(artifact.history, sort_keys=True))
     _record(ws, "train-ekg", cfg, [out, hist])
     return out
 
@@ -370,12 +381,12 @@ def run_train_g2s(ws: Path, cfg: PipelineConfig) -> Path:
     out = out_dir / "model.bin"
     dk.save_arrays(out, model.state())
     sidecar = out_dir / "model.json"
-    sidecar.write_text(json.dumps({"mode": cfg.mode, "d_model": cfg.d_model,
-                                   "vocab_hash": vocab.content_hash(),
-                                   "config": json.loads(cfg.to_json())},
-                                  sort_keys=True), encoding="utf-8")
+    _write_text(sidecar, json.dumps({"mode": cfg.mode, "d_model": cfg.d_model,
+                                     "vocab_hash": vocab.content_hash(),
+                                     "config": json.loads(cfg.to_json())},
+                                    sort_keys=True))
     hist = out_dir / "history.json"
-    hist.write_text(json.dumps(history, sort_keys=True), encoding="utf-8")
+    _write_text(hist, json.dumps(history, sort_keys=True))
     _record(ws, "train-g2s", cfg, [out, sidecar, hist])
     return out
 
@@ -422,7 +433,7 @@ def run_generate(ws: Path, cfg: PipelineConfig, limit: int | None = None) -> Pat
     out_dir = ws / "generate"
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "comments.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
+    with dk.atomic_open(out, "w", encoding="utf-8") as fh:
         for p in passages[:limit]:
             local = extract_local_ekg(ekg, p, cfg.K)
             materialize_embeddings(artifact, local)
@@ -468,7 +479,7 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
     out_dir = ws / "evaluate"
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "report.json"
-    out.write_text(json.dumps(report, sort_keys=True), encoding="utf-8")
+    _write_text(out, json.dumps(report, sort_keys=True))
     _record(ws, "evaluate", cfg, [out])
     return report
 

@@ -153,3 +153,57 @@ def test_local_edge_endpoints_are_selected_vertices():
     local = extract_local_ekg(ekg, _passage({0, 3}), K=3)
     for (a, b) in local.edges:
         assert a in local.vertex_ids and b in local.vertex_ids
+
+
+def _rebuilding_local_ekg(global_ekg, passage, K):
+    """`extract_local_ekg` as it was before the union adjacency and the
+    co-occurring pairs were kept on the GlobalEKG: both rebuilt per call."""
+    freq = global_ekg.entity_frequency
+    order = lambda eid: (-freq.get(eid, 0), eid)
+    seeds = sorted(passage.entity_ids, key=order)
+    selected = list(seeds[:K])
+    if len(seeds) < K:
+        adj = {}
+        for g in global_ekg.graphs:
+            for (i, j) in g.edges:
+                adj.setdefault(i, set()).add(j)
+                adj.setdefault(j, set()).add(i)
+        chosen, queue = set(selected), list(selected)
+        while queue and len(selected) < K:
+            for nb in sorted(adj.get(queue.pop(0), ()), key=order):
+                if nb not in chosen:
+                    chosen.add(nb)
+                    selected.append(nb)
+                    queue.append(nb)
+                    if len(selected) >= K:
+                        break
+    vertex_ids = sorted(selected)
+    pairs = {pair for g in global_ekg.graphs for pair in g.edges}
+    edges = [(a, b) for ai, a in enumerate(vertex_ids)
+             for b in vertex_ids[ai + 1:] if (a, b) in pairs]
+    if not edges and len(vertex_ids) > 1:
+        edges = list(itertools.combinations(vertex_ids, 2))
+    return vertex_ids, edges
+
+
+def test_local_ekgs_match_per_passage_rebuild(tmp_path):
+    from ekgen import pipeline
+    from ekgen.config import load_config
+    cfg = load_config(preset="desk", seed=0)
+    pipeline.run_synth(tmp_path, cfg)
+    novel, passages, mentions, _, _, _ = pipeline._load_corpus(
+        pipeline.run_ingest(tmp_path, cfg))
+    ekg = build_global_ekg(novel, mentions)
+    # a passage with fewer than K entities, whose fill runs the search
+    passages.append(_passage({min(ekg.entity_frequency)}))
+    chain = _chain_ekg([5, 4, 3, 2, 1, 1, 1])
+    cases = [(ekg, p, K) for p in passages for K in (2, cfg.K)]
+    cases += [(chain, _passage(ids), 5) for ids in ({0, 1}, {6}, set(range(7)))]
+    assert any(len(p.entity_ids) < K for _, p, K in cases)
+    for global_ekg, p, K in cases:
+        local = extract_local_ekg(global_ekg, p, K)
+        assert (local.vertex_ids, local.edges) == \
+            _rebuilding_local_ekg(global_ekg, p, K)
+    # built once per GlobalEKG, not once per passage
+    assert ekg.union_adjacency is ekg.union_adjacency
+    assert ekg.cooccurring_pairs is ekg.cooccurring_pairs

@@ -215,27 +215,34 @@ def _per_example_triplet_loss(example, table, rn, f_c):
 
 
 @pytest.fixture(scope="module")
-def synth_edge_batch(tmp_path_factory):
-    """Edge examples of a synthetic corpus with negatives sampled four times
-    over, the last one without a negative, and their sentence features. With
-    240 examples, adding the hinges in another order changes the sum."""
+def desk_corpus(tmp_path_factory):
+    """Novel, mentions, entity count and d_f of the desk synthetic corpus."""
     from ekgen import pipeline
     from ekgen.config import load_config
-    ws = tmp_path_factory.mktemp("edges")
+    ws = tmp_path_factory.mktemp("desk")
     cfg = load_config(preset="desk", seed=0)
     pipeline.run_synth(ws, cfg)
     novel, _, mentions, _, n_e, _ = pipeline._load_corpus(
         pipeline.run_ingest(ws, cfg))
+    return novel, mentions, n_e, cfg.d_f
+
+
+@pytest.fixture(scope="module")
+def synth_edge_batch(desk_corpus):
+    """Edge examples of a synthetic corpus with negatives sampled four times
+    over, the last one without a negative, and their sentence features. With
+    240 examples, adding the hinges in another order changes the sum."""
+    novel, mentions, n_e, d_f = desk_corpus
     ekg = build_global_ekg(novel, mentions)
     examples = []
     for seed in range(4):
         examples += sample_negatives(make_edge_examples(novel, ekg), ekg,
                                      np.random.default_rng(seed))
     examples[-1].negative = None
-    encoder = HashedNgramEncoder(d_f=cfg.d_f)
+    encoder = HashedNgramEncoder(d_f=d_f)
     features = np.stack([encoder.encode_cls(ex.tokens).numpy()
                          for ex in examples])
-    return examples, novel.num_chapters, n_e, cfg.d_f, features
+    return examples, novel.num_chapters, n_e, d_f, features
 
 
 @pytest.mark.parametrize("frozen_table", [True, False])
@@ -448,3 +455,194 @@ def test_hashed_encoder_deterministic_and_normalized():
     np.testing.assert_array_equal(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-5)
     assert not np.allclose(v1, enc.encode_cls(list("ghijkl")).numpy())
+
+
+# ---------------------------------------------------------------------------
+# batched n-gram features
+
+def test_encode_many_rows_equal_one_sentence_bags():
+    rng = np.random.default_rng(11)
+    alphabet = list("abcdefgh") + ["<mask>", "萧炎", "的"]
+    sentences = [[], ["a"], ["<mask>"], ["萧炎", "<mask>", "的"], []] + [
+        [alphabet[k] for k in rng.integers(len(alphabet), size=int(n))]
+        for n in rng.integers(2, 80, size=30)]
+    for d_f, seed in ((3, 0), (64, 7)):
+        encoder = HashedNgramEncoder(d_f=d_f, seed=seed)
+        rows = encoder.encode_many(sentences)
+        assert rows.shape == (len(sentences), d_f) and rows.dtype == np.float64
+        for row, tokens in zip(rows, sentences):
+            assert np.array_equal(row, encoder._bag(tokens)), tokens
+            assert np.array_equal(row, _reference_bag(encoder, tokens)), tokens
+    assert HashedNgramEncoder(d_f=4).encode_many([]).shape == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# phase 1 as one node: bitwise the graph of elementary ops
+
+def _elementary_vertex_loss_total(examples, table, lambdas, eps_ls, features):
+    """Sum of smoothed losses batched per chapter, built from elementary
+    engine ops; `vertex_loss_total` must match it bit for bit, value and
+    table gradient."""
+    by_t = {}
+    for idx, ex in enumerate(examples):
+        by_t.setdefault(ex.t, []).append(idx)
+    total = None
+    feats = dk.Tensor(features)
+    for t, idxs in sorted(by_t.items()):
+        rows = feats[np.asarray(idxs)]
+        targets = np.asarray([examples[i].entity_id for i in idxs])
+        for lam, tt in ((lambdas[0], t - 1), (lambdas[1], t), (lambdas[2], t + 1)):
+            if lam == 0.0 or not 1 <= tt <= table.T:
+                continue
+            logits = rows @ table.at(tt).T
+            ce = dk.cross_entropy_label_smoothed(logits, targets, eps_ls)
+            term = (lam * len(idxs)) * ce
+            total = term if total is None else total + term
+    return total
+
+
+def _random_vertex_batch(rng, T, n_e, d_f, n, chapters=None):
+    chapters = rng.integers(1, T + 1, size=n) if chapters is None else chapters
+    examples = [VertexExample(t=int(t), entity_id=int(rng.integers(n_e)),
+                              tokens=[], mask_pos=0) for t in chapters]
+    features = rng.standard_normal((n, d_f))
+    features /= np.linalg.norm(features, axis=1, keepdims=True)
+    return examples, features
+
+
+@pytest.fixture(scope="module")
+def desk_vertex_batch(desk_corpus):
+    """Vertex examples of the desk corpus and their masked features, one
+    float32 row per example."""
+    novel, mentions, n_e, d_f = desk_corpus
+    examples = make_vertex_examples(novel, mentions)
+    encoder = HashedNgramEncoder(d_f=d_f)
+    features = np.stack([encoder.encode_masked(ex.tokens, ex.mask_pos).numpy()
+                         for ex in examples])
+    return examples, novel.num_chapters, n_e, d_f, features
+
+
+def _vertex_cases(desk):
+    """name -> (examples, T, n_e, d_f, features, lambdas, eps_ls)"""
+    rng = np.random.default_rng(21)
+    novel_ex, novel_f = _random_vertex_batch(rng, 16, 20, 64, 806)
+    split_ex, split_f = _random_vertex_batch(rng, 4, 6, 16, 9,
+                                             chapters=[1, 1, 1, 2, 3, 3, 4, 4, 4])
+    single_ex, single_f = _random_vertex_batch(rng, 1, 5, 8, 7)
+    lone_ex, lone_f = _random_vertex_batch(rng, 2, 5, 8, 1, chapters=[2])
+    smooth = (0.5, 1.0, 0.3)
+    desk_ex, T, n_e, d_f, desk_f = desk
+    return {
+        "desk": (desk_ex, T, n_e, d_f, desk_f, smooth, 0.1),
+        "desk-float64-features": (desk_ex, T, n_e, d_f,
+                                  desk_f.astype(np.float64), smooth, 0.1),
+        "novel-shaped": (novel_ex, 16, 20, 64, novel_f, smooth, 0.1),
+        "one-example-chapter": (split_ex, 4, 6, 16, split_f, smooth, 0.1),
+        "T=1": (single_ex, 1, 5, 8, single_f, smooth, 0.1),
+        "boundary-lone-example": (lone_ex, 2, 5, 8, lone_f, smooth, 0.1),
+        "lambda-0-1-0": (novel_ex, 16, 20, 64, novel_f, (0.0, 1.0, 0.0), 0.1),
+        "no-smoothing": (split_ex, 4, 6, 16, split_f, smooth, 0.0),
+    }
+
+
+@pytest.mark.parametrize("held_grad", [False, True])
+@pytest.mark.parametrize("case", ["desk", "desk-float64-features",
+                                  "novel-shaped", "one-example-chapter", "T=1",
+                                  "boundary-lone-example", "lambda-0-1-0",
+                                  "no-smoothing"])
+def test_vertex_loss_total_is_bitwise_the_elementary_graph(desk_vertex_batch,
+                                                           case, held_grad):
+    examples, T, n_e, d_f, features, lambdas, eps = \
+        _vertex_cases(desk_vertex_batch)[case]
+    tables = [VertexEmbeddingTable(T, n_e, d_f, seed=3) for _ in range(2)]
+    if held_grad:
+        held = np.random.default_rng(4).standard_normal((T, n_e, d_f))
+        for tb in tables:
+            tb.w.grad = held.astype(np.float32)
+    want = _elementary_vertex_loss_total(examples, tables[0], lambdas, eps,
+                                         features)
+    got = vertex_loss_total(examples, tables[1], lambdas, eps, features)
+    assert got.data.dtype == want.data.dtype == np.float32
+    assert np.array_equal(got.data, want.data)
+    (0.7 * want).backward()
+    (0.7 * got).backward()
+    assert tables[1].w.grad.dtype == np.float32
+    assert np.array_equal(tables[1].w.grad, tables[0].w.grad)
+
+
+def test_vertex_loss_total_adam_steps_match_elementary_graph(desk_vertex_batch):
+    examples, T, n_e, d_f, features = desk_vertex_batch
+    runs = []
+    for loss_fn in (_elementary_vertex_loss_total, vertex_loss_total):
+        table = VertexEmbeddingTable(T, n_e, d_f, seed=0)
+        opt = dk.Adam({"table.w": table.w})
+        losses = []
+        for _ in range(5):
+            opt.zero_grad()
+            loss = loss_fn(examples, table, (0.5, 1.0, 0.3), 0.1, features)
+            losses.append(loss.item())
+            loss.backward()
+            opt.step(0.05)
+        runs.append((losses, table.w.data))
+    assert runs[0][0] == runs[1][0]
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_vertex_loss_total_without_terms_is_none():
+    table = VertexEmbeddingTable(1, 3, 4)
+    ex = [VertexExample(t=1, entity_id=0, tokens=[], mask_pos=0)]
+    assert vertex_loss_total(ex, table, (0.5, 0.0, 0.3), 0.1, np.ones((1, 4))) is None
+    assert vertex_loss_total([], table, (0.5, 1.0, 0.3), 0.1, np.ones((0, 4))) is None
+
+
+# ---------------------------------------------------------------------------
+# negatives from one adjacency pass: the same draws as the per-example scan
+
+def _scan_negatives(examples, global_ekg, rng):
+    """One negative per example, rescanning the chapter's edges each time."""
+    out = []
+    for ex in examples:
+        g = global_ekg.graphs[ex.t - 1]
+        i, j = ex.pair
+        adj_i = {b if a == i else a for (a, b) in g.edges if i in (a, b)}
+        candidates = sorted(g.vertices - {i, j} - adj_i)
+        out.append(int(rng.choice(candidates)) if candidates else None)
+    return out
+
+
+def _novel_like_ekg(seed, T=16, n_e=20):
+    """Chapters of 4-12 vertices with edges at densities up to one, so some
+    first vertices are adjacent to every other vertex of their chapter."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for t in range(1, T + 1):
+        vertices = sorted(rng.choice(n_e, size=int(rng.integers(4, 13)),
+                                     replace=False).tolist())
+        density = rng.uniform(0.2, 1.0)
+        edges = {(a, b): [(0, 1)] * int(rng.integers(1, 4))
+                 for ai, a in enumerate(vertices) for b in vertices[ai + 1:]
+                 if rng.random() < density}
+        graphs.append(TemporalKG(t=t, vertices=set(vertices), edges=edges))
+    return GlobalEKG("n", T, graphs, entity_frequency=None)
+
+
+def _examples_of(ekg):
+    return [EdgeExample(t=g.t, pair=pair, tokens=[])
+            for g in ekg.graphs for pair, spans in sorted(g.edges.items())
+            for _ in spans]
+
+
+def test_negatives_match_per_example_scan(desk_corpus):
+    novel, mentions, _, _ = desk_corpus
+    synth_ekg = build_global_ekg(novel, mentions)
+    cases = [(synth_ekg, make_edge_examples(novel, synth_ekg))]
+    cases += [(ekg, _examples_of(ekg)) for ekg in map(_novel_like_ekg, (1, 2))]
+    unsatisfiable = 0
+    for ekg, examples in cases:
+        for seed in range(5):
+            want = _scan_negatives(examples, ekg, np.random.default_rng(seed))
+            kept = sample_negatives(examples, ekg, np.random.default_rng(seed))
+            assert kept == examples and kept is not examples
+            assert [ex.negative for ex in examples] == want
+            unsatisfiable += want.count(None)
+    assert unsatisfiable > 0

@@ -374,3 +374,117 @@ def test_cli_stage_reports_wall_time_and_peak_rss(tmp_path, capsys):
     for path in ws.rglob("*"):
         if path.is_file():
             assert "RSS" not in path.read_text(encoding="utf-8"), path
+
+
+# ---------------------------------------------------------------------------
+# corpora that leave nothing to train on, and atomic artifact writes
+
+def test_cli_ingest_refuses_lexicon_that_matches_nothing(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
+    lexicon = ws / "data" / "lexicon.json"
+    raw = json.loads(lexicon.read_text())
+    for entity in raw["entities"]:
+        entity["name"] = "QAXZ" + entity["name"]     # occurs nowhere
+    lexicon.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--workspace", str(ws)] + _small_args()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lexicon}: ") and err.count("\n") == 1, err
+    assert not (ws / "corpus" / "corpus.json").exists()
+
+
+def test_cli_ingest_refuses_corpus_without_usable_passage(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
+    passages = ws / "data" / "passages.jsonl"
+    records = [json.loads(line) for line in passages.read_text().splitlines()]
+    for rec in records:
+        rec["comments"] = rec["comments"][:2]         # the filter needs 3
+    passages.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--workspace", str(ws)] + _small_args()) == 3
+    err = capsys.readouterr().err
+    lexicon = ws / "data" / "lexicon.json"
+    assert err.startswith(f"error: {lexicon}: ") and err.count("\n") == 1, err
+
+
+class _TornFile:
+    """A file whose first write stores half of its data and then fails, as
+    a full disk or a crash would leave it."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:max(len(data) // 2, 1)])
+        self._fh.flush()
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_write_failing_midway_keeps_previous_artifacts(tmp_path, monkeypatch):
+    """Each stage run again with its n-th file write failing midway: every
+    file in the workspace keeps its previous bytes, and no file is added."""
+    import builtins
+    import io
+    ws = tmp_path / "ws"
+    cfg = load_config(preset="desk", overrides=SMALL + ["g2s_steps=1"], seed=0)
+    pipeline.run_full_pipeline(ws, cfg, generate_limit=1)
+    pipeline.run_stats(ws, cfg)
+    stages = {
+        "ingest": lambda: pipeline.run_ingest(ws, cfg),
+        "stats": lambda: pipeline.run_stats(ws, cfg),
+        "build-ekg": lambda: pipeline.run_build_ekg(ws, cfg),
+        "train-ekg": lambda: pipeline.run_train_ekg(ws, cfg),
+        "train-g2s": lambda: pipeline.run_train_g2s(ws, cfg),
+        "generate": lambda: pipeline.run_generate(ws, cfg, limit=1),
+        "evaluate": lambda: pipeline.run_evaluate(ws, cfg),
+    }
+    snapshot = lambda: {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    before = snapshot()
+    real_open = io.open
+    torn = []
+    for stage, run in stages.items():
+        n = 0
+        while True:
+            opened = [0]
+
+            def failing_open(file, mode="r", *args, **kwargs):
+                fh = real_open(file, mode, *args, **kwargs)
+                if set(mode) & set("wax"):
+                    opened[0] += 1
+                    if opened[0] == n + 1:
+                        torn.append((stage, os.path.basename(file)))
+                        return _TornFile(fh)
+                return fh
+            with monkeypatch.context() as m:
+                m.setattr(builtins, "open", failing_open)
+                m.setattr(io, "open", failing_open)
+                try:
+                    run()
+                except OSError as e:
+                    assert str(e) == "disk full", e
+                else:
+                    break                 # the stage writes n files
+            assert snapshot() == before, (stage, n)
+            n += 1
+    names = {(stage, name.removesuffix(".tmp")) for stage, name in torn}
+    assert names == {
+        ("ingest", "corpus.json"), ("ingest", "manifest.json"),
+        ("stats", "stats.txt"), ("stats", "manifest.json"),
+        ("build-ekg", "global.json"), ("build-ekg", "manifest.json"),
+        ("train-ekg", "ekg_embed.bin"), ("train-ekg", "history.json"),
+        ("train-ekg", "manifest.json"),
+        ("train-g2s", "model.bin"), ("train-g2s", "model.json"),
+        ("train-g2s", "history.json"), ("train-g2s", "manifest.json"),
+        ("generate", "comments.jsonl"), ("generate", "manifest.json"),
+        ("evaluate", "report.json"), ("evaluate", "manifest.json")}
