@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -86,27 +87,55 @@ class PipelineConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
+# lr_scale: at the full peak learning rate (about 0.018 at desk size) the
+# generator often never learns to copy a passage's second entity
 DESK_OVERRIDES = {
     "d_f": 64, "d_model": 64, "encoder_layers": 2, "decoder_layers": 2,
     "min_chapter_tokens": 50, "warmup": 50, "phase1_steps": 150,
-    "phase2_steps": 40, "g2s_steps": 400, "batch_size": 8,
+    "phase2_steps": 40, "g2s_steps": 400, "batch_size": 8, "lr_scale": 0.5,
 }
 
 PRESETS = {"desk": DESK_OVERRIDES, "paper": {}}
 
 
+_JSON_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
+
+
+def _typed(key: str, value, want: type):
+    """`value` as config field `key` of Python type `want`: it must have the
+    matching JSON type, except that an integer is accepted for a number, and
+    a number must be finite."""
+    if want is float and type(value) is int:
+        return float(value)
+    if type(value) is not want or (want is float and not math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite JSON "
+                          f"{_JSON_TYPE_NAMES[want]}, not {value!r}")
+    return value
+
+
+def _read_config_file(path) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
+    except ValueError as e:                 # torn JSON or bad encoding
+        raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object of config keys")
+    return raw
+
+
 def load_config(path=None, preset: str | None = None,
                 overrides: list[str] | None = None,
                 seed: int | None = None) -> PipelineConfig:
-    valid = {f.name: f.type for f in fields(PipelineConfig)}
+    types = {f.name: type(f.default) for f in fields(PipelineConfig)}
     data: dict = {}
     if path:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        for key in raw:
-            if key not in valid:
+        for key, value in _read_config_file(path).items():
+            if key not in types:
                 raise ConfigError(
-                    f"unknown config key {key!r}; valid keys: {sorted(valid)}")
-        data.update(raw)
+                    f"unknown config key {key!r}; valid keys: {sorted(types)}")
+            data[key] = _typed(key, value, types[key])
     cfg = PipelineConfig(**data)
     if preset:
         if preset not in PRESETS:
@@ -119,15 +148,15 @@ def load_config(path=None, preset: str | None = None,
             raise ConfigError(f"override {item!r} must look like key=value")
         key, val = item.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in valid:
+        if key not in types:
             raise ConfigError(
-                f"unknown config key {key!r}; valid keys: {sorted(valid)}")
-        current = getattr(cfg, key)
-        caster = type(current)
-        try:
-            setattr(cfg, key, caster(json.loads(val)) if caster is not str else val)
-        except (json.JSONDecodeError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad value for {key}: {val!r}") from e
+                f"unknown config key {key!r}; valid keys: {sorted(types)}")
+        if types[key] is not str:
+            try:
+                val = json.loads(val)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"bad value for {key}: {val!r}") from e
+        setattr(cfg, key, _typed(key, val, types[key]))
     if seed is not None:
         cfg.seed = seed
     return cfg.validate()

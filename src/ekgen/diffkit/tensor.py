@@ -352,10 +352,12 @@ class Tensor:
         return self.leaky_relu(0.0)
 
     def gelu(self) -> "Tensor":
-        """tanh-approximated gelu; smooth, so finite differences stay clean."""
+        """tanh-approximated gelu; smooth, so finite differences stay clean.
+        The cube is `x * x * x`: a float32 `x ** 3` calls `powf` per element
+        and takes two orders of magnitude longer."""
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x ** 3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         y = 0.5 * x * (1.0 + t)
         out = _child(y, (self,))

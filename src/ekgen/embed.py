@@ -207,7 +207,10 @@ def sample_negatives(examples: list[EdgeExample], global_ekg: GlobalEKG,
     not adjacent to the first vertex at t. Unsatisfiable examples get None.
 
     Each chapter's adjacency is built once, and the sorted candidates once
-    per (chapter, pair); every example takes one `rng.choice`, in order."""
+    per (chapter, pair). All picks are one `rng.integers` call with one bound
+    per example; an empty pool draws from a range of one. numpy draws each
+    bounded integer on its own and a range of one consumes nothing, so the
+    picks are those of one `rng.choice` per non-empty pool, in order."""
     adjacency: list[dict[int, set[int]]] = []
     for g in global_ekg.graphs:
         adj: dict[int, set[int]] = {}
@@ -215,17 +218,19 @@ def sample_negatives(examples: list[EdgeExample], global_ekg: GlobalEKG,
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
         adjacency.append(adj)
-    candidates: dict[tuple[int, int, int], np.ndarray] = {}
+    candidates: dict[tuple[int, int, int], list[int]] = {}
+    pools = []
     for ex in examples:
         i, j = ex.pair
         key = (ex.t, i, j)
         if key not in candidates:
             g = global_ekg.graphs[ex.t - 1]
             near = adjacency[ex.t - 1].get(i, set())
-            candidates[key] = np.array(sorted(g.vertices - {i, j} - near),
-                                       dtype=np.int64)
-        pool = candidates[key]
-        ex.negative = int(rng.choice(pool)) if len(pool) else None
+            candidates[key] = sorted(g.vertices - {i, j} - near)
+        pools.append(candidates[key])
+    picks = rng.integers(0, [max(len(pool), 1) for pool in pools])
+    for ex, pool, k in zip(examples, pools, picks.tolist()):
+        ex.negative = int(pool[k]) if pool else None
     return list(examples)
 
 
@@ -320,22 +325,6 @@ def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable
     return out
 
 
-def _row_by_row(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`x @ w` for each row of `x` on its own: numpy runs one vector-matrix
-    product per row, bitwise equal to the 1-D `row @ w`; a 2-D `x @ w` runs
-    one matrix product that sums in another order."""
-    return (x[:, None, :] @ w)[:, 0]
-
-
-def _sum_outer_in_order(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sum of `outer(x[r], g[r])` over the rows, added one row after another
-    as the autodiff engine accumulates them, one outer product at a time."""
-    total = np.outer(x[0], g[0])
-    for r in range(1, len(x)):
-        total += np.outer(x[r], g[r])
-    return total
-
-
 def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
     """Backward of leaky_relu at input `z`, in `Tensor.leaky_relu`'s dtypes:
     the factor is float64 and the product is cast back."""
@@ -348,10 +337,11 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
     against its sentence feature (the same row of `features`), as one autodiff
     node; None when no example has a negative.
 
-    Rows are stacked as (example, positive then negative). Each step matches
-    the graph of one example bit for bit: matmuls run row by row, the hinges
-    add in example order, and parameter gradients add row after row. The
-    vertex table gets gradients only when it requires them.
+    Rows are stacked as (example, positive then negative), and each layer is
+    one matrix product over all rows. The result equals the sum of the
+    per-example graphs up to float32 round-off: the products and sums add in
+    another order. The vertex table gets gradients only when it requires
+    them.
     """
     keep = [n for n, ex in enumerate(examples) if ex.negative is not None]
     if not keep:
@@ -364,15 +354,15 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
     f_c = np.repeat(np.asarray(features, dtype=W.dtype)[keep], 2, axis=0)
     l1, l2, slope = rn.layer1, rn.layer2, rn.slope
     x1 = np.concatenate([W[t, i], W[t, j]], axis=-1)
-    z1 = _row_by_row(x1, l1.w.data) + l1.b.data
+    z1 = x1 @ l1.w.data + l1.b.data
     r = np.where(z1 > 0, z1, slope * z1)
     x2 = np.concatenate([W[t, i], r, W[t, j]], axis=-1)
-    z2 = _row_by_row(x2, l2.w.data) + l2.b.data
+    z2 = x2 @ l2.w.data + l2.b.data
     diff = np.where(z2 > 0, z2, slope * z2) - f_c
     dist = np.sqrt((diff * diff).sum(axis=-1))
     gap = (dist[0::2] - dist[1::2]) + np.asarray(rn.margin, dtype=W.dtype)
     hinge = np.where(gap > 0, gap, 0.0 * gap)
-    out = _child(np.cumsum(hinge)[-1], (table.w, l1.w, l1.b, l2.w, l2.b))
+    out = _child(hinge.sum(), (table.w, l1.w, l1.b, l2.w, l2.b))
     if not out.requires_grad:
         return out
 
@@ -381,14 +371,14 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
         g_dist = np.stack([g_gap, -g_gap], axis=-1).ravel()
         g_sq = (g_dist * 0.5 / np.maximum(dist, 1e-12))[:, None] * diff
         g_z2 = _leaky_grad(g_sq + g_sq, z2, slope)
-        g_x2 = _row_by_row(g_z2, l2.w.data.T)
+        g_x2 = g_z2 @ l2.w.data.T
         g_z1 = _leaky_grad(g_x2[:, d:2 * d], z1, slope)
-        l2.b._accum(np.cumsum(g_z2, axis=0)[-1])
-        l2.w._accum(_sum_outer_in_order(x2, g_z2))
-        l1.b._accum(np.cumsum(g_z1, axis=0)[-1])
-        l1.w._accum(_sum_outer_in_order(x1, g_z1))
+        l2.b._accum(g_z2.sum(axis=0))
+        l2.w._accum(x2.T @ g_z2)
+        l1.b._accum(g_z1.sum(axis=0))
+        l1.w._accum(x1.T @ g_z1)
         if table.w.requires_grad:
-            g_x1 = _row_by_row(g_z1, l1.w.data.T)
+            g_x1 = g_z1 @ l1.w.data.T
             g_w = np.zeros_like(W)
             np.add.at(g_w, (t, i), g_x1[:, :d] + g_x2[:, :d])
             np.add.at(g_w, (t, j), g_x1[:, d:] + g_x2[:, 2 * d:])

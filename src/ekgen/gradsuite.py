@@ -56,6 +56,8 @@ def _op_checks(rng) -> list[CheckResult]:
     results.append(_check("tanh", lambda: a.tanh().sum(), {"a": a}, SMOOTH_TOL))
     results.append(_check("sigmoid", lambda: a.sigmoid().sum(), {"a": a},
                           SMOOTH_TOL))
+    results.append(_check("gelu", lambda: (a.gelu() * c).sum(), {"a": a},
+                          SMOOTH_TOL))
     results.append(_check("leaky_relu",
                           lambda: (a.leaky_relu(0.2) * c).sum(), {"a": a},
                           ROUGH_TOL))

@@ -16,6 +16,8 @@ import os
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as cp
 from . import diffkit as dk
 from .config import PipelineConfig
@@ -419,6 +421,22 @@ def load_g2s_model(ws: Path, cfg: PipelineConfig, vocab) -> Graph2SeqModel:
     arrays, _ = dk.load_arrays(model_path)
     model.load_state(arrays)
     return model
+
+
+def teacher_forced_accuracy(ws: Path, cfg: PipelineConfig) -> float:
+    """Mean teacher-forced token accuracy of the trained generator over one
+    training example per passage, the one of its last comment."""
+    novel, passages, mentions, vocab, n_e, _ = _load_corpus(
+        _require(ws / "corpus" / "corpus.json", "ingest"))
+    ekg = _load_ekg(_require(ws / "ekg" / "global.json", "build-ekg"))
+    artifact = EkgEmbeddings.load(
+        _require(ws / "embed" / "ekg_embed.bin", "train-ekg"))
+    model = load_g2s_model(ws, cfg, vocab)
+    examples, _ = _build_examples(novel, passages, ekg, artifact, vocab, cfg)
+    per_passage = {id(ex.local): ex for ex in examples}
+    return float(np.mean([model.token_accuracy(ex.passage_ids, ex.local,
+                                               ex.comment_ids)
+                          for ex in per_passage.values()]))
 
 
 def run_generate(ws: Path, cfg: PipelineConfig, limit: int | None = None) -> Path:

@@ -229,13 +229,8 @@ def test_criterion_07_end_to_end_overfit(capsys, desk_run):
         assert len(h1) == 100
         assert all(b < a for a, b in zip(h1, h1[1:])), \
             "phase-1 loss not strictly decreasing over the first 100 steps"
-        novel, passages, ekg, artifact, vocab, model, examples = \
-            _load_trained(desk_run)
         # one example per passage keeps this under a minute
-        per_passage = {id(ex.local): ex for ex in examples}
-        accs = [model.token_accuracy(ex.passage_ids, ex.local, ex.comment_ids)
-                for ex in per_passage.values()]
-        acc = float(np.mean(accs))
+        acc = pipeline.teacher_forced_accuracy(desk_run["ws"], desk_run["cfg"])
         assert acc >= 0.90, f"teacher-forced accuracy {acc:.3f} < 0.90"
 
 

@@ -88,3 +88,11 @@ def test_explicit_file_value_survives_preset(tmp_path):
     assert cfg.warmup == 77
     # untouched keys still get the preset values
     assert cfg.encoder_layers == 2
+
+
+def test_config_accepts_integer_for_number(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"lambda0": 1, "K": 4}')
+    cfg = load_config(path, overrides=["lr_scale=1", "mode=GAT_V"])
+    assert (cfg.lambda0, cfg.lr_scale, cfg.K, cfg.mode) == (1.0, 1.0, 4, "GAT_V")
+    assert type(cfg.lambda0) is type(cfg.lr_scale) is float

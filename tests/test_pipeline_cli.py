@@ -104,6 +104,34 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("config_text, override", [
+    (None, None),                       # --config names a missing file
+    ('{"K": 5', None),                  # torn JSON
+    ('[5]', None),                      # not an object of keys
+    ('{"K": "5"}', None),               # a string where an integer goes
+    ('{"lambda0": true}', None),        # a boolean where a number goes
+    (None, "K=5.7"),                    # not rounded to 5
+    (None, "lambda0=true"),             # not read as 1.0
+    (None, "lambda0=NaN"),              # validate() alone lets NaN through
+], ids=["missing-file", "torn-json", "not-an-object", "string-for-int",
+        "bool-for-float", "set-float-for-int", "set-bool-for-float",
+        "set-nan"])
+def test_cli_config_error_is_one_line_exit_2(tmp_path, capsys, config_text,
+                                             override):
+    args = ["stats", "--workspace", str(tmp_path / "ws")]
+    if override is None:
+        path = tmp_path / "cfg.json"
+        if config_text is not None:
+            path.write_text(config_text)
+        args += ["--config", str(path)]
+    else:
+        args += ["--set", override]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "ws").exists()
+
+
 def test_cli_locked_workspace_exit_code(tmp_path):
     ws = tmp_path / "ws"
     ws.mkdir()

@@ -106,6 +106,37 @@ def test_forward_ops_finite_on_finite_input():
         assert np.isfinite(op(x).numpy()).all()
 
 
+def _gelu_float64(x):
+    x = x.astype(np.float64)
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                    * (x + 0.044715 * x ** 3)))
+
+
+def test_gelu_float32_matches_the_float64_formula():
+    x = np.linspace(-20, 20, 400001, dtype=np.float32)
+    y = dk.Tensor(x).gelu().numpy()
+    assert y.dtype == np.float32
+    # below 1e-8, in the negative tail, the float32 cube's round-off shows
+    np.testing.assert_allclose(y, _gelu_float64(x), rtol=1e-6, atol=1e-8)
+
+
+def test_gelu_where_the_cube_overflows_matches_the_powf_form():
+    x = np.array([-1e13, -7.5e12, 7.5e12, 1e13], dtype=np.float32)
+    t = dk.Tensor(x, requires_grad=True)
+    c = np.sqrt(2.0 / np.pi)
+    with np.errstate(over="ignore"):
+        y = t.gelu()
+        y.sum().backward()
+        th = np.tanh(c * (x + 0.044715 * x ** 3))
+        want = 0.5 * x * (1.0 + th)
+        dwant = (0.5 * (1.0 + th)
+                 + 0.5 * x * (1.0 - th * th) * c * (1.0 + 3 * 0.044715 * x ** 2))
+        assert np.isinf(x ** 3).all()
+    assert np.array_equal(y.numpy(), want.astype(np.float32))
+    assert np.array_equal(y.numpy(), np.where(x > 0, x, 0.0))
+    assert np.array_equal(t.grad, dwant.astype(np.float32))
+
+
 def test_backward_requires_scalar():
     x = dk.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
