@@ -41,10 +41,8 @@ def main() -> int:
         pipeline.run_ingest(ws, cfg)
         pipeline.run_build_ekg(ws, cfg)
 
-        novel, passages, *_ = pipeline._load_corpus(
-            ws / "corpus" / "corpus.json")
-        ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
-        print(pipeline.report_stats(novel, passages, ekg))
+        w = pipeline.Workspace(ws, cfg)
+        print(pipeline.report_stats(w.corpus.novel, w.corpus.passages, w.ekg))
 
         pipeline.run_train_ekg(ws, cfg)
         hist = json.loads((ws / "embed" / "history.json").read_text())

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .graph2seq import MODES
+from .graph2seq import MODES, G2SConfig
 
 
 class ConfigError(ValueError):
@@ -85,6 +85,17 @@ class PipelineConfig:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
+
+    def g2s_config(self, vocab_size: int) -> G2SConfig:
+        """Settings of a generator over `vocab_size` tokens."""
+        return G2SConfig(vocab_size=vocab_size, d_f=self.d_f,
+                         d_model=self.d_model, n_heads=self.n_heads,
+                         n_enc_layers=self.encoder_layers,
+                         n_dec_layers=self.decoder_layers,
+                         lstm_layers=self.bilstm_layers,
+                         gat_layers=self.gat_layers, mode=self.mode,
+                         max_len=self.max_len, max_passage=self.max_passage,
+                         eps_ls=self.eps_ls, seed=self.seed)
 
 
 # lr_scale: at the full peak learning rate (about 0.018 at desk size) the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -22,8 +23,10 @@ class CheckpointError(IOError):
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a file beside `path` for writing; when the block ends without an
     exception it replaces `path` in one step, otherwise it is removed. So
-    `path` holds its previous content or all of the new one, never part."""
+    `path` holds its previous content or all of the new one, never part.
+    The parent directory is created if needed."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
@@ -56,8 +59,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray], magic: bytes = MAGIC,
 
 def load_arrays(path, magic: bytes = MAGIC) -> tuple[dict[str, np.ndarray], dict]:
     """Read a file written by `save_arrays`. A wrong magic, a manifest that is
-    not JSON, or a manifest or array that runs past the bytes actually read
-    raises `CheckpointError`."""
+    not JSON or lacks a field of the right type, or a manifest or array that
+    runs past the bytes actually read raises `CheckpointError`."""
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
@@ -77,14 +80,19 @@ def load_arrays(path, magic: bytes = MAGIC) -> tuple[dict[str, np.ndarray], dict
         raise CheckpointError(f"{path}: unreadable manifest: {e}") from e
     blob = data[start + mlen:]
     arrays = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        offset = entry["offset"]
-        if offset + 4 * count > len(blob):
-            raise CheckpointError(
-                f"{path}: array {entry['name']!r} ends at byte {offset + 4 * count} "
-                f"of a {len(blob)}-byte data section; the file is truncated")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float32)
-    return arrays, manifest.get("extra", {})
+    try:
+        for entry in manifest["params"]:
+            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+            if not all(type(n) is int and n >= 0 for n in (*shape, offset)):
+                raise ValueError(f"array {name!r} has shape {list(shape)} "
+                                 f"and offset {offset!r}")
+            count = math.prod(shape)
+            if offset + 4 * count > len(blob):
+                raise CheckpointError(
+                    f"{path}: array {name!r} ends at byte {offset + 4 * count} "
+                    f"of a {len(blob)}-byte data section; the file is truncated")
+            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+            arrays[name] = arr.reshape(shape).astype(np.float32)
+        return arrays, manifest.get("extra", {})
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed manifest: {e!r}") from e

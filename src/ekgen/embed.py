@@ -429,7 +429,7 @@ class EkgEmbeddings:
         arrays, extra = dk.load_arrays(path, magic=dk.EMBED_MAGIC)
         T, n_e, d_f = extra["T"], extra["n_e"], extra["d_f"]
         table = VertexEmbeddingTable(T, n_e, d_f)
-        table.w.data = arrays["table.w"].astype(table.w.data.dtype)
+        table.load_state({"w": arrays["table.w"]})
         rn = RelationNetwork(d_f, margin=extra.get("margin", 0.0))
         rn.load_state({k[3:]: v for k, v in arrays.items() if k.startswith("rn.")})
         cfg = extra["encoder_config"]

@@ -14,6 +14,8 @@ import hashlib
 import json
 import os
 from collections import Counter
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,8 @@ from . import diffkit as dk
 from .config import PipelineConfig
 from .ekg import GlobalEKG, LocalEKG, TemporalKG, build_global_ekg, extract_local_ekg
 from .embed import EkgEmbeddings, EmbedTrainConfig, materialize_embeddings, train_ekg
-from .graph2seq import (G2SConfig, G2SExample, G2STrainConfig, Graph2SeqModel,
-                        beam_decode, train_g2s)
+from .graph2seq import (G2SExample, G2STrainConfig, Graph2SeqModel, beam_decode,
+                        train_g2s)
 from .metrics import EvalPair, bleu_corpus, rouge_l
 from .synth import SyntheticSpec, generate as synth_generate
 
@@ -121,14 +123,14 @@ def workspace_lock(ws: Path):
 
 def _record(ws: Path, stage: str, cfg: PipelineConfig, outputs: list[Path]):
     manifest_path = ws / "manifest.json"
-    manifest = (json.loads(manifest_path.read_text())
-                if manifest_path.exists() else {"stages": {}})
-    manifest["stages"][stage] = {
+    stages = (_read_artifact(manifest_path, lambda raw: {**raw["stages"]})
+              if manifest_path.exists() else {})
+    stages[stage] = {
         "seed": cfg.seed,
         "config": json.loads(cfg.to_json()),
         "outputs": {str(p.relative_to(ws)): _sha256(p) for p in sorted(outputs)},
     }
-    _write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=1))
+    _write_text(manifest_path, json.dumps({"stages": stages}, sort_keys=True, indent=1))
 
 
 def _write_text(path: Path, text: str):
@@ -139,7 +141,7 @@ def _write_text(path: Path, text: str):
 
 
 # ---------------------------------------------------------------------------
-# corpus (de)serialization
+# artifact (de)serialization and the workspace reader
 
 def _save_corpus(path: Path, novel: cp.Novel, passages, mentions, vocab, n_e,
                  mode: str):
@@ -166,11 +168,18 @@ def _save_corpus(path: Path, novel: cp.Novel, passages, mentions, vocab, n_e,
     _write_text(path, json.dumps(payload, sort_keys=True))
 
 
-def _load_corpus(path: Path):
-    return _read_artifact(path, _parse_corpus)
+@dataclass
+class Corpus:
+    """The corpus as `ingest` keeps it: clustered chapters, kept passages."""
+    novel: cp.Novel
+    passages: list[cp.Passage]
+    mentions: list[cp.Mention]
+    vocab: cp.Vocabulary
+    n_e: int
+    token_mode: str
 
 
-def _parse_corpus(raw: dict):
+def _parse_corpus(raw: dict) -> Corpus:
     novel = cp.Novel(
         id=raw["novel"]["id"], title=raw["novel"]["title"],
         chapters=[cp.Chapter(index=c["index"], text="", tokens=c["tokens"],
@@ -190,7 +199,7 @@ def _parse_corpus(raw: dict):
                 for m in raw["mentions"]]
     vocab = cp.Vocabulary(token_to_id={t: i for i, t in enumerate(raw["vocab"])},
                           id_to_token=raw["vocab"])
-    return novel, passages, mentions, vocab, raw["n_e"], raw["token_mode"]
+    return Corpus(novel, passages, mentions, vocab, raw["n_e"], raw["token_mode"])
 
 
 def _save_ekg(path: Path, ekg: GlobalEKG):
@@ -205,10 +214,6 @@ def _save_ekg(path: Path, ekg: GlobalEKG):
     _write_text(path, json.dumps(payload, sort_keys=True))
 
 
-def _load_ekg(path: Path) -> GlobalEKG:
-    return _read_artifact(path, _parse_ekg)
-
-
 def _parse_ekg(raw: dict) -> GlobalEKG:
     graphs = [TemporalKG(t=g["t"], vertices=set(g["vertices"]),
                          edges={tuple(e["pair"]): [tuple(s) for s in e["evidence"]]
@@ -217,6 +222,88 @@ def _parse_ekg(raw: dict) -> GlobalEKG:
     freq = Counter({int(k): v for k, v in raw["frequency"].items()})
     return GlobalEKG(novel_id=raw["novel_id"], T=raw["T"], graphs=graphs,
                      entity_frequency=freq)
+
+
+# settings that fix a trained generator's parameters and what they mean
+_MODEL_KEYS = ("mode", "d_model", "d_f", "n_heads", "encoder_layers",
+               "decoder_layers", "bilstm_layers", "gat_layers")
+
+
+@contextlib.contextmanager
+def _checkpoint_fields(path: Path):
+    """A missing field, or one of the wrong type or shape, in the checkpoint
+    at `path` raises `CheckpointError` naming it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        raise dk.CheckpointError(f"{path}: malformed checkpoint: {e!r}") from e
+
+
+class Workspace:
+    """The artifacts of one run directory, each read once, on first use. A
+    missing one raises `MissingArtifact` naming the stage that writes it, an
+    unreadable one `CorruptArtifact` or `CheckpointError` naming its file."""
+
+    def __init__(self, root: Path, cfg: PipelineConfig):
+        self.root, self.cfg = Path(root), cfg
+
+    @cached_property
+    def corpus(self) -> Corpus:
+        path = _require(self.root / "corpus" / "corpus.json", "ingest")
+        return _read_artifact(path, _parse_corpus)
+
+    @cached_property
+    def ekg(self) -> GlobalEKG:
+        path = _require(self.root / "ekg" / "global.json", "build-ekg")
+        return _read_artifact(path, _parse_ekg)
+
+    @cached_property
+    def embeddings(self) -> EkgEmbeddings:
+        path = _require(self.root / "embed" / "ekg_embed.bin", "train-ekg")
+        with _checkpoint_fields(path):
+            return EkgEmbeddings.load(path)
+
+    @cached_property
+    def model(self) -> Graph2SeqModel:
+        """The trained generator, shaped as its `model.json` sidecar records,
+        with this run's length limits; a sidecar whose model settings or
+        vocabulary differ from this run's raises `CheckpointError`."""
+        model_path = _require(self.root / "g2s" / "model.bin", "train-g2s")
+        sidecar_path = _require(self.root / "g2s" / "model.json", "train-g2s")
+        try:
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+            shape = {k: sidecar["config"][k] for k in _MODEL_KEYS}
+            trained = dict(shape, vocab_hash=sidecar["vocab_hash"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise dk.CheckpointError(
+                f"{sidecar_path}: unreadable sidecar: {e!r}") from e
+        vocab = self.corpus.vocab
+        run = dict(vars(self.cfg), vocab_hash=vocab.content_hash())
+        differ = [f"{k} {trained[k]!r} (this run: {run[k]!r})"
+                  for k in trained if trained[k] != run[k]]
+        if differ:
+            raise dk.CheckpointError(
+                f"{model_path} was trained with {', '.join(differ)}")
+        with _checkpoint_fields(model_path):
+            model = Graph2SeqModel(replace(self.cfg, **shape).g2s_config(len(vocab)))
+            model.load_state(dk.load_arrays(model_path)[0])
+        return model
+
+    def local_ekg(self, passage: cp.Passage) -> LocalEKG:
+        """The passage's local EKG, filled with the trained embeddings."""
+        local = extract_local_ekg(self.ekg, passage, self.cfg.K)
+        return materialize_embeddings(self.embeddings, local)
+
+    def examples(self) -> list[G2SExample]:
+        """One training example per comment, sharing its passage's local EKG."""
+        vocab = self.corpus.vocab
+        examples = []
+        for p in self.corpus.passages:
+            local, pids = self.local_ekg(p), vocab.encode(p.text)
+            examples += [G2SExample(passage_ids=pids, local=local,
+                                    comment_ids=vocab.encode(c.text))
+                         for c in p.comments]
+        return examples
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +333,6 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     if not mentions:
         raise cp.CorpusParseError(f"{lexicon_path}: no entity name or alias "
                                   f"occurs in {novel_path}")
-    cp.attach_entities(passages, mentions)
     passages = cp.merge_passages(passages, cfg.overlap_threshold)
     cp.refresh_passage_text(passages, clustered)
     cp.attach_entities(passages, mentions)
@@ -258,9 +344,7 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     streams = [ch.tokens for ch in clustered.chapters]
     streams += [c.text for p in passages for c in p.comments]
     vocab = cp.build_vocab(streams, cfg.min_freq)
-    out_dir = ws / "corpus"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "corpus.json"
+    out = ws / "corpus" / "corpus.json"
     _save_corpus(out, clustered, passages, mentions, vocab,
                  lexicon.num_entities, cfg.token_mode)
     _record(ws, "ingest", cfg, [out])
@@ -297,10 +381,8 @@ def report_stats(novel, passages, ekg: GlobalEKG | None = None) -> str:
 
 
 def run_stats(ws: Path, cfg: PipelineConfig) -> str:
-    corpus_path = _require(ws / "corpus" / "corpus.json", "ingest")
-    novel, passages, mentions, _, _, _ = _load_corpus(corpus_path)
-    ekg = build_global_ekg(novel, mentions)
-    text = report_stats(novel, passages, ekg)
+    c = Workspace(ws, cfg).corpus
+    text = report_stats(c.novel, c.passages, build_global_ekg(c.novel, c.mentions))
     out = ws / "corpus" / "stats.txt"
     _write_text(out, text + "\n")
     _record(ws, "stats", cfg, [out])
@@ -308,169 +390,84 @@ def run_stats(ws: Path, cfg: PipelineConfig) -> str:
 
 
 def run_build_ekg(ws: Path, cfg: PipelineConfig) -> Path:
-    corpus_path = _require(ws / "corpus" / "corpus.json", "ingest")
-    novel, passages, mentions, _, _, _ = _load_corpus(corpus_path)
-    ekg = build_global_ekg(novel, mentions)
-    out_dir = ws / "ekg"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "global.json"
-    _save_ekg(out, ekg)
+    c = Workspace(ws, cfg).corpus
+    out = ws / "ekg" / "global.json"
+    _save_ekg(out, build_global_ekg(c.novel, c.mentions))
     _record(ws, "build-ekg", cfg, [out])
     return out
 
 
 def run_train_ekg(ws: Path, cfg: PipelineConfig) -> Path:
-    corpus_path = _require(ws / "corpus" / "corpus.json", "ingest")
-    ekg_path = _require(ws / "ekg" / "global.json", "build-ekg")
-    novel, _, mentions, _, n_e, _ = _load_corpus(corpus_path)
-    ekg = _load_ekg(ekg_path)
+    w = Workspace(ws, cfg)
+    c = w.corpus
     train_cfg = EmbedTrainConfig(
         d_f=cfg.d_f, lambdas=cfg.lambdas, eps_ls=cfg.eps_ls, margin=cfg.alpha,
         lambda_r=cfg.lambda_r, phase1_steps=cfg.phase1_steps,
         phase2_steps=cfg.phase2_steps, lr=cfg.embed_lr, rn_lr=cfg.rn_lr,
         seed=cfg.seed)
-    artifact = train_ekg(novel, mentions, ekg, train_cfg, n_e)
-    out_dir = ws / "embed"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "ekg_embed.bin"
+    artifact = train_ekg(c.novel, c.mentions, w.ekg, train_cfg, c.n_e)
+    out = ws / "embed" / "ekg_embed.bin"
     artifact.save(out)
-    hist = out_dir / "history.json"
+    hist = ws / "embed" / "history.json"
     _write_text(hist, json.dumps(artifact.history, sort_keys=True))
     _record(ws, "train-ekg", cfg, [out, hist])
     return out
 
 
-def _build_examples(novel, passages, ekg, artifact, vocab, cfg: PipelineConfig):
-    locals_by_passage: dict[str, LocalEKG] = {}
-    examples = []
-    for p in passages:
-        local = extract_local_ekg(ekg, p, cfg.K)
-        materialize_embeddings(artifact, local)
-        locals_by_passage[p.id] = local
-        pids = vocab.encode(p.text)
-        for c in p.comments:
-            examples.append(G2SExample(passage_ids=pids, local=local,
-                                       comment_ids=vocab.encode(c.text)))
-    return examples, locals_by_passage
-
-
-def _g2s_config(cfg: PipelineConfig, vocab_size: int) -> G2SConfig:
-    return G2SConfig(vocab_size=vocab_size, d_f=cfg.d_f, d_model=cfg.d_model,
-                     n_heads=cfg.n_heads, n_enc_layers=cfg.encoder_layers,
-                     n_dec_layers=cfg.decoder_layers,
-                     lstm_layers=cfg.bilstm_layers, gat_layers=cfg.gat_layers,
-                     mode=cfg.mode, max_len=cfg.max_len,
-                     max_passage=cfg.max_passage, eps_ls=cfg.eps_ls,
-                     seed=cfg.seed)
-
-
 def run_train_g2s(ws: Path, cfg: PipelineConfig) -> Path:
-    corpus_path = _require(ws / "corpus" / "corpus.json", "ingest")
-    ekg_path = _require(ws / "ekg" / "global.json", "build-ekg")
-    embed_path = _require(ws / "embed" / "ekg_embed.bin", "train-ekg")
-    novel, passages, mentions, vocab, n_e, _ = _load_corpus(corpus_path)
-    ekg = _load_ekg(ekg_path)
-    artifact = EkgEmbeddings.load(embed_path)
-    examples, _ = _build_examples(novel, passages, ekg, artifact, vocab, cfg)
-    model = Graph2SeqModel(_g2s_config(cfg, len(vocab)))
+    w = Workspace(ws, cfg)
+    examples, vocab = w.examples(), w.corpus.vocab
+    model = Graph2SeqModel(cfg.g2s_config(len(vocab)))
     history = train_g2s(examples, model,
                         G2STrainConfig(steps=cfg.g2s_steps,
                                        batch_size=cfg.batch_size,
                                        warmup=cfg.warmup,
                                        lr_scale=cfg.lr_scale, seed=cfg.seed))
-    out_dir = ws / "g2s"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "model.bin"
+    out = ws / "g2s" / "model.bin"
     dk.save_arrays(out, model.state())
-    sidecar = out_dir / "model.json"
-    _write_text(sidecar, json.dumps({"mode": cfg.mode, "d_model": cfg.d_model,
-                                     "vocab_hash": vocab.content_hash(),
+    sidecar = ws / "g2s" / "model.json"
+    _write_text(sidecar, json.dumps({"vocab_hash": vocab.content_hash(),
                                      "config": json.loads(cfg.to_json())},
                                     sort_keys=True))
-    hist = out_dir / "history.json"
+    hist = ws / "g2s" / "history.json"
     _write_text(hist, json.dumps(history, sort_keys=True))
     _record(ws, "train-g2s", cfg, [out, sidecar, hist])
     return out
 
 
-# settings that fix a trained generator's parameters and what they mean
-_MODEL_KEYS = ("mode", "d_model", "d_f", "n_heads", "encoder_layers",
-               "decoder_layers", "bilstm_layers", "gat_layers")
-
-
-def load_g2s_model(ws: Path, cfg: PipelineConfig, vocab) -> Graph2SeqModel:
-    """The trained generator, after checking that its `model.json` sidecar
-    records this run's model settings and vocabulary; a mismatch raises
-    `CheckpointError`."""
-    model_path = _require(ws / "g2s" / "model.bin", "train-g2s")
-    sidecar_path = _require(ws / "g2s" / "model.json", "train-g2s")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        trained = {k: sidecar["config"][k] for k in _MODEL_KEYS}
-        trained["vocab_hash"] = sidecar["vocab_hash"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise dk.CheckpointError(f"{sidecar_path}: unreadable sidecar: {e!r}") from e
-    run = {k: getattr(cfg, k) for k in _MODEL_KEYS}
-    run["vocab_hash"] = vocab.content_hash()
-    differ = [f"{k} {trained[k]!r} (this run: {run[k]!r})"
-              for k in trained if trained[k] != run[k]]
-    if differ:
-        raise dk.CheckpointError(
-            f"{model_path} was trained with {', '.join(differ)}")
-    model = Graph2SeqModel(_g2s_config(cfg, len(vocab)))
-    arrays, _ = dk.load_arrays(model_path)
-    model.load_state(arrays)
-    return model
-
-
 def teacher_forced_accuracy(ws: Path, cfg: PipelineConfig) -> float:
     """Mean teacher-forced token accuracy of the trained generator over one
     training example per passage, the one of its last comment."""
-    novel, passages, mentions, vocab, n_e, _ = _load_corpus(
-        _require(ws / "corpus" / "corpus.json", "ingest"))
-    ekg = _load_ekg(_require(ws / "ekg" / "global.json", "build-ekg"))
-    artifact = EkgEmbeddings.load(
-        _require(ws / "embed" / "ekg_embed.bin", "train-ekg"))
-    model = load_g2s_model(ws, cfg, vocab)
-    examples, _ = _build_examples(novel, passages, ekg, artifact, vocab, cfg)
-    per_passage = {id(ex.local): ex for ex in examples}
-    return float(np.mean([model.token_accuracy(ex.passage_ids, ex.local,
-                                               ex.comment_ids)
-                          for ex in per_passage.values()]))
+    w = Workspace(ws, cfg)
+    encode = w.corpus.vocab.encode
+    return float(np.mean([w.model.token_accuracy(encode(p.text), w.local_ekg(p),
+                                                 encode(p.comments[-1].text))
+                          for p in w.corpus.passages]))
 
 
 def run_generate(ws: Path, cfg: PipelineConfig, limit: int | None = None) -> Path:
-    corpus_path = _require(ws / "corpus" / "corpus.json", "ingest")
-    ekg_path = _require(ws / "ekg" / "global.json", "build-ekg")
-    embed_path = _require(ws / "embed" / "ekg_embed.bin", "train-ekg")
-    novel, passages, mentions, vocab, n_e, mode = _load_corpus(corpus_path)
-    ekg = _load_ekg(ekg_path)
-    artifact = EkgEmbeddings.load(embed_path)
-    model = load_g2s_model(ws, cfg, vocab)
-    sep = "" if mode == "char" else " "
-    out_dir = ws / "generate"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "comments.jsonl"
-    with dk.atomic_open(out, "w", encoding="utf-8") as fh:
-        for p in passages[:limit]:
-            local = extract_local_ekg(ekg, p, cfg.K)
-            materialize_embeddings(artifact, local)
-            beams = beam_decode(vocab.encode(p.text), local, model,
-                                beam=cfg.beam, max_len=cfg.max_len)
-            record = {"passage_id": p.id,
-                      "comments": [{"text": sep.join(vocab.decode(toks)),
-                                    "score": round(score, 6)}
-                                   for toks, score in beams]}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    w = Workspace(ws, cfg)
+    vocab, model = w.corpus.vocab, w.model
+    sep = "" if w.corpus.token_mode == "char" else " "
+    lines = []
+    for p in w.corpus.passages[:limit]:
+        beams = beam_decode(vocab.encode(p.text), w.local_ekg(p), model,
+                            beam=cfg.beam, max_len=cfg.max_len)
+        record = {"passage_id": p.id,
+                  "comments": [{"text": sep.join(vocab.decode(toks)),
+                                "score": round(score, 6)}
+                               for toks, score in beams]}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    out = ws / "generate" / "comments.jsonl"
+    _write_text(out, "".join(lines))
     _record(ws, "generate", cfg, [out])
     return out
 
 
 def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
-    corpus_path = _require(ws / "corpus" / "corpus.json", "ingest")
+    corpus = Workspace(ws, cfg).corpus
     gen_path = _require(ws / "generate" / "comments.jsonl", "generate")
-    novel, passages, mentions, vocab, n_e, mode = _load_corpus(corpus_path)
-    by_id = {p.id: p for p in passages}
+    by_id = {p.id: p for p in corpus.passages}
     pairs = []
     with open(gen_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -478,14 +475,14 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
                 rec = json.loads(line)
                 pid = rec["passage_id"]
                 # best-scoring non-empty beam; beams are sorted by score
-                hyp = next((cp.tokenize(c["text"], mode)
+                hyp = next((cp.tokenize(c["text"], corpus.token_mode)
                             for c in rec["comments"] if c["text"]), None)
             except (ValueError, KeyError, TypeError) as e:
                 raise CorruptArtifact(f"{gen_path}:{lineno}: unreadable "
                                       f"record ({e!r})") from e
             if not isinstance(pid, str) or pid not in by_id:
                 raise CorruptArtifact(f"{gen_path}:{lineno}: passage_id "
-                                      f"{pid!r} is not in {corpus_path}")
+                                      f"{pid!r} is not in the ingested corpus")
             refs = [c.text for c in by_id[pid].comments[:5]]
             if hyp and refs:
                 pairs.append(EvalPair(hypothesis=hyp, references=refs))
@@ -494,9 +491,7 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
     bleu = bleu_corpus(pairs)
     report = {"bleu": bleu.bleu, "precisions": bleu.precisions,
               "bp": bleu.brevity_penalty, "rouge_l": rouge_l(pairs)}
-    out_dir = ws / "evaluate"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "report.json"
+    out = ws / "evaluate" / "report.json"
     _write_text(out, json.dumps(report, sort_keys=True))
     _record(ws, "evaluate", cfg, [out])
     return report

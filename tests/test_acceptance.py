@@ -17,9 +17,8 @@ from ekgen import diffkit as dk
 from ekgen import pipeline
 from ekgen.config import load_config
 from ekgen.ekg import LocalEKG
-from ekgen.embed import (EdgeExample, EmbedTrainConfig, EkgEmbeddings,
-                         HashedNgramEncoder, RelationNetwork,
-                         VertexEmbeddingTable, VertexExample,
+from ekgen.embed import (EdgeExample, EmbedTrainConfig, HashedNgramEncoder,
+                         RelationNetwork, VertexEmbeddingTable, VertexExample,
                          edge_triplet_loss, train_ekg, vertex_loss_smoothed)
 from ekgen.gradsuite import run_gradient_suite
 from ekgen.graph2seq import GATLayer, beam_decode, gat_layer, greedy_decode
@@ -55,15 +54,8 @@ def desk_run(tmp_path_factory):
 
 
 def _load_trained(run):
-    ws, cfg = run["ws"], run["cfg"]
-    novel, passages, mentions, vocab, n_e, _ = pipeline._load_corpus(
-        ws / "corpus" / "corpus.json")
-    ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
-    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin")
-    model = pipeline.load_g2s_model(ws, cfg, vocab)
-    examples, _ = pipeline._build_examples(novel, passages, ekg, artifact,
-                                           vocab, cfg)
-    return novel, passages, ekg, artifact, vocab, model, examples
+    w = pipeline.Workspace(run["ws"], run["cfg"])
+    return w.model, w.examples()
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +230,7 @@ def test_criterion_08_decode_contracts(capsys, desk_run):
     with criterion(capsys, 8, "beam size 1 matches greedy decoding on 20 "
                                "trained passages; outputs never exceed 50 "
                                "tokens; beams sorted by score"):
-        _, passages, ekg, artifact, vocab, model, examples = \
-            _load_trained(desk_run)
+        model, examples = _load_trained(desk_run)
         seen = []
         for ex in examples:
             if not any(e.local is ex.local for e in seen):
@@ -282,8 +273,7 @@ def test_criterion_09_ablation_harness(capsys, desk_run, tmp_path_factory):
             bleu_by_mode[mode] = pipeline.run_evaluate(ws, cfg)["bleu"]
 
         # mode contracts on a materialized local graph from the corpus
-        novel, passages, ekg, artifact, vocab, model, examples = \
-            _load_trained(desk_run)
+        model, examples = _load_trained(desk_run)
         local = examples[0].local
         ve_base = model.graph_encode(local).numpy().copy()
         perturbed = LocalEKG(passage_id=local.passage_id, t=local.t,
@@ -312,9 +302,9 @@ def test_criterion_10_smoothing_direction(capsys, desk_run):
     with criterion(capsys, 10, "temporal smoothing increases adjacent-"
                                 "chapter same-entity cosine similarity over "
                                 "the unsmoothed run"):
-        novel, passages, mentions, vocab, n_e, _ = pipeline._load_corpus(
-            desk_run["ws"] / "corpus" / "corpus.json")
-        ekg = pipeline._load_ekg(desk_run["ws"] / "ekg" / "global.json")
+        w = pipeline.Workspace(desk_run["ws"], desk_run["cfg"])
+        novel, mentions, n_e, ekg = (w.corpus.novel, w.corpus.mentions,
+                                     w.corpus.n_e, w.ekg)
 
         def mean_adjacent_cosine(lambdas):
             cfg = EmbedTrainConfig(d_f=64, lambdas=lambdas, eps_ls=0.1,

@@ -191,9 +191,10 @@ def test_local_ekgs_match_per_passage_rebuild(tmp_path):
     from ekgen.config import load_config
     cfg = load_config(preset="desk", seed=0)
     pipeline.run_synth(tmp_path, cfg)
-    novel, passages, mentions, _, _, _ = pipeline._load_corpus(
-        pipeline.run_ingest(tmp_path, cfg))
-    ekg = build_global_ekg(novel, mentions)
+    pipeline.run_ingest(tmp_path, cfg)
+    c = pipeline.Workspace(tmp_path, cfg).corpus
+    passages = c.passages
+    ekg = build_global_ekg(c.novel, c.mentions)
     # a passage with fewer than K entities, whose fill runs the search
     passages.append(_passage({min(ekg.entity_frequency)}))
     chain = _chain_ekg([5, 4, 3, 2, 1, 1, 1])

@@ -222,9 +222,9 @@ def desk_corpus(tmp_path_factory):
     ws = tmp_path_factory.mktemp("desk")
     cfg = load_config(preset="desk", seed=0)
     pipeline.run_synth(ws, cfg)
-    novel, _, mentions, _, n_e, _ = pipeline._load_corpus(
-        pipeline.run_ingest(ws, cfg))
-    return novel, mentions, n_e, cfg.d_f
+    pipeline.run_ingest(ws, cfg)
+    c = pipeline.Workspace(ws, cfg).corpus
+    return c.novel, c.mentions, c.n_e, cfg.d_f
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from ekgen import pipeline
 from ekgen.config import load_config
 from ekgen.corpus import BOS
 from ekgen.diffkit import nn as dk_nn
-from ekgen.embed import EkgEmbeddings
 from ekgen.graph2seq import Graph2SeqModel, G2STrainConfig, train_g2s
 
 D = 64
@@ -318,17 +317,12 @@ def desk_setup(tmp_path_factory):
     for stage in (pipeline.run_synth, pipeline.run_ingest,
                   pipeline.run_build_ekg, pipeline.run_train_ekg):
         stage(ws, cfg)
-    novel, passages, _, vocab, _, _ = pipeline._load_corpus(
-        ws / "corpus" / "corpus.json")
-    ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
-    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin")
-    examples, _ = pipeline._build_examples(novel, passages, ekg, artifact,
-                                           vocab, cfg)
-    return cfg, vocab, examples
+    w = pipeline.Workspace(ws, cfg)
+    return cfg, w.corpus.vocab, w.examples()
 
 
 def _train(cfg, vocab, examples, steps=5):
-    model = Graph2SeqModel(pipeline._g2s_config(cfg, len(vocab)))
+    model = Graph2SeqModel(cfg.g2s_config(len(vocab)))
     history = train_g2s(examples, model, G2STrainConfig(
         steps=steps, batch_size=cfg.batch_size, warmup=cfg.warmup, seed=0))
     return history["loss"], {k: v.copy() for k, v in model.state().items()}
@@ -357,7 +351,7 @@ def _decode_steps(model, ex, steps=4):
 
 def test_decode_step_probabilities_bitwise_reference(desk_setup):
     cfg, vocab, examples = desk_setup
-    model = Graph2SeqModel(pipeline._g2s_config(cfg, len(vocab)))
+    model = Graph2SeqModel(cfg.g2s_config(len(vocab)))
     for ex in examples[:3]:
         fused = _decode_steps(model, ex)
         with references():

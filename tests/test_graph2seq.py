@@ -6,7 +6,6 @@ from ekgen import pipeline
 from ekgen.config import load_config
 from ekgen.corpus import BOS, EOS
 from ekgen.ekg import LocalEKG
-from ekgen.embed import EkgEmbeddings
 from ekgen.graph2seq import (G2SConfig, G2SExample, G2STrainConfig, GATLayer,
                              Graph2SeqModel, Hypothesis, beam_decode,
                              gat_layer, greedy_decode, train_g2s)
@@ -398,15 +397,12 @@ def desk_trained(tmp_path_factory):
                   pipeline.run_build_ekg, pipeline.run_train_ekg,
                   pipeline.run_train_g2s):
         stage(ws, cfg)
-    novel, passages, _, vocab, _, _ = pipeline._load_corpus(
-        ws / "corpus" / "corpus.json")
-    ekg = pipeline._load_ekg(ws / "ekg" / "global.json")
-    artifact = EkgEmbeddings.load(ws / "embed" / "ekg_embed.bin")
-    model = pipeline.load_g2s_model(ws, cfg, vocab)
-    examples, _ = pipeline._build_examples(novel, passages, ekg, artifact,
-                                           vocab, cfg)
-    per_passage = list({id(ex.local): ex for ex in examples}.values())
-    return model, per_passage[:4], cfg.max_len
+    w = pipeline.Workspace(ws, cfg)
+    encode = w.corpus.vocab.encode
+    examples = [G2SExample(passage_ids=encode(p.text), local=w.local_ekg(p),
+                           comment_ids=encode(p.comments[-1].text))
+                for p in w.corpus.passages[:4]]
+    return w.model, examples, cfg.max_len
 
 
 def _uncached_beam(passage_ids, local, model, beam, max_len,

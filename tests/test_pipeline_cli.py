@@ -55,15 +55,15 @@ def test_corpus_roundtrip_through_workspace(tmp_path):
     ws = tmp_path / "ws"
     cfg = _cfg()
     pipeline.run_synth(ws, cfg)
-    out = pipeline.run_ingest(ws, cfg)
-    novel, passages, mentions, vocab, n_e, mode = pipeline._load_corpus(out)
-    assert mode == "char"
-    assert n_e == 4
-    assert passages and mentions
-    assert all(len(p.comments) >= 3 for p in passages)
+    pipeline.run_ingest(ws, cfg)
+    c = pipeline.Workspace(ws, cfg).corpus
+    assert c.token_mode == "char"
+    assert c.n_e == 4
+    assert c.passages and c.mentions
+    assert all(len(p.comments) >= 3 for p in c.passages)
     # saved vocabulary decodes passage text back to the original tokens
-    p = passages[0]
-    assert vocab.decode(vocab.encode(p.text)) == p.text
+    p = c.passages[0]
+    assert c.vocab.decode(c.vocab.encode(p.text)) == p.text
 
 
 def test_workspace_lock_blocks_second_writer(tmp_path):
@@ -165,10 +165,10 @@ def test_stats_relation_average_counts_cooccurring_pairs(tmp_path):
     ws = tmp_path / "ws"
     cfg = _cfg()
     pipeline.run_synth(ws, cfg)
-    out = pipeline.run_ingest(ws, cfg)
-    novel, passages, mentions, _, _, _ = pipeline._load_corpus(out)
-    ekg = build_global_ekg(novel, mentions)
-    text = pipeline.report_stats(novel, passages, ekg)
+    pipeline.run_ingest(ws, cfg)
+    c = pipeline.Workspace(ws, cfg).corpus
+    ekg = build_global_ekg(c.novel, c.mentions)
+    text = pipeline.report_stats(c.novel, c.passages, ekg)
     line = next(l for l in text.splitlines() if "relations" in l)
     value = float(line.split("|")[1])
     assert value >= 0.0
@@ -279,6 +279,12 @@ def test_cli_generate_refuses_other_model_settings(trained_ws, capsys, override)
     _assert_one_line_error(capsys)
     assert not (ws / "generate").exists()
     assert cli.main(["generate", "--workspace", str(ws)] + args) == 0
+
+
+def test_cli_generate_takes_length_limits_from_the_run(trained_ws):
+    ws, args = trained_ws
+    limits = ["--set", "max_len=20", "--set", "max_passage=16"]
+    assert cli.main(["generate", "--workspace", str(ws)] + args + limits) == 0
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -1,0 +1,133 @@
+"""Torn and malformed workspace artifacts: the stage that reads one either
+succeeds or exits 3 with one `error:` line naming the file, never a
+traceback."""
+
+import json
+import shutil
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ekgen import cli
+from ekgen import diffkit as dk
+
+from test_pipeline_cli import SMALL
+
+ARGS = [a for item in SMALL + ["g2s_steps=1"] for a in ("--set", item)]
+
+# artifact -> a stage that reads it
+READER = {
+    "corpus/corpus.json": "stats",
+    "ekg/global.json": "train-ekg",
+    "embed/ekg_embed.bin": "generate",
+    "g2s/model.bin": "generate",
+    "g2s/model.json": "generate",
+    "manifest.json": "evaluate",
+}
+CHECKPOINTS = {"embed/ekg_embed.bin": dk.EMBED_MAGIC, "g2s/model.bin": dk.MAGIC}
+
+
+def _entry(i, edit):
+    def apply(manifest):
+        edit(manifest["params"][i % len(manifest["params"])])
+    return apply
+
+
+def _extra(edit):
+    return lambda manifest: edit(manifest["extra"])
+
+
+# edits of a checkpoint's JSON manifest
+EDITS = [
+    lambda m: m.clear(),
+    lambda m: m.pop("params"),
+    lambda m: m.__setitem__("params", {"x": 1}),
+    lambda m: m.__setitem__("extra", []),
+    _extra(lambda e: e.pop("T", None)),
+    _extra(lambda e: e.pop("encoder_config", None)),
+    _extra(lambda e: e.__setitem__("T", "3")),
+] + [edit for i in range(4) for edit in (
+    _entry(i, lambda e: e.pop("name")),
+    _entry(i, lambda e: e.pop("shape")),
+    _entry(i, lambda e: e.pop("offset")),
+    _entry(i, lambda e: e.__setitem__("shape", e["shape"] + [2])),
+    _entry(i, lambda e: e.__setitem__("shape", e["shape"][1:])),
+    _entry(i, lambda e: e.__setitem__("shape", "x")),
+    _entry(i, lambda e: e.__setitem__("shape", [-1])),
+    _entry(i, lambda e: e.__setitem__("offset", -4)),
+    _entry(i, lambda e: e.__setitem__("offset", str(e["offset"]))),
+    _entry(i, lambda e: e.__setitem__("offset", 1 << 40)),
+)]
+
+
+def _edit_manifest(raw: bytes, magic: bytes, edit) -> bytes:
+    start = len(magic) + 4
+    (n,) = struct.unpack_from("<I", raw, len(magic))
+    manifest = json.loads(raw[start:start + n])
+    edit(manifest)
+    body = json.dumps(manifest).encode("utf-8")
+    return magic + struct.pack("<I", len(body)) + body + raw[start + n:]
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A workspace trained, generated and evaluated at the smallest size."""
+    ws = tmp_path_factory.mktemp("pristine") / "ws"
+    for stage in ("synth", "ingest", "build-ekg", "train-ekg", "train-g2s",
+                  "generate", "evaluate"):
+        assert cli.main([stage, "--workspace", str(ws)] + ARGS) == 0
+    return ws
+
+
+def _run(ws, stage, path, capsys):
+    capsys.readouterr()
+    code = cli.main([stage, "--workspace", str(ws)] + ARGS)
+    err = capsys.readouterr().err
+    if code != 0:
+        assert code == 3, err
+        assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncated_artifact_succeeds_or_exits_3_naming_it(
+        pristine, tmp_path_factory, capsys, data):
+    rel = data.draw(st.sampled_from(sorted(READER)), label="artifact")
+    ws = tmp_path_factory.mktemp("torn") / "ws"
+    shutil.copytree(pristine, ws)
+    path = ws / rel
+    raw = path.read_bytes()
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw)), label="kept")])
+    _run(ws, READER[rel], path, capsys)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_checkpoint_succeeds_or_exits_3_naming_it(
+        pristine, tmp_path_factory, capsys, data):
+    rel = data.draw(st.sampled_from(sorted(CHECKPOINTS)), label="checkpoint")
+    edit = data.draw(st.sampled_from(EDITS), label="edit")
+    ws = tmp_path_factory.mktemp("malformed") / "ws"
+    shutil.copytree(pristine, ws)
+    path = ws / rel
+    path.write_bytes(_edit_manifest(path.read_bytes(), CHECKPOINTS[rel], edit))
+    _run(ws, READER[rel], path, capsys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rel=st.sampled_from(sorted(CHECKPOINTS)), edit=st.sampled_from(EDITS))
+def test_load_arrays_loads_or_raises_checkpoint_error(pristine, tmp_path_factory,
+                                                      rel, edit):
+    """`dk.load_arrays` itself, not only the stage that calls it, raises a
+    malformed manifest as `CheckpointError` naming the file."""
+    path = tmp_path_factory.mktemp("ck") / "ck.bin"
+    raw = (pristine / rel).read_bytes()
+    path.write_bytes(_edit_manifest(raw, CHECKPOINTS[rel], edit))
+    try:
+        dk.load_arrays(path, magic=CHECKPOINTS[rel])
+    except dk.CheckpointError as e:
+        assert str(e).startswith(f"{path}: "), e
