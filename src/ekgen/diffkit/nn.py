@@ -66,7 +66,7 @@ class LSTMCell(Module):
 
 
 def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
-                  row: int | None = None) -> Tensor:
+                  row: int | np.ndarray | None = None) -> Tensor:
     """Hidden states of `cell` run from a zero state over the leading axis of
     `x` (T, ..., d_in), as one autodiff node of shape (T, ..., d_hidden).
 
@@ -79,7 +79,10 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
     With `row`, the node is only that row's state, (..., d_hidden), and only
     the steps that reach it run: 0..row, or T - 1..row with `reverse`. Its
     value and gradients equal those of row `row` of the whole sequence; the
-    steps left out would only have added zeros to the gradients.
+    steps left out would only have added zeros to the gradients. `row` may
+    also give each sequence its own time, as an int array of shape
+    `x.shape[1:-1]`; the node is then `hs[row, arange(N)]`, and the steps run
+    to the latest time (0..max), or from T - 1 down to the earliest.
     """
     x = as_tensor(x)
     parents = (x, cell.w_ih, cell.w_hh, cell.b)
@@ -91,8 +94,13 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
     if row is None:
         order = range(T - 1, -1, -1) if reverse else range(T)
     else:
-        row = range(T)[row]
-        order = range(T - 1, row - 1, -1) if reverse else range(row + 1)
+        row = np.asarray(row)
+        if ((row < -T) | (row >= T)).any():
+            raise IndexError(f"row index out of range for {T} steps")
+        row = np.where(row < 0, row + T, row)
+        order = (range(T - 1, row.min(initial=T) - 1, -1) if reverse
+                 else range(row.max(initial=-1) + 1))
+        pick = (row, *np.indices(row.shape))
     # zeros: the weight gradients read every row, including steps not run
     hs = np.zeros(xw.shape[:-1] + (n,), dtype=xw.dtype)
     if track:
@@ -112,7 +120,7 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
         hs[t] = h
         if track:
             gates[t], cs[t], tcs[t] = act, c, tc
-    out = _child(hs if row is None else hs[row], parents)
+    out = _child(hs if row is None else hs[pick], parents)
     if not track:
         return out
 
@@ -121,7 +129,7 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
             dh_out = out.grad
         else:
             dh_out = np.zeros_like(hs)
-            dh_out[row] += out.grad
+            dh_out[pick] += out.grad
         # state each step read: the neighbour in the running order, or zero
         h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
         if reverse:
@@ -172,10 +180,11 @@ class BiLSTM(Module):
     def __call__(self, inputs: Tensor) -> Tensor:
         return self._layers(inputs, self.n_layers)
 
-    def row(self, inputs: Tensor, t: int) -> Tensor:
+    def row(self, inputs: Tensor, t: int | np.ndarray) -> Tensor:
         """Row `t` of `self(inputs)`, with equal value and gradients. The
         last layer runs forward only over steps 0..t and backward only over
-        T - 1..t, the steps that reach row t."""
+        T - 1..t, the steps that reach row t. An int array `t` of shape
+        `inputs.shape[1:-1]` reads each sequence at its own time."""
         x = self._layers(inputs, self.n_layers - 1)
         return concat([lstm_sequence(x, self.fwd[-1], row=t),
                        lstm_sequence(x, self.bwd[-1], reverse=True, row=t)],

@@ -16,7 +16,8 @@ from .ekg import LocalEKG
 from .embed import (EdgeExample, HashedNgramEncoder, RelationNetwork,
                     VertexEmbeddingTable, VertexExample, edge_triplet_loss,
                     vertex_loss_total)
-from .graph2seq import G2SConfig, GATLayer, Graph2SeqModel, gat_layer
+from .graph2seq import (G2SConfig, GATLayer, Graph2SeqModel, TemporalStack,
+                        gat_layer)
 
 SMOOTH_TOL = 1e-6
 ROUGH_TOL = 1e-4
@@ -158,7 +159,8 @@ def _triplet_gap(ex, table, rn, f_c) -> float:
 
 def _loss_checks(rng) -> list[CheckResult]:
     """Eq-level losses: plain and smoothed vertex loss, triplet loss, the
-    multi-task sum, and the full generator NLL."""
+    multi-task sum, and the full generator NLL, alone and for two examples
+    through one temporal stack."""
     results = []
     T, n_e, d_f = 3, 4, 6
     table = VertexEmbeddingTable(T, n_e, d_f, seed=int(rng.integers(1 << 30)))
@@ -223,13 +225,27 @@ def _loss_checks(rng) -> list[CheckResult]:
     results.append(_check("g2s_full_nll",
                           lambda: model.nll(passage, local, comment),
                           params, ROUGH_TOL))
+    # with a second local, at another chapter and without edges, through
+    # one temporal stack; the parameters before the memory, since the
+    # decoder's are checked above
+    other = LocalEKG(passage_id="q", t=3, vertex_ids=[0, 1], edges=[],
+                     vertex_seq=local.vertex_seq[::-1, 1:])
+
+    def stacked():
+        stack = TemporalStack([local, other])
+        return (model.nll(passage, local, comment, stack)
+                + model.nll([8, 6], other, [6], stack))
+    results.append(_check("g2s_stacked_nll", stacked, {
+        k: p for k, p in params.items() if k.startswith(("lstm.", "gat."))},
+        ROUGH_TOL))
     return results
 
 
 def _fused_checks(rng) -> list[CheckResult]:
     """Fused ops at the shapes and options the model does not reach in the
     entries above: `linear` on 1-D input and without bias, `layer_norm` over
-    a 3-D batch, and `BiLSTM.row` at the first, a middle and the last row."""
+    a 3-D batch, and `BiLSTM.row` at the first, a middle and the last row,
+    and with one time per sequence."""
     results = []
     w = dk.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = dk.Tensor(rng.standard_normal(3), requires_grad=True)
@@ -256,9 +272,11 @@ def _fused_checks(rng) -> list[CheckResult]:
                      n_layers=2)
     seq = dk.Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
     row_probe = dk.Tensor(rng.standard_normal((2, 4)))
-    for t in (0, 1, 2):
+    times = {f"bilstm_row_t{t}": t for t in (0, 1, 2)}
+    times["bilstm_row_per_row_times"] = np.array([2, 0])    # last, first
+    for name, t in times.items():
         results.append(_check(
-            f"bilstm_row_t{t}", lambda: (lstm.row(seq, t) * row_probe).sum(),
+            name, lambda: (lstm.row(seq, t) * row_probe).sum(),
             {"seq": seq, **lstm.parameters()}, ROUGH_TOL))
     return results
 

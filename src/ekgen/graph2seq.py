@@ -111,6 +111,14 @@ def gat_layer(vfeats, efeats, edges, layer: GATLayer, mode: str) -> dk.Tensor:
     return layer(vfeats, efeats, edges, use_edges=(mode == "GAT_VE"))
 
 
+@dataclass
+class TemporalStack:
+    """The local EKGs of one training step. The first `temporal_encode`
+    that reads from the stack runs the Bi-LSTM once over all of them."""
+    locals: list[LocalEKG]
+    rows: dict | None = None     # id(local) -> (vertex rows, edge rows)
+
+
 class Graph2SeqModel(dk.Module):
     def __init__(self, config: G2SConfig):
         rng = np.random.default_rng(config.seed)
@@ -130,27 +138,41 @@ class Graph2SeqModel(dk.Module):
 
     # -- encoding ------------------------------------------------------------
 
-    def temporal_encode(self, local: LocalEKG) -> tuple[dk.Tensor, dk.Tensor | None]:
-        """Bi-LSTM over each T-step sequence; features taken at the
-        passage's chapter index, so the last layer runs only the steps that
-        reach it. The edge sequence is encoded only in GAT_VE mode, the one
-        mode that reads it; elsewhere the edge output is None. The two
-        outputs are separate graphs."""
-        if local.vertex_seq is None:
-            raise ValueError("local EKG has no materialized embeddings")
-        T = local.vertex_seq.shape[0]
-        if T == 0:
-            raise ValueError("empty temporal sequence")
-        t_idx = local.t - 1
-        v_out = self.lstm.row(dk.Tensor(local.vertex_seq), t_idx)
-        e_out = None
-        if (self.config.mode == "GAT_VE" and local.edge_seq is not None
-                and local.edge_seq.shape[1]):
-            e_out = self.lstm.row(dk.Tensor(local.edge_seq), t_idx)
-        return v_out, e_out
+    def temporal_encode(self, local: LocalEKG,
+                        stack: TemporalStack | None = None
+                        ) -> tuple[dk.Tensor, dk.Tensor | None]:
+        """`local`'s vertex and edge rows of the Bi-LSTM over `stack` (by
+        default a stack of `local` alone), each row read at its passage's
+        chapter. The edge sequences are encoded only in GAT_VE mode, the one
+        mode that reads them; elsewhere, and for a local without edges, the
+        edge output is None. The two outputs are separate graphs."""
+        stack = stack or TemporalStack([local])
+        if stack.rows is None:
+            locals_ = {id(l): l for l in stack.locals}.values()
+            if any(l.vertex_seq is None for l in locals_):
+                raise ValueError("local EKG has no materialized embeddings")
+            v = self._lstm_rows([(l, l.vertex_seq) for l in locals_])
+            e = self._lstm_rows([(l, l.edge_seq) for l in locals_
+                                 if self.config.mode == "GAT_VE"
+                                 and l.edge_seq is not None
+                                 and l.edge_seq.shape[1]])
+            stack.rows = {key: (rows, e.get(key)) for key, rows in v.items()}
+        return stack.rows[id(local)]
 
-    def graph_encode(self, local: LocalEKG) -> dk.Tensor:
-        vfeats, efeats = self.temporal_encode(local)
+    def _lstm_rows(self, seqs: list[tuple[LocalEKG, np.ndarray]]) -> dict:
+        """One `BiLSTM.row` over the (T, n, d_f) sequences side by side, each
+        local's rows read at its chapter; id(local) -> its rows."""
+        if not seqs:
+            return {}
+        out = self.lstm.row(
+            dk.Tensor(np.concatenate([s for _, s in seqs], axis=1)),
+            np.concatenate([np.full(s.shape[1], l.t - 1) for l, s in seqs]))
+        ends = np.cumsum([s.shape[1] for _, s in seqs])
+        return {id(l): out[end - s.shape[1]:end]
+                for (l, s), end in zip(seqs, ends)}
+
+    def graph_encode(self, local: LocalEKG, stack=None) -> dk.Tensor:
+        vfeats, efeats = self.temporal_encode(local, stack)
         if self.config.mode == "EKG":
             return vfeats
         pos = {eid: i for i, eid in enumerate(local.vertex_ids)}
@@ -187,8 +209,9 @@ class Graph2SeqModel(dk.Module):
             x = layer(x, memory, cmask)
         return self.out_proj(x)
 
-    def fuse_memory(self, passage_ids: list[int], local: LocalEKG) -> dk.Tensor:
-        graph = self.graph_encode(local)
+    def fuse_memory(self, passage_ids: list[int], local: LocalEKG,
+                    stack=None) -> dk.Tensor:
+        graph = self.graph_encode(local, stack)
         return dk.concat([graph, self.encode_passage(passage_ids)], axis=0)
 
     @dk.no_grad()
@@ -225,11 +248,11 @@ class Graph2SeqModel(dk.Module):
         return dk.softmax(self.out_proj(x), axis=-1).numpy()[:, 0]
 
     def nll(self, passage_ids: list[int], local: LocalEKG,
-            comment_ids: list[int]) -> dk.Tensor:
+            comment_ids: list[int], stack=None) -> dk.Tensor:
         """Teacher-forced label-smoothed NLL, mean over target positions."""
         target = comment_ids[:self.config.max_len - 1] + [EOS]
         dec_in = [BOS] + target[:-1]
-        memory = self.fuse_memory(passage_ids, local)
+        memory = self.fuse_memory(passage_ids, local, stack)
         logits = self._decode(memory, dec_in)
         return dk.cross_entropy_label_smoothed(logits, np.asarray(target),
                                                self.config.eps_ls)
@@ -295,9 +318,10 @@ def train_g2s(examples: list[G2SExample], model: Graph2SeqModel,
         batch = [order.pop(0) for _ in range(min(train_cfg.batch_size, len(order)))]
         opt.zero_grad()
         loss = None
+        stack = TemporalStack([examples[idx].local for idx in batch])
         for idx in batch:
             ex = examples[idx]
-            term = model.nll(ex.passage_ids, ex.local, ex.comment_ids)
+            term = model.nll(ex.passage_ids, ex.local, ex.comment_ids, stack)
             loss = term if loss is None else loss + term
         loss = loss * (1.0 / len(batch))
         val = loss.item()

@@ -57,7 +57,9 @@ def reference_attention(q, k, v, n_heads, mask=None):
 
 
 def reference_bilstm_row(self, inputs, t):
-    return self(inputs)[t]
+    if np.ndim(t) == 0:
+        return self(inputs)[t]
+    return self(inputs)[t, np.arange(len(t))]
 
 
 @contextlib.contextmanager
@@ -282,9 +284,15 @@ def test_bilstm_row_bitwise_reference(T, c_e, layers):
     # parameters already hold a gradient, as after the other sequence
     held = {k: rng.standard_normal(p.shape).astype(np.float32)
             for k, p in lstm.parameters().items()}
-    for t in sorted({0, 1, T // 2, T - 1} & set(range(T))):
+    # one time for every row, then one time per row: mixed with the first,
+    # the last and a repeated time (a single time on a one-row sequence),
+    # and the last time for every row
+    times = sorted({0, 1, T // 2, T - 1} & set(range(T)))
+    times += [np.resize([T // 2, 0, T - 1, T // 2], c_e), np.full(c_e, T - 1)]
+    for t in times:
         results = []
-        for run in (lambda x: lstm.row(x, t), lambda x: lstm(x)[t]):
+        for run in (lambda x: lstm.row(x, t),
+                    lambda x: reference_bilstm_row(lstm, x, t)):
             for k, p in lstm.parameters().items():
                 p.grad = held[k].copy()
             x = _leaf(data)
@@ -303,6 +311,13 @@ def test_bilstm_row_takes_negative_index_and_rejects_out_of_range():
     np.testing.assert_array_equal(lstm.row(x, -1).numpy(), lstm(x)[-1].numpy())
     with pytest.raises(IndexError):
         lstm.row(x, 4)
+    # one time per sequence: the same rules for each
+    xs = dk.Tensor(rng.standard_normal((4, 3, 3)))
+    np.testing.assert_array_equal(lstm.row(xs, np.array([-1, 0, -4])).numpy(),
+                                  lstm.row(xs, np.array([3, 0, 0])).numpy())
+    for bad in ([0, 4, 1], [0, -5, 1]):
+        with pytest.raises(IndexError):
+            lstm.row(xs, np.array(bad))
 
 
 # ---------------------------------------------------------------------------

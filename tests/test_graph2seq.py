@@ -7,8 +7,8 @@ from ekgen.config import load_config
 from ekgen.corpus import BOS, EOS
 from ekgen.ekg import LocalEKG
 from ekgen.graph2seq import (G2SConfig, G2SExample, G2STrainConfig, GATLayer,
-                             Graph2SeqModel, Hypothesis, beam_decode,
-                             gat_layer, greedy_decode, train_g2s)
+                             Graph2SeqModel, Hypothesis, TemporalStack,
+                             beam_decode, gat_layer, greedy_decode, train_g2s)
 
 
 def _tiny_config(**kw):
@@ -226,6 +226,10 @@ def test_temporal_encode_requires_materialized_sequences():
     local = LocalEKG(passage_id="p", t=1, vertex_ids=[0], edges=[])
     with pytest.raises(ValueError):
         model.temporal_encode(local)
+    # also beside a materialized local in one stack
+    stack = TemporalStack([_tiny_local(np.random.default_rng(22)), local])
+    with pytest.raises(ValueError, match="materialized"):
+        model.temporal_encode(local, stack)
 
 
 def test_other_timestep_perturbation_propagates_through_recurrence():
@@ -359,6 +363,74 @@ def test_train_g2s_rejects_empty_dataset():
     model = Graph2SeqModel(_tiny_config())
     with pytest.raises(ValueError):
         train_g2s([], model, G2STrainConfig(steps=1))
+
+
+def _stack_batch(rng, T=6, d_f=16):
+    """A batch of locals that read different chapters: a one-vertex local
+    without edges, a one-edge local, one with `edge_seq` None and one shared
+    by two comments, as a passage's comments share its local."""
+    def local(c_e, n_edges, t, edge_seq=True):
+        return LocalEKG(
+            passage_id="p", t=t, vertex_ids=list(range(c_e)),
+            edges=[(i, i + 1) for i in range(n_edges)],
+            vertex_seq=rng.standard_normal((T, c_e, d_f)).astype(np.float32),
+            edge_seq=(rng.standard_normal((T, n_edges, d_f)).astype(np.float32)
+                      if edge_seq else None))
+    shared = local(4, 3, 2)
+    locals_ = [shared, local(1, 0, T), local(2, 1, 1), shared,
+               local(3, 0, 4, edge_seq=False), local(5, 4, 3)]
+    return [G2SExample(passage_ids=[6, 7, 8, 9][:2 + i % 3], local=l,
+                       comment_ids=[9 + i % 3, 10, 11][:1 + i % 3])
+            for i, l in enumerate(locals_)]
+
+
+def _batch_step(model, batch, stacked):
+    """Loss and parameter gradients of one train_g2s step over `batch`,
+    its locals read through one stack, or each example on its own."""
+    model.zero_grad()
+    stack = TemporalStack([ex.local for ex in batch]) if stacked else None
+    loss = None
+    for ex in batch:
+        term = model.nll(ex.passage_ids, ex.local, ex.comment_ids, stack)
+        loss = term if loss is None else loss + term
+    loss = loss * (1.0 / len(batch))
+    loss.backward()
+    return loss.item(), {k: None if p.grad is None else p.grad.copy()
+                         for k, p in model.parameters().items()}
+
+
+@pytest.mark.parametrize("mode", ["EKG", "GAT_V", "GAT_VE"])
+def test_stacked_step_matches_per_example_step(mode, monkeypatch):
+    rng = np.random.default_rng(21)
+    model = Graph2SeqModel(_tiny_config(mode=mode, d_f=16, d_model=16,
+                                        lstm_layers=2, seed=7))
+    batch = _stack_batch(rng)
+    shapes = []
+    row = dk.BiLSTM.row
+    monkeypatch.setattr(dk.BiLSTM, "row", lambda self, x, t: (
+        shapes.append(x.shape), row(self, x, t))[1])
+    loss, grads = _batch_step(model, batch, stacked=True)
+    # one pass over the five distinct locals' 15 vertex rows, and in GAT_VE
+    # one over their 8 edge rows
+    assert shapes == [(6, 15, 16)] + [(6, 8, 16)] * (mode == "GAT_VE")
+    ref_loss, ref_grads = _batch_step(model, batch, stacked=False)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-6)
+    assert grads.keys() == ref_grads.keys()
+    for name, expected in ref_grads.items():
+        assert (grads[name] is None) == (expected is None), name
+        if expected is not None:
+            np.testing.assert_allclose(grads[name], expected, rtol=1e-5,
+                                       atol=1e-6 * np.abs(expected).max(),
+                                       err_msg=name)
+    stack = TemporalStack([ex.local for ex in batch])
+    for ex in batch:
+        v, e = model.temporal_encode(ex.local, stack)
+        v_ref, e_ref = model.temporal_encode(ex.local)
+        np.testing.assert_allclose(v.numpy(), v_ref.numpy(), rtol=1e-5,
+                                   atol=1e-6)
+        assert (e is None) == (e_ref is None)
+        assert e is None or e.shape == (len(ex.local.edges), 16)
+        assert (e is None) == (mode != "GAT_VE" or not ex.local.edges)
 
 
 def test_beam_one_equals_greedy():
