@@ -19,8 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ekgen import pipeline
-from ekgen.config import load_config
-from ekgen.graph2seq import MODES
+from ekgen.config import MODES, load_config
 
 
 def main() -> int:

@@ -1,4 +1,7 @@
-"""Pipeline configuration: one flat dataclass, JSON file + key=value overrides."""
+"""Pipeline configuration: one flat dataclass, JSON file + key=value overrides.
+
+Every component (embedding training, the generator and its training) reads
+its settings from this one `PipelineConfig`, under these field names."""
 
 from __future__ import annotations
 
@@ -8,7 +11,9 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .graph2seq import MODES, G2SConfig
+from .synth import SyntheticSpec
+
+MODES = ("EKG", "GAT_V", "GAT_VE")
 
 
 class ConfigError(ValueError):
@@ -60,7 +65,8 @@ class PipelineConfig:
         if self.lambda1 <= 0:
             raise ConfigError("lambda1 must be positive")
         for name in ("lambda0", "lambda2", "lambda_r", "alpha", "eps_ls",
-                     "overlap_threshold", "lr_scale"):
+                     "overlap_threshold", "lr_scale", "embed_lr", "rn_lr",
+                     "phase2_steps"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         for name in ("K", "d_f", "d_model", "n_heads", "encoder_layers",
@@ -77,6 +83,11 @@ class PipelineConfig:
             raise ConfigError("token_mode must be 'char' or 'word'")
         if self.d_model % (2 * self.n_heads):
             raise ConfigError("d_model must be divisible by 2*n_heads")
+        try:
+            self.synth_spec()
+        except ValueError as e:
+            field, rest = str(e).split(" ", 1)
+            raise ConfigError(f"{_SYNTH_KEYS[field]} {rest}") from e
         return self
 
     @property
@@ -86,16 +97,17 @@ class PipelineConfig:
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
-    def g2s_config(self, vocab_size: int) -> G2SConfig:
-        """Settings of a generator over `vocab_size` tokens."""
-        return G2SConfig(vocab_size=vocab_size, d_f=self.d_f,
-                         d_model=self.d_model, n_heads=self.n_heads,
-                         n_enc_layers=self.encoder_layers,
-                         n_dec_layers=self.decoder_layers,
-                         lstm_layers=self.bilstm_layers,
-                         gat_layers=self.gat_layers, mode=self.mode,
-                         max_len=self.max_len, max_passage=self.max_passage,
-                         eps_ls=self.eps_ls, seed=self.seed)
+    def synth_spec(self) -> SyntheticSpec:
+        """The `synth` stage's corpus spec; out-of-range settings raise
+        `SyntheticSpec`'s `ValueError`."""
+        return SyntheticSpec(seed=self.seed, **{
+            field: getattr(self, key) for field, key in _SYNTH_KEYS.items()})
+
+
+# SyntheticSpec field -> the config key that sets it
+_SYNTH_KEYS = {"chapters": "synth_chapters", "entities": "synth_entities",
+               "passages": "synth_passages",
+               "comments_per_passage": "synth_comments"}
 
 
 # lr_scale: at the full peak learning rate (about 0.018 at desk size) the

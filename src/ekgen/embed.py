@@ -18,6 +18,7 @@ import numpy as np
 
 from . import diffkit as dk
 from .diffkit.tensor import _child, _const
+from .config import PipelineConfig
 from .corpus import Mention, Novel
 from .ekg import GlobalEKG, LocalEKG
 
@@ -391,20 +392,6 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
 # training driver and artifacts
 
 @dataclass
-class EmbedTrainConfig:
-    d_f: int = 64
-    lambdas: tuple[float, float, float] = (0.5, 1.0, 0.3)
-    eps_ls: float = 0.1
-    margin: float = 0.0
-    lambda_r: float = 1.0
-    phase1_steps: int = 150
-    phase2_steps: int = 100
-    lr: float = 0.05
-    rn_lr: float = 0.01
-    seed: int = 0
-
-
-@dataclass
 class EkgEmbeddings:
     """Trained artifact: vertex table, relation network, encoder spec."""
     T: int
@@ -440,13 +427,14 @@ class EkgEmbeddings:
 
 
 def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
-              config: EmbedTrainConfig, n_e: int) -> EkgEmbeddings:
-    """Two-phase training: vertex table first, then the relation network
-    with the table frozen. Sentence features are computed once up front."""
+              cfg: PipelineConfig, n_e: int) -> EkgEmbeddings:
+    """Two-phase training: vertex table first (`cfg.phase1_steps` steps),
+    then the relation network with the table frozen (`cfg.phase2_steps`).
+    Sentence features are computed once up front."""
     T = novel.num_chapters
-    table = VertexEmbeddingTable(T, n_e, config.d_f, seed=config.seed)
-    encoder = HashedNgramEncoder(d_f=config.d_f, seed=config.seed)
-    rn = RelationNetwork(config.d_f, margin=config.margin, seed=config.seed + 2)
+    table = VertexEmbeddingTable(T, n_e, cfg.d_f, seed=cfg.seed)
+    encoder = HashedNgramEncoder(d_f=cfg.d_f, seed=cfg.seed)
+    rn = RelationNetwork(cfg.d_f, margin=cfg.alpha, seed=cfg.seed + 2)
 
     v_examples = make_vertex_examples(novel, mentions)
     features = encoder.encode_many([_masked(ex.tokens, ex.mask_pos)
@@ -457,16 +445,16 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
 
     # phase 1: vertex embeddings
     opt = dk.Adam({"table.w": table.w})
-    for step in range(config.phase1_steps):
+    for step in range(cfg.phase1_steps):
         opt.zero_grad()
-        loss = vertex_loss_total(v_examples, table, config.lambdas,
-                                 config.eps_ls, features)
+        loss = vertex_loss_total(v_examples, table, cfg.lambdas,
+                                 cfg.eps_ls, features)
         val = loss.item()
         if not np.isfinite(val):
             raise TrainingDiverged(f"phase 1 loss became {val} at step {step}")
         history["phase1"].append(val)
         loss.backward()
-        opt.step(config.lr)
+        opt.step(cfg.embed_lr)
 
     table_snapshot = table.w.data.copy()
 
@@ -475,8 +463,8 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
     cls_features = encoder.encode_many([ex.tokens for ex in e_examples])
     table.w.requires_grad = False
     rn_opt = dk.Adam(rn.parameters())
-    for step in range(config.phase2_steps if config.lambda_r > 0 else 0):
-        rng = np.random.default_rng((config.seed, 7919, step))
+    for step in range(cfg.phase2_steps if cfg.lambda_r > 0 else 0):
+        rng = np.random.default_rng((cfg.seed, 7919, step))
         sample_negatives(e_examples, global_ekg, rng)
         rn_opt.zero_grad()
         history["skipped_negatives"].append(
@@ -484,18 +472,18 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
         total = edge_triplet_loss(e_examples, table, rn, cls_features)
         if total is None:
             break
-        loss = config.lambda_r * total
+        loss = cfg.lambda_r * total
         val = loss.item()
         if not np.isfinite(val):
             raise TrainingDiverged(f"phase 2 loss became {val} at step {step}")
         history["phase2"].append(val)
         loss.backward()
-        rn_opt.step(config.rn_lr)
+        rn_opt.step(cfg.rn_lr)
     table.w.requires_grad = True
 
     assert np.array_equal(table.w.data, table_snapshot), \
         "vertex table changed during phase 2"
-    return EkgEmbeddings(T=T, n_e=n_e, d_f=config.d_f, table=table, rn=rn,
+    return EkgEmbeddings(T=T, n_e=n_e, d_f=cfg.d_f, table=table, rn=rn,
                          encoder=encoder, history=history)
 
 

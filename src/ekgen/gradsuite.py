@@ -12,12 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffkit as dk
+from .config import PipelineConfig
 from .ekg import LocalEKG
 from .embed import (EdgeExample, HashedNgramEncoder, RelationNetwork,
                     VertexEmbeddingTable, VertexExample, edge_triplet_loss,
                     vertex_loss_total)
-from .graph2seq import (G2SConfig, GATLayer, Graph2SeqModel, TemporalStack,
-                        gat_layer)
+from .graph2seq import GATLayer, Graph2SeqModel, TemporalStack, gat_layer
 
 SMOOTH_TOL = 1e-6
 ROUGH_TOL = 1e-4
@@ -211,10 +211,11 @@ def _loss_checks(rng) -> list[CheckResult]:
     results.append(_check("multi_task_loss", multitask,
                           {"w": table.w, **rn.parameters()}, ROUGH_TOL))
 
-    cfg = G2SConfig(vocab_size=9, d_f=4, d_model=8, n_heads=2, n_enc_layers=1,
-                    n_dec_layers=1, lstm_layers=1, gat_layers=1, mode="GAT_VE",
-                    max_len=10, seed=int(rng.integers(1 << 30)))
-    model = Graph2SeqModel(cfg)
+    cfg = PipelineConfig(d_f=4, d_model=8, n_heads=2, encoder_layers=1,
+                         decoder_layers=1, bilstm_layers=1, gat_layers=1,
+                         mode="GAT_VE", max_len=10,
+                         seed=int(rng.integers(1 << 30)))
+    model = Graph2SeqModel(cfg, 9)
     local = LocalEKG(passage_id="p", t=2, vertex_ids=[0, 1, 2],
                      edges=[(0, 1), (1, 2)],
                      vertex_seq=rng.standard_normal((3, 3, 4)),

@@ -14,42 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffkit as dk
+from .config import PipelineConfig
 from .corpus import BOS, EOS, PAD
 from .ekg import LocalEKG
 from .embed import TrainingDiverged
-
-MODES = ("EKG", "GAT_V", "GAT_VE")
-
-
-@dataclass
-class G2SConfig:
-    vocab_size: int
-    d_f: int = 64                 # embedding-table feature width
-    d_model: int = 64
-    n_heads: int = 4
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
-    lstm_layers: int = 2
-    gat_layers: int = 2
-    mode: str = "GAT_VE"
-    max_len: int = 50
-    max_passage: int = 256
-    eps_ls: float = 0.1
-    gat_slope: float = 0.2
-    seed: int = 0
-
-    @property
-    def lstm_hidden(self) -> int:
-        # Bi-directional concat must equal d_model so one shared projection
-        # applies to both vertex and edge features in every GAT layer.
-        return self.d_model // 2
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.d_model % (2 * self.n_heads):
-            raise ValueError("d_model must be divisible by 2*n_heads")
-
 
 class GATLayer(dk.Module):
     """Single-head graph attention with edge-feature terms.
@@ -60,11 +28,12 @@ class GATLayer(dk.Module):
     over the columns [vertices | edges].
     """
 
-    def __init__(self, rng, d: int, slope: float = 0.2):
+    slope = 0.2                  # of the leaky ReLU on the logits
+
+    def __init__(self, rng, d: int):
         self.w = dk.Linear(rng, d, d, bias=False)
         self.a_g = dk.parameter(rng, 2 * d)
         self.a_h = dk.parameter(rng, 2 * d)
-        self.slope = slope
         # per vertex, post-softmax: self, neighbors and then incident edges,
         # each in edge order
         self.last_coefficients: list[np.ndarray] = []
@@ -120,20 +89,20 @@ class TemporalStack:
 
 
 class Graph2SeqModel(dk.Module):
-    def __init__(self, config: G2SConfig):
-        rng = np.random.default_rng(config.seed)
-        cfg = config
+    def __init__(self, cfg: PipelineConfig, vocab_size: int):
+        rng = np.random.default_rng(cfg.seed)
         self.config = cfg
         d = cfg.d_model
-        self.tok_emb = dk.parameter(rng, cfg.vocab_size, d, scale=0.1)
+        self.tok_emb = dk.parameter(rng, vocab_size, d, scale=0.1)
         self.enc_layers = [dk.TransformerEncoderLayer(rng, d, cfg.n_heads, 2 * d)
-                           for _ in range(cfg.n_enc_layers)]
+                           for _ in range(cfg.encoder_layers)]
         self.dec_layers = [dk.TransformerDecoderLayer(rng, d, cfg.n_heads, 2 * d)
-                           for _ in range(cfg.n_dec_layers)]
-        self.out_proj = dk.Linear(rng, d, cfg.vocab_size)
-        self.lstm = dk.BiLSTM(rng, cfg.d_f, cfg.lstm_hidden, cfg.lstm_layers)
-        self.gat = [GATLayer(rng, d, cfg.gat_slope)
-                    for _ in range(cfg.gat_layers)]
+                           for _ in range(cfg.decoder_layers)]
+        self.out_proj = dk.Linear(rng, d, vocab_size)
+        # the two directions' concat is d_model wide, so one projection per
+        # GAT layer applies to vertex and edge features alike
+        self.lstm = dk.BiLSTM(rng, cfg.d_f, d // 2, cfg.bilstm_layers)
+        self.gat = [GATLayer(rng, d) for _ in range(cfg.gat_layers)]
         self.pos = dk.sinusoidal_positions(max(cfg.max_passage, cfg.max_len) + 2, d)
 
     # -- encoding ------------------------------------------------------------
@@ -289,18 +258,10 @@ class G2SExample:
     comment_ids: list[int]
 
 
-@dataclass
-class G2STrainConfig:
-    steps: int = 400
-    batch_size: int = 8
-    warmup: int = 50
-    lr_scale: float = 1.0
-    seed: int = 0
-
-
 def train_g2s(examples: list[G2SExample], model: Graph2SeqModel,
-              train_cfg: G2STrainConfig) -> dict:
-    """Minimize teacher-forced NLL with Adam and the warmup/decay schedule.
+              cfg: PipelineConfig) -> dict:
+    """Minimize teacher-forced NLL with Adam and the warmup/decay schedule,
+    `cfg.g2s_steps` steps of `cfg.batch_size` examples.
 
     Returns the loss history; the model is updated in place.
     """
@@ -308,14 +269,14 @@ def train_g2s(examples: list[G2SExample], model: Graph2SeqModel,
         raise ValueError("no training examples")
     params = model.parameters()
     opt = dk.Adam(params)
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     order = []
     history: list[float] = []
-    for step in range(1, train_cfg.steps + 1):
-        if len(order) < train_cfg.batch_size:
+    for step in range(1, cfg.g2s_steps + 1):
+        if len(order) < cfg.batch_size:
             perm = rng.permutation(len(examples)).tolist()
             order.extend(perm)
-        batch = [order.pop(0) for _ in range(min(train_cfg.batch_size, len(order)))]
+        batch = [order.pop(0) for _ in range(min(cfg.batch_size, len(order)))]
         opt.zero_grad()
         loss = None
         stack = TemporalStack([examples[idx].local for idx in batch])
@@ -329,8 +290,8 @@ def train_g2s(examples: list[G2SExample], model: Graph2SeqModel,
             raise TrainingDiverged(f"NLL became {val} at step {step}")
         history.append(val)
         loss.backward()
-        lr = dk.lr_schedule(step, model.config.d_model, train_cfg.warmup,
-                            train_cfg.lr_scale)
+        lr = dk.lr_schedule(step, model.config.d_model, cfg.warmup,
+                            cfg.lr_scale)
         opt.step(lr)
     return {"loss": history}
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -24,11 +24,10 @@ from . import corpus as cp
 from . import diffkit as dk
 from .config import PipelineConfig
 from .ekg import GlobalEKG, LocalEKG, TemporalKG, build_global_ekg, extract_local_ekg
-from .embed import EkgEmbeddings, EmbedTrainConfig, materialize_embeddings, train_ekg
-from .graph2seq import (G2SExample, G2STrainConfig, Graph2SeqModel, beam_decode,
-                        train_g2s)
+from .embed import EkgEmbeddings, materialize_embeddings, train_ekg
+from .graph2seq import G2SExample, Graph2SeqModel, beam_decode, train_g2s
 from .metrics import EvalPair, bleu_corpus, rouge_l
-from .synth import SyntheticSpec, generate as synth_generate
+from .synth import generate as synth_generate
 
 
 class MissingArtifact(FileNotFoundError):
@@ -265,15 +264,16 @@ class Workspace:
 
     @cached_property
     def model(self) -> Graph2SeqModel:
-        """The trained generator, shaped as its `model.json` sidecar records,
-        with this run's length limits; a sidecar whose model settings or
-        vocabulary differ from this run's raises `CheckpointError`."""
+        """The trained generator, built from this run's config once its
+        `model.json` sidecar is found to record the same model settings
+        (`_MODEL_KEYS`) and vocabulary; a sidecar that differs raises
+        `CheckpointError`."""
         model_path = _require(self.root / "g2s" / "model.bin", "train-g2s")
         sidecar_path = _require(self.root / "g2s" / "model.json", "train-g2s")
         try:
             sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-            shape = {k: sidecar["config"][k] for k in _MODEL_KEYS}
-            trained = dict(shape, vocab_hash=sidecar["vocab_hash"])
+            trained = {k: sidecar["config"][k] for k in _MODEL_KEYS}
+            trained["vocab_hash"] = sidecar["vocab_hash"]
         except (ValueError, KeyError, TypeError) as e:
             raise dk.CheckpointError(
                 f"{sidecar_path}: unreadable sidecar: {e!r}") from e
@@ -285,7 +285,7 @@ class Workspace:
             raise dk.CheckpointError(
                 f"{model_path} was trained with {', '.join(differ)}")
         with _checkpoint_fields(model_path):
-            model = Graph2SeqModel(replace(self.cfg, **shape).g2s_config(len(vocab)))
+            model = Graph2SeqModel(self.cfg, len(vocab))
             model.load_state(dk.load_arrays(model_path)[0])
         return model
 
@@ -310,10 +310,7 @@ class Workspace:
 # stages
 
 def run_synth(ws: Path, cfg: PipelineConfig) -> dict:
-    spec = SyntheticSpec(chapters=cfg.synth_chapters, entities=cfg.synth_entities,
-                         passages=cfg.synth_passages,
-                         comments_per_passage=cfg.synth_comments, seed=cfg.seed)
-    info = synth_generate(spec, ws / "data")
+    info = synth_generate(cfg.synth_spec(), ws / "data")
     _record(ws, "synth", cfg, [Path(info["novel"]), Path(info["lexicon"]),
                                Path(info["passages"])])
     return info
@@ -400,12 +397,7 @@ def run_build_ekg(ws: Path, cfg: PipelineConfig) -> Path:
 def run_train_ekg(ws: Path, cfg: PipelineConfig) -> Path:
     w = Workspace(ws, cfg)
     c = w.corpus
-    train_cfg = EmbedTrainConfig(
-        d_f=cfg.d_f, lambdas=cfg.lambdas, eps_ls=cfg.eps_ls, margin=cfg.alpha,
-        lambda_r=cfg.lambda_r, phase1_steps=cfg.phase1_steps,
-        phase2_steps=cfg.phase2_steps, lr=cfg.embed_lr, rn_lr=cfg.rn_lr,
-        seed=cfg.seed)
-    artifact = train_ekg(c.novel, c.mentions, w.ekg, train_cfg, c.n_e)
+    artifact = train_ekg(c.novel, c.mentions, w.ekg, cfg, c.n_e)
     out = ws / "embed" / "ekg_embed.bin"
     artifact.save(out)
     hist = ws / "embed" / "history.json"
@@ -417,12 +409,8 @@ def run_train_ekg(ws: Path, cfg: PipelineConfig) -> Path:
 def run_train_g2s(ws: Path, cfg: PipelineConfig) -> Path:
     w = Workspace(ws, cfg)
     examples, vocab = w.examples(), w.corpus.vocab
-    model = Graph2SeqModel(cfg.g2s_config(len(vocab)))
-    history = train_g2s(examples, model,
-                        G2STrainConfig(steps=cfg.g2s_steps,
-                                       batch_size=cfg.batch_size,
-                                       warmup=cfg.warmup,
-                                       lr_scale=cfg.lr_scale, seed=cfg.seed))
+    model = Graph2SeqModel(cfg, len(vocab))
+    history = train_g2s(examples, model, cfg)
     out = ws / "g2s" / "model.bin"
     dk.save_arrays(out, model.state())
     sidecar = ws / "g2s" / "model.json"

@@ -28,12 +28,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the name of the field at fault
+        if self.chapters < 1:
+            raise ValueError("chapters must be >= 1")
         if self.entities < 2 or self.entities > 20:
             raise ValueError("entities must be in 2..20")
         if self.comments_per_passage < 3 or self.comments_per_passage > len(COMMENT_MARKERS):
             raise ValueError("comments_per_passage must be in 3..7")
         if self.passages < self.chapters:
-            raise ValueError("need at least one passage per chapter")
+            raise ValueError("passages must be at least one per chapter")
 
 
 def entity_name(i: int) -> str:

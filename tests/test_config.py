@@ -1,8 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from ekgen.config import ConfigError, PipelineConfig, load_config
+from ekgen.config import PRESETS, ConfigError, PipelineConfig, load_config
 
 
 def test_defaults_follow_published_hyperparameters():
@@ -31,10 +32,21 @@ def test_desk_preset_shrinks_dims():
 def test_validation_rejects_bad_values():
     for key, value in [("lambda1", 0.0), ("lambda0", -0.1), ("eps_ls", 1.5),
                        ("mode", "NOPE"), ("K", 0), ("token_mode", "bytes"),
-                       ("beam", 0)]:
+                       ("beam", 0), ("embed_lr", -0.05), ("rn_lr", -0.01),
+                       ("phase2_steps", -1), ("synth_chapters", 0),
+                       ("synth_entities", 30), ("synth_passages", 2),
+                       ("synth_comments", 2)]:
         cfg = PipelineConfig(**{key: value})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=key):
             cfg.validate()
+
+
+def test_preset_keys_are_config_fields():
+    # load_config applies a preset with setattr, so a misspelled key would
+    # set a stray attribute that no component reads and to_json drops
+    names = {f.name for f in fields(PipelineConfig)}
+    for preset, overrides in PRESETS.items():
+        assert set(overrides) <= names, preset
 
 
 def test_validation_rejects_head_indivisible_dim():

@@ -5,15 +5,15 @@ import pytest
 
 from ekgen import diffkit as dk
 from ekgen import embed
+from ekgen.config import PipelineConfig
 from ekgen.corpus import Mention, Novel, _make_chapter
 from ekgen.ekg import GlobalEKG, LocalEKG, TemporalKG, build_global_ekg
-from ekgen.embed import (EdgeExample, EkgEmbeddings, EmbedTrainConfig,
-                         HashedNgramEncoder, RelationNetwork, VertexExample,
-                         VertexEmbeddingTable, edge_triplet_loss,
-                         make_edge_examples, make_vertex_examples,
-                         materialize_embeddings, sample_negatives, train_ekg,
-                         vertex_loss_smoothed, vertex_loss_total,
-                         vertex_probability)
+from ekgen.embed import (EdgeExample, EkgEmbeddings, HashedNgramEncoder,
+                         RelationNetwork, VertexExample, VertexEmbeddingTable,
+                         edge_triplet_loss, make_edge_examples,
+                         make_vertex_examples, materialize_embeddings,
+                         sample_negatives, train_ekg, vertex_loss_smoothed,
+                         vertex_loss_total, vertex_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def test_edge_examples_one_per_evidence_span():
 
 def test_train_ekg_learns_and_freezes_table():
     novel, mentions, ekg = _tiny_corpus()
-    cfg = EmbedTrainConfig(d_f=16, phase1_steps=40, phase2_steps=5, seed=0)
+    cfg = PipelineConfig(d_f=16, phase1_steps=40, phase2_steps=5)
     artifact = train_ekg(novel, mentions, ekg, cfg, n_e=3)
     h1 = artifact.history["phase1"]
     assert len(h1) == 40
@@ -375,15 +375,14 @@ def test_train_ekg_learns_and_freezes_table():
 
 def test_train_ekg_lambda_r_zero_skips_phase_two():
     novel, mentions, ekg = _tiny_corpus()
-    cfg = EmbedTrainConfig(d_f=8, phase1_steps=3, phase2_steps=5,
-                           lambda_r=0.0, seed=0)
+    cfg = PipelineConfig(d_f=8, phase1_steps=3, phase2_steps=5, lambda_r=0.0)
     artifact = train_ekg(novel, mentions, ekg, cfg, n_e=3)
     assert artifact.history["phase2"] == []
 
 
 def test_artifact_roundtrip(tmp_path):
     novel, mentions, ekg = _tiny_corpus()
-    cfg = EmbedTrainConfig(d_f=8, phase1_steps=3, phase2_steps=2, seed=0)
+    cfg = PipelineConfig(d_f=8, phase1_steps=3, phase2_steps=2)
     artifact = train_ekg(novel, mentions, ekg, cfg, n_e=3)
     path = tmp_path / "embed.bin"
     artifact.save(path)

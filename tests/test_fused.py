@@ -4,6 +4,7 @@ as references. Outputs and every gradient must be bitwise equal, not merely
 close: the desk overfit criterion moves under one-ulp changes."""
 
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ekgen import pipeline
 from ekgen.config import load_config
 from ekgen.corpus import BOS
 from ekgen.diffkit import nn as dk_nn
-from ekgen.graph2seq import Graph2SeqModel, G2STrainConfig, train_g2s
+from ekgen.graph2seq import Graph2SeqModel, train_g2s
 
 D = 64
 SHAPES = {"desk": 13, "novel": 200}      # passage lengths of the workloads
@@ -337,9 +338,9 @@ def desk_setup(tmp_path_factory):
 
 
 def _train(cfg, vocab, examples, steps=5):
-    model = Graph2SeqModel(cfg.g2s_config(len(vocab)))
-    history = train_g2s(examples, model, G2STrainConfig(
-        steps=steps, batch_size=cfg.batch_size, warmup=cfg.warmup, seed=0))
+    model = Graph2SeqModel(cfg, len(vocab))
+    history = train_g2s(examples, model,
+                        replace(cfg, g2s_steps=steps, lr_scale=1.0))
     return history["loss"], {k: v.copy() for k, v in model.state().items()}
 
 
@@ -366,7 +367,7 @@ def _decode_steps(model, ex, steps=4):
 
 def test_decode_step_probabilities_bitwise_reference(desk_setup):
     cfg, vocab, examples = desk_setup
-    model = Graph2SeqModel(cfg.g2s_config(len(vocab)))
+    model = Graph2SeqModel(cfg, len(vocab))
     for ex in examples[:3]:
         fused = _decode_steps(model, ex)
         with references():

@@ -3,20 +3,27 @@ import pytest
 
 from ekgen import diffkit as dk
 from ekgen import pipeline
-from ekgen.config import load_config
+from ekgen.config import PipelineConfig, load_config
 from ekgen.corpus import BOS, EOS
 from ekgen.ekg import LocalEKG
-from ekgen.graph2seq import (G2SConfig, G2SExample, G2STrainConfig, GATLayer,
-                             Graph2SeqModel, Hypothesis, TemporalStack,
-                             beam_decode, gat_layer, greedy_decode, train_g2s)
+from ekgen.embed import train_ekg
+from ekgen.graph2seq import (G2SExample, GATLayer, Graph2SeqModel, Hypothesis,
+                             TemporalStack, beam_decode, gat_layer,
+                             greedy_decode, train_g2s)
+
+from test_embed import _tiny_corpus
 
 
 def _tiny_config(**kw):
-    base = dict(vocab_size=13, d_f=4, d_model=8, n_heads=2, n_enc_layers=1,
-                n_dec_layers=1, lstm_layers=1, gat_layers=1, mode="GAT_VE",
+    base = dict(d_f=4, d_model=8, n_heads=2, encoder_layers=1,
+                decoder_layers=1, bilstm_layers=1, gat_layers=1, mode="GAT_VE",
                 max_len=12, max_passage=16, seed=0)
     base.update(kw)
-    return G2SConfig(**base)
+    return PipelineConfig(**base).validate()
+
+
+def _tiny_model(vocab_size=13, **kw):
+    return Graph2SeqModel(_tiny_config(**kw), vocab_size)
 
 
 def _tiny_local(rng, T=3, c_e=3, d_f=4, t=2):
@@ -25,20 +32,6 @@ def _tiny_local(rng, T=3, c_e=3, d_f=4, t=2):
                     edges=edges,
                     vertex_seq=rng.standard_normal((T, c_e, d_f)),
                     edge_seq=rng.standard_normal((T, len(edges), d_f)))
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-def test_config_rejects_bad_mode_and_dims():
-    with pytest.raises(ValueError):
-        _tiny_config(mode="BOGUS")
-    with pytest.raises(ValueError):
-        _tiny_config(d_model=10, n_heads=2)  # 10 % 4 != 0
-
-
-def test_lstm_hidden_is_half_model_dim():
-    assert _tiny_config(d_model=64).lstm_hidden == 32
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def test_gat_rejects_repeated_pair_and_self_loop(edges):
 @pytest.mark.parametrize("mode", ["EKG", "GAT_V"])
 def test_edge_sequence_unused_outside_gat_ve(mode):
     rng = np.random.default_rng(19)
-    model = Graph2SeqModel(_tiny_config(mode=mode))
+    model = _tiny_model(mode=mode)
     local = _tiny_local(rng)
     assert model.temporal_encode(local)[1] is None
     without = LocalEKG(passage_id=local.passage_id, t=local.t,
@@ -199,7 +192,7 @@ def test_edge_sequence_unused_outside_gat_ve(mode):
 
 def test_ekg_mode_bypasses_gat_parameters():
     rng = np.random.default_rng(4)
-    model = Graph2SeqModel(_tiny_config(mode="EKG"))
+    model = _tiny_model(mode="EKG")
     local = _tiny_local(rng)
     before = model.graph_encode(local).numpy().copy()
     for layer in model.gat:
@@ -214,7 +207,7 @@ def test_ekg_mode_bypasses_gat_parameters():
 
 def test_temporal_encode_t1_single_step():
     rng = np.random.default_rng(5)
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     local = _tiny_local(rng, T=1, t=1)
     v, e = model.temporal_encode(local)
     assert v.shape == (3, 8)
@@ -222,7 +215,7 @@ def test_temporal_encode_t1_single_step():
 
 
 def test_temporal_encode_requires_materialized_sequences():
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     local = LocalEKG(passage_id="p", t=1, vertex_ids=[0], edges=[])
     with pytest.raises(ValueError):
         model.temporal_encode(local)
@@ -234,7 +227,7 @@ def test_temporal_encode_requires_materialized_sequences():
 
 def test_other_timestep_perturbation_propagates_through_recurrence():
     rng = np.random.default_rng(6)
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     local = _tiny_local(rng, T=3, t=2)
     base = model.temporal_encode(local)[0].numpy().copy()
     local.vertex_seq = local.vertex_seq.copy()
@@ -247,7 +240,7 @@ def test_other_timestep_perturbation_propagates_through_recurrence():
 # encoding / decoding contracts
 
 def test_encode_passage_shape_and_empty_error():
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     out = model.encode_passage([6, 7, 8])
     assert out.shape == (3, 8)
     with pytest.raises(ValueError):
@@ -255,14 +248,14 @@ def test_encode_passage_shape_and_empty_error():
 
 
 def test_passage_truncated_to_max_length():
-    model = Graph2SeqModel(_tiny_config(max_passage=4))
+    model = _tiny_model(max_passage=4)
     out = model.encode_passage([6] * 10)
     assert out.shape == (4, 8)
 
 
 def test_memory_is_graph_slots_plus_passage():
     rng = np.random.default_rng(7)
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     local = _tiny_local(rng, c_e=3)
     memory = model.fuse_memory([6, 7, 8, 9], local)
     assert memory.shape == (3 + 4, 8)
@@ -270,7 +263,7 @@ def test_memory_is_graph_slots_plus_passage():
 
 def test_next_token_distribution_sums_to_one():
     rng = np.random.default_rng(8)
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     local = _tiny_local(rng)
     state = model.start_decode(model.fuse_memory([6, 7], local))
     model.fuse_and_decode_step(state, [BOS])
@@ -281,7 +274,7 @@ def test_next_token_distribution_sums_to_one():
 
 def test_prefix_must_start_with_bos():
     rng = np.random.default_rng(9)
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     state = model.start_decode(model.fuse_memory([6], _tiny_local(rng)))
     with pytest.raises(ValueError):
         model.fuse_and_decode_step(state, [6])
@@ -289,7 +282,7 @@ def test_prefix_must_start_with_bos():
 
 def test_overlong_prefix_rejected():
     rng = np.random.default_rng(10)
-    model = Graph2SeqModel(_tiny_config(max_len=4))
+    model = _tiny_model(max_len=4)
     state = model.start_decode(model.fuse_memory([6], _tiny_local(rng)))
     for tok in [BOS] + [6] * 4:     # a prefix of max_len + 1 tokens is allowed
         model.fuse_and_decode_step(state, [tok])
@@ -299,7 +292,7 @@ def test_overlong_prefix_rejected():
 
 def test_decoder_is_causal():
     rng = np.random.default_rng(11)
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     memory = model.fuse_memory([6, 7], _tiny_local(rng))
     a = model._decode(memory, [BOS, 6, 7, 8]).numpy()
     b = model._decode(memory, [BOS, 6, 7, 12]).numpy()
@@ -310,7 +303,7 @@ def test_decoder_is_causal():
 
 def test_masking_graph_slot_changes_distribution():
     rng = np.random.default_rng(12)
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     local = _tiny_local(rng)
     memory = model.fuse_memory([6, 7], local)
     baseline = model.fuse_and_decode_step(model.start_decode(memory), [BOS])
@@ -322,7 +315,7 @@ def test_masking_graph_slot_changes_distribution():
 
 def test_initial_nll_close_to_log_vocab():
     rng = np.random.default_rng(13)
-    model = Graph2SeqModel(_tiny_config(vocab_size=100, seed=3))
+    model = _tiny_model(vocab_size=100, seed=3)
     local = _tiny_local(rng)
     losses = [model.nll([6, 7, 8], local,
                         [int(rng.integers(6, 100)) for _ in range(8)]).item()
@@ -348,10 +341,9 @@ def test_train_g2s_runs_and_is_deterministic():
     histories = []
     finals = []
     for _ in range(2):
-        model = Graph2SeqModel(_tiny_config(seed=5))
+        model = _tiny_model(seed=5)
         hist = train_g2s(examples, model,
-                         G2STrainConfig(steps=5, batch_size=2, warmup=10,
-                                        seed=0))
+                         _tiny_config(g2s_steps=5, batch_size=2, warmup=10))
         histories.append(hist["loss"])
         finals.append(model.out_proj.w.data.copy())
     assert histories[0] == histories[1]
@@ -360,9 +352,39 @@ def test_train_g2s_runs_and_is_deterministic():
 
 
 def test_train_g2s_rejects_empty_dataset():
-    model = Graph2SeqModel(_tiny_config())
+    model = _tiny_model()
     with pytest.raises(ValueError):
-        train_g2s([], model, G2STrainConfig(steps=1))
+        train_g2s([], model, _tiny_config(g2s_steps=1))
+
+
+def test_pipeline_config_fields_reach_components():
+    # every value differs from its default and from the other layer counts,
+    # so a field read under the wrong name shows
+    cfg = PipelineConfig(d_f=6, d_model=12, n_heads=3, encoder_layers=3,
+                         decoder_layers=1, bilstm_layers=4, gat_layers=5,
+                         max_len=12, max_passage=16, phase1_steps=7,
+                         phase2_steps=3, alpha=0.25, g2s_steps=6,
+                         batch_size=2, warmup=4, seed=2).validate()
+    model = Graph2SeqModel(cfg, 13)
+    assert len(model.enc_layers) == cfg.encoder_layers
+    assert len(model.dec_layers) == cfg.decoder_layers
+    cells = model.lstm.fwd + model.lstm.bwd
+    assert len(model.lstm.fwd) == len(model.lstm.bwd) == cfg.bilstm_layers
+    assert {c.d_hidden for c in cells} == {cfg.d_model // 2}
+    assert model.lstm.fwd[0].w_ih.shape[0] == cfg.d_f
+    assert len(model.gat) == cfg.gat_layers
+
+    novel, mentions, ekg = _tiny_corpus()
+    artifact = train_ekg(novel, mentions, ekg, cfg, n_e=3)
+    assert artifact.table.w.shape == (novel.num_chapters, 3, cfg.d_f)
+    assert len(artifact.history["phase1"]) == cfg.phase1_steps
+    assert len(artifact.history["phase2"]) == cfg.phase2_steps
+    assert artifact.rn.margin == cfg.alpha
+
+    rng = np.random.default_rng(3)
+    examples = [G2SExample(passage_ids=[6, 7, 8], local=_tiny_local(rng, d_f=6),
+                           comment_ids=[9, 10]) for _ in range(3)]
+    assert len(train_g2s(examples, model, cfg)["loss"]) == cfg.g2s_steps
 
 
 def _stack_batch(rng, T=6, d_f=16):
@@ -402,8 +424,8 @@ def _batch_step(model, batch, stacked):
 @pytest.mark.parametrize("mode", ["EKG", "GAT_V", "GAT_VE"])
 def test_stacked_step_matches_per_example_step(mode, monkeypatch):
     rng = np.random.default_rng(21)
-    model = Graph2SeqModel(_tiny_config(mode=mode, d_f=16, d_model=16,
-                                        lstm_layers=2, seed=7))
+    model = _tiny_model(mode=mode, d_f=16, d_model=16, bilstm_layers=2,
+                        seed=7)
     batch = _stack_batch(rng)
     shapes = []
     row = dk.BiLSTM.row
@@ -435,7 +457,7 @@ def test_stacked_step_matches_per_example_step(mode, monkeypatch):
 
 def test_beam_one_equals_greedy():
     rng = np.random.default_rng(15)
-    model = Graph2SeqModel(_tiny_config(seed=6))
+    model = _tiny_model(seed=6)
     local = _tiny_local(rng)
     beams = beam_decode([6, 7], local, model, beam=1, max_len=8)
     assert beams[0][0] == greedy_decode([6, 7], local, model, max_len=8)
@@ -443,7 +465,7 @@ def test_beam_one_equals_greedy():
 
 def test_beam_outputs_bounded_and_sorted():
     rng = np.random.default_rng(16)
-    model = Graph2SeqModel(_tiny_config(seed=7))
+    model = _tiny_model(seed=7)
     local = _tiny_local(rng)
     beams = beam_decode([6, 7, 8], local, model, beam=4, max_len=6)
     assert 1 <= len(beams) <= 4

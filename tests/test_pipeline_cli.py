@@ -113,9 +113,13 @@ def test_cli_config_error_exit_code(tmp_path):
     (None, "K=5.7"),                    # not rounded to 5
     (None, "lambda0=true"),             # not read as 1.0
     (None, "lambda0=NaN"),              # validate() alone lets NaN through
+    (None, "synth_entities=30"),        # out of range
+    (None, "synth_comments=2"),
+    (None, "synth_chapters=0"),
 ], ids=["missing-file", "torn-json", "not-an-object", "string-for-int",
         "bool-for-float", "set-float-for-int", "set-bool-for-float",
-        "set-nan"])
+        "set-nan", "set-synth-entities", "set-synth-comments",
+        "set-synth-chapters"])
 def test_cli_config_error_is_one_line_exit_2(tmp_path, capsys, config_text,
                                              override):
     args = ["stats", "--workspace", str(tmp_path / "ws")]
