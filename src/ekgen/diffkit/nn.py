@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (Tensor, _child, _const, _matmul_grads, _node_grad,
-                     _softmax_data, _softmax_grad, _tracks, as_tensor, concat,
-                     layer_norm, linear, parameter, zeros)
+                     _softmax_grad, _tracks, as_tensor, concat, gelu_data,
+                     layer_norm, layer_norm_data, linear, linear_data,
+                     parameter, softmax_data, zeros)
 
 
 class Module:
@@ -50,6 +51,10 @@ class Linear(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """`self(x)` on an array, without a graph."""
+        return linear_data(x, self.w.data, self.b.data)
 
 
 class LSTMCell(Module):
@@ -201,6 +206,27 @@ class BiLSTM(Module):
         return x
 
 
+def attention_data(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                   mask: np.ndarray | None = None):
+    """Forward kernel of `multi_head_attention`: the output, then the parts
+    its backward reads, (qh, kt, vh, weights, heads)."""
+    d = q.shape[-1]
+    dh = d // n_heads
+
+    def split(t):                        # (..., L, d) -> (..., heads, L, dh)
+        return t.reshape(*t.shape[:-1], n_heads, dh).swapaxes(-3, -2)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = kh.swapaxes(-1, -2)
+    scores = qh @ kt * _const(1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = scores + _const(mask)
+    weights = softmax_data(scores, -1)
+    heads = weights @ vh                 # (..., heads, Lq, dh)
+    merged = heads.swapaxes(-3, -2)
+    return merged.reshape(*merged.shape[:-2], d), (qh, kt, vh, weights, heads)
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with additive mask.
@@ -220,25 +246,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
     if mask is not None and mask.shape[-1] != k.shape[-2]:
         raise ValueError(f"mask shape {mask.shape} vs keys {k.shape}")
-    dh = d // n_heads
-
-    def split(t):                        # (..., L, d) -> (..., heads, L, dh)
-        return np.swapaxes(t.data.reshape(*t.shape[:-1], n_heads, dh), -3, -2)
-
-    qh, kh, vh = split(q), split(k), split(v)
-    kt = np.swapaxes(kh, -1, -2)
-    scale = _const(1.0 / np.sqrt(dh))
-    scores = qh @ kt * scale
-    if mask is not None:
-        scores = scores + _const(mask)
-    weights = _softmax_data(scores, -1)
-    heads = weights @ vh                 # (..., heads, Lq, dh)
-    merged = np.swapaxes(heads, -3, -2)
-    out = _child(merged.reshape(*merged.shape[:-2], d), (q, k, v))
+    y, (qh, kt, vh, weights, heads) = attention_data(q.data, k.data, v.data,
+                                                      n_heads, mask)
+    out = _child(y, (q, k, v))
     if out.requires_grad:
         def _bw():
+            scale = _const(1.0 / np.sqrt(d // n_heads))
+            merged_shape = np.swapaxes(heads, -3, -2).shape
             g_heads = _node_grad(np.swapaxes(
-                out.grad.reshape(merged.shape), -3, -2), heads)
+                out.grad.reshape(merged_shape), -3, -2), heads)
             g_weights, g_vh = _matmul_grads(weights, vh, g_heads)
             g_scores = _softmax_grad(weights, g_weights, -1) * scale
             g_qh, g_kt = _matmul_grads(qh, kt, g_scores)
@@ -262,10 +278,6 @@ class MultiHeadAttention(Module):
     def __call__(self, q, k, v, mask=None):
         return self.attend(q, self.wk(k), self.wv(v), mask)
 
-    def project_kv(self, x) -> tuple[Tensor, Tensor]:
-        """Keys and values of `x`, for reuse across many queries."""
-        return self.wk(x), self.wv(x)
-
     def attend(self, q, keys, values, mask=None):
         """Attention of `q` over already projected keys and values."""
         out = multi_head_attention(self.wq(q), keys, values, self.n_heads, mask)
@@ -288,6 +300,10 @@ class LayerNorm(Module):
 
     def __call__(self, x):
         return layer_norm(x, self.gain, self.bias)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """`self(x)` on an array, without a graph."""
+        return layer_norm_data(x, self.gain.data, self.bias.data)[0]
 
 
 class TransformerEncoderLayer(Module):
@@ -318,22 +334,42 @@ class TransformerDecoderLayer(Module):
         x = self.ln2(x + self.cross_attn(x, memory, memory, memory_mask))
         return self.ln3(x + self.ff(x))
 
-    def step(self, x, memory_kv, past=None):
-        """Advance one position for each row of `x` (B, 1, d).
+    def start(self, memory: np.ndarray) -> tuple[np.ndarray, ...]:
+        """What every `step` over `memory` (L, d) reads: the self-attention's
+        query, key and value projections joined into one (d, 3d) weight and
+        its bias, then the cross-attention keys and values of `memory`."""
+        sa, ca = self.self_attn, self.cross_attn
+        return (np.concatenate([sa.wq.w.data, sa.wk.w.data, sa.wv.w.data],
+                               axis=1),
+                np.concatenate([sa.wq.b.data, sa.wk.b.data, sa.wv.b.data]),
+                ca.wk.apply(memory), ca.wv.apply(memory))
 
-        `memory_kv` is `cross_attn.project_kv(memory)`, made once per memory.
-        `past` holds the self-attention (keys, values) of the earlier
-        positions, (B, t, d) each, or is None at the first position. Returns
-        the output and `past` extended by this position; a position needs no
-        causal mask, since every cached key precedes it.
+    def step(self, x: np.ndarray, cache: tuple, past=None):
+        """Advance one position for each row of the array `x` (B, 1, d),
+        with the forward kernels of the ops `self(...)` runs: no graph, and
+        bitwise the numbers of those ops (the joined projection's column
+        blocks equal the three separate projections bitwise).
+
+        `cache` is `start(memory)`. `past` holds the self-attention (keys,
+        values) of the earlier positions, (B, t, d) arrays each, or is None
+        at the first position. Returns the output and `past` extended by
+        this position; a position needs no causal mask, since every cached
+        key precedes it.
         """
-        keys, values = self.self_attn.project_kv(x)
+        w_qkv, b_qkv, mem_keys, mem_values = cache
+        sa, ca = self.self_attn, self.cross_attn
+        d = x.shape[-1]
+        qkv = linear_data(x, w_qkv, b_qkv)
+        keys, values = qkv[..., d:2 * d], qkv[..., 2 * d:]
         if past is not None:
-            keys = concat([past[0], keys], axis=-2)
-            values = concat([past[1], values], axis=-2)
-        x = self.ln1(x + self.self_attn.attend(x, keys, values))
-        x = self.ln2(x + self.cross_attn.attend(x, *memory_kv))
-        return self.ln3(x + self.ff(x)), (keys, values)
+            keys = np.concatenate([past[0], keys], axis=-2)
+            values = np.concatenate([past[1], values], axis=-2)
+        a = attention_data(qkv[..., :d], keys, values, sa.n_heads)[0]
+        x = self.ln1.apply(x + sa.wo.apply(a))
+        a = attention_data(ca.wq.apply(x), mem_keys, mem_values, ca.n_heads)[0]
+        x = self.ln2.apply(x + ca.wo.apply(a))
+        h = gelu_data(self.ff.l1.apply(x))[0]
+        return self.ln3.apply(x + self.ff.l2.apply(h)), (keys, values)
 
 
 def causal_mask(n: int) -> np.ndarray:

@@ -106,10 +106,23 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
             _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
 
 
-def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+def softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
+
+
+# float64, so gelu's tanh and products run in float64 on float32 inputs
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu_data(x: np.ndarray):
+    """Forward kernel of `Tensor.gelu`: the output in `x`'s dtype, then the
+    tanh its backward reads. The cube is `x * x * x`: a float32 `x ** 3`
+    calls `powf` per element and takes two orders of magnitude longer."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    y = 0.5 * x * (1.0 + t)
+    return y.astype(x.dtype, copy=False), t
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -146,9 +159,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -352,17 +362,12 @@ class Tensor:
         return self.leaky_relu(0.0)
 
     def gelu(self) -> "Tensor":
-        """tanh-approximated gelu; smooth, so finite differences stay clean.
-        The cube is `x * x * x`: a float32 `x ** 3` calls `powf` per element
-        and takes two orders of magnitude longer."""
+        """tanh-approximated gelu; smooth, so finite differences stay clean."""
         x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        y = 0.5 * x * (1.0 + t)
+        y, t = gelu_data(x)
         out = _child(y, (self,))
         if out.requires_grad:
-            dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
+            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
             dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             out._backward = lambda: self._accum(out.grad * dy)
         return out
@@ -422,7 +427,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    y = _softmax_data(x.data, axis)
+    y = softmax_data(x.data, axis)
     out = _child(y, (x,))
     if out.requires_grad:
         out._backward = lambda: x._accum(_softmax_grad(y, out.grad, axis))
@@ -481,7 +486,14 @@ def l2_distance(a: Tensor, b: Tensor) -> Tensor:
 # in the same order with the same values. Its parents are listed in the
 # order in which that graph reached them, so the backward pass still visits
 # the rest of the graph in the same order: results are bitwise those of
-# the elementary graph.
+# the elementary graph. The forward arithmetic is a `*_data` kernel on plain
+# arrays (as are `softmax_data`, `gelu_data` and the attention core's), which
+# decoding calls without building a graph, so both share one expression.
+
+def linear_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Forward kernel of `linear`: `x @ w + b`."""
+    return x @ w + b
+
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """`x @ w + b` as one graph node; without `b` it is `x @ w`."""
@@ -489,17 +501,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is None:
         return x @ w
     _check_matmul(x.data, w.data)
-    y = x.data @ w.data
-    out = _child(y + b.data, (x, w, b))
+    out = _child(linear_data(x.data, w.data, b.data), (x, w, b))
     if out.requires_grad:
         def _bw():
             g = out.grad
             b._accum(g)
-            gx, gw = _matmul_grads(x.data, w.data, _node_grad(g, y))
+            gx, gw = _matmul_grads(x.data, w.data, _node_grad(g, out.data))
             x._accum(gx)
             w._accum(gw)
         out._backward = _bw
     return out
+
+
+def layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                    eps: float = 1e-5):
+    """Forward kernel of `layer_norm`: the output, then the parts its
+    backward reads, (normed, centered, inv, var_eps)."""
+    inv_n = _const(1.0 / x.shape[-1])
+    mu = x.sum(axis=-1, keepdims=True) * inv_n
+    centered = x + (-mu)
+    var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_n + _const(eps)
+    inv = var_eps ** -0.5
+    normed = centered * inv
+    return normed * gain + bias, (normed, centered, inv, var_eps)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -511,16 +535,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     built from elementary ops.
     """
     x = as_tensor(x)
-    p = -0.5
-    inv_n = _const(1.0 / x.data.shape[-1])
-    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
-    centered = x.data + (-mu)
-    var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_n + _const(eps)
-    inv = var_eps ** p
-    normed = centered * inv
-    out = _child(normed * gain.data + bias.data, (x, gain, bias))
+    y, (normed, centered, inv, var_eps) = layer_norm_data(
+        x.data, gain.data, bias.data, eps)
+    out = _child(y, (x, gain, bias))
     if out.requires_grad:
         def _bw():
+            p = -0.5
+            inv_n = _const(1.0 / x.data.shape[-1])
             g = out.grad
             bias._accum(g)
             g_scaled = _node_grad(g, normed)
@@ -534,7 +555,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             g_centered += g_sq
             g_centered += g_sq
             x._accum(g_centered)
-            g_mu = -_unbroadcast(g_centered, mu.shape) * inv_n
+            g_mu = -_unbroadcast(g_centered, inv.shape) * inv_n
             x._accum(np.broadcast_to(g_mu, x.data.shape))
         out._backward = _bw
     return out

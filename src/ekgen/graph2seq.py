@@ -183,38 +183,35 @@ class Graph2SeqModel(dk.Module):
         graph = self.graph_encode(local, stack)
         return dk.concat([graph, self.encode_passage(passage_ids)], axis=0)
 
-    @dk.no_grad()
     def start_decode(self, memory: dk.Tensor) -> "DecodeState":
         """Empty decoder cache over `memory`, with every layer's
-        cross-attention keys and values of the memory projected once."""
+        cross-attention keys and values of the memory projected once and its
+        self-attention query, key and value projections joined into one."""
         return DecodeState(
-            memory_kv=[layer.cross_attn.project_kv(memory)
-                       for layer in self.dec_layers],
+            layers=[layer.start(memory.numpy()) for layer in self.dec_layers],
             past=[None] * len(self.dec_layers))
 
-    @dk.no_grad()
     def fuse_and_decode_step(self, state: "DecodeState",
                              tokens: list[int]) -> np.ndarray:
         """Feed one token per hypothesis at the state's next position and
         return the next-token distributions, (len(tokens), vocab).
 
         Extends `state` by this position. The first position takes BOS only.
+        Runs the forward kernels of the ops `_decode` runs on plain arrays,
+        so it builds no graph.
         """
         if state.pos == 0 and any(t != BOS for t in tokens):
             raise ValueError("prefix must start with BOS")
         if state.pos > self.config.max_len:
             raise ValueError(f"prefix of {state.pos + 1} exceeds max length")
         d = self.config.d_model
-        x = dk.embedding_lookup(self.tok_emb, tokens) * np.sqrt(d)
-        x = (x + dk.Tensor(self.pos[state.pos])).reshape(len(tokens), 1, d)
-        past = []
-        for layer, memory_kv, kv in zip(self.dec_layers, state.memory_kv,
-                                        state.past):
-            x, kv = layer.step(x, memory_kv, kv)
-            past.append(kv)
-        state.past = past
+        emb = self.tok_emb.data
+        x = emb[np.asarray(tokens, dtype=np.int64)] * emb.dtype.type(np.sqrt(d))
+        x = (x + self.pos[state.pos].astype(emb.dtype)).reshape(len(tokens), 1, d)
+        for i, layer in enumerate(self.dec_layers):
+            x, state.past[i] = layer.step(x, state.layers[i], state.past[i])
         state.pos += 1
-        return dk.softmax(self.out_proj(x), axis=-1).numpy()[:, 0]
+        return dk.softmax_data(self.out_proj.apply(x), -1)[:, 0]
 
     def nll(self, passage_ids: list[int], local: LocalEKG,
             comment_ids: list[int], stack=None) -> dk.Tensor:
@@ -238,15 +235,16 @@ class Graph2SeqModel(dk.Module):
 class DecodeState:
     """Decoder cache of one memory, one row per live hypothesis.
 
-    Per decoder layer: the cross-attention (keys, values) of the memory,
-    shared by every row, and the self-attention (keys, values) of the
-    positions fed so far, (rows, pos, d_model) each.
+    Per decoder layer: `TransformerDecoderLayer.start`'s arrays, which hold
+    the memory's cross-attention keys and values shared by every row, and
+    the self-attention (keys, values) arrays of the positions fed so far,
+    (rows, pos, d_model) each.
     """
-    memory_kv: list[tuple[dk.Tensor, dk.Tensor]]
-    past: list[tuple[dk.Tensor, dk.Tensor] | None]
+    layers: list[tuple[np.ndarray, ...]]
+    past: list[tuple[np.ndarray, np.ndarray] | None]
     pos: int = 0
 
-    def select(self, rows: list[int]):
+    def select(self, rows: np.ndarray | list[int]):
         """Keep cache row `rows[i]` as row i, e.g. each survivor's parent."""
         self.past = [(k[rows], v[rows]) for k, v in self.past]
 
@@ -300,7 +298,6 @@ def train_g2s(examples: list[G2SExample], model: Graph2SeqModel,
 class Hypothesis:
     tokens: list[int]            # starts with BOS
     logp: float
-    finished: bool = False
 
     def generated(self) -> list[int]:
         toks = self.tokens[1:]
@@ -322,31 +319,27 @@ def beam_decode(passage_ids: list[int], local: LocalEKG, model: Graph2SeqModel,
     """
     memory = model.fuse_memory(passage_ids, local)
     state = model.start_decode(memory)
-    active = [Hypothesis(tokens=[BOS], logp=0.0)]
+    seqs = [[BOS]]                   # tokens of each live hypothesis
+    logps = np.zeros(1)              # and its log-probability
     finished: list[Hypothesis] = []
     for _ in range(max_len):
-        probs = model.fuse_and_decode_step(state, [h.tokens[-1] for h in active])
+        probs = model.fuse_and_decode_step(state, [s[-1] for s in seqs])
         logp = np.log(np.maximum(probs, 1e-30))
         top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
-        candidates: list[tuple[int, Hypothesis]] = []
-        for row, hyp in enumerate(active):
-            for tok in top[row]:
-                candidates.append((row, Hypothesis(
-                    tokens=hyp.tokens + [int(tok)],
-                    logp=hyp.logp + float(logp[row, tok]),
-                    finished=int(tok) == EOS)))
-        candidates.sort(key=lambda c: -c[1].logp)
-        active, parents = [], []
-        for row, h in candidates[:beam]:
-            if h.finished:
-                finished.append(h)
-            else:
-                active.append(h)
-                parents.append(row)
-        if not active:
+        cand = logps[:, None] + np.take_along_axis(logp, top, axis=-1)
+        # stable over the (row, rank) order, so ties keep it
+        best = np.argsort(-cand, axis=None, kind="stable")[:beam]
+        rows, toks, lps = best // top.shape[1], top.flat[best], cand.flat[best]
+        done = toks == EOS
+        finished += [Hypothesis(seqs[row] + [tok], lp) for row, tok, lp in zip(
+            rows[done].tolist(), toks[done].tolist(), lps[done].tolist())]
+        rows, logps = rows[~done], lps[~done]
+        seqs = [seqs[row] + [tok]
+                for row, tok in zip(rows.tolist(), toks[~done].tolist())]
+        if not seqs:
             break
-        state.select(parents)
-    finished.extend(active)
+        state.select(rows)
+    finished.extend(Hypothesis(s, lp) for s, lp in zip(seqs, logps.tolist()))
     finished.sort(key=lambda h: -h.score(length_alpha))
     return [(h.generated(), h.score(length_alpha)) for h in finished[:beam]]
 

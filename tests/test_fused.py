@@ -1,7 +1,9 @@
 """The fused ops (`linear`, `layer_norm`, the attention core and
 `BiLSTM.row`) against the graphs of elementary ops they replace, kept here
 as references. Outputs and every gradient must be bitwise equal, not merely
-close: the desk overfit criterion moves under one-ulp changes."""
+close: the desk overfit criterion moves under one-ulp changes. The array
+decode step, which runs the fused ops' forward kernels, must be bitwise
+equal to the same graphs too."""
 
 import contextlib
 from dataclasses import replace
@@ -248,7 +250,7 @@ def test_attention_keys_and_values_shared_by_two_layers():
         for layer in layers:
             layer.zero_grad()
         x, memory = (_leaf(a) for a in data.values())
-        keys, values = layers[0].project_kv(memory)
+        keys, values = layers[0].wk(memory), layers[0].wv(memory)
         h = x
         for layer in layers:
             h = layer.attend(h, keys, values)
@@ -356,20 +358,86 @@ def test_train_g2s_parameters_bitwise_reference(desk_setup):
                                       err_msg=name)
 
 
-def _decode_steps(model, ex, steps=4):
-    """Next-token probabilities of three hypotheses over a few steps."""
-    state = model.start_decode(model.fuse_memory(ex.passage_ids, ex.local))
-    probs = [model.fuse_and_decode_step(state, [BOS, BOS, BOS])]
-    for tok in ex.comment_ids[:steps]:
-        probs.append(model.fuse_and_decode_step(state, [tok, BOS, tok]))
+def reference_step(layer, x, memory_kv, past=None):
+    """`TransformerDecoderLayer.step` as a graph of reference ops, with
+    separate query, key and value projections."""
+    sa, ca = layer.self_attn, layer.cross_attn
+
+    def attend(attn, q, keys, values):
+        out = reference_attention(reference_linear(attn.wq, q), keys, values,
+                                  attn.n_heads)
+        return reference_linear(attn.wo, out)
+
+    def norm(ln, x):
+        return reference_layer_norm(x, ln.gain, ln.bias)
+
+    keys, values = reference_linear(sa.wk, x), reference_linear(sa.wv, x)
+    if past is not None:
+        keys = dk.concat([past[0], keys], axis=-2)
+        values = dk.concat([past[1], values], axis=-2)
+    x = norm(layer.ln1, x + attend(sa, x, keys, values))
+    x = norm(layer.ln2, x + attend(ca, x, *memory_kv))
+    ff = reference_linear(layer.ff.l2, reference_linear(layer.ff.l1, x).gelu())
+    return norm(layer.ln3, x + ff), (keys, values)
+
+
+def reference_decode_steps(model, memory, schedule):
+    """Next-token probabilities of each step of `schedule` (one token per
+    row), fed through `reference_step` with the keys and values as
+    tensors."""
+    d = model.config.d_model
+    past = [None] * len(model.dec_layers)
+    probs = []
+    with dk.no_grad():
+        memory_kv = [(reference_linear(layer.cross_attn.wk, memory),
+                      reference_linear(layer.cross_attn.wv, memory))
+                     for layer in model.dec_layers]
+        for pos, tokens in enumerate(schedule):
+            x = dk.embedding_lookup(model.tok_emb, tokens) * np.sqrt(d)
+            x = (x + dk.Tensor(model.pos[pos])).reshape(len(tokens), 1, d)
+            for i, layer in enumerate(model.dec_layers):
+                x, past[i] = reference_step(layer, x, memory_kv[i], past[i])
+            logits = reference_linear(model.out_proj, x)
+            probs.append(dk.softmax(logits, axis=-1).numpy()[:, 0])
     return np.stack(probs)
 
 
+def _schedule(ex, steps=4):
+    """Three hypotheses over a few steps."""
+    return [[BOS, BOS, BOS]] + [[tok, BOS, tok] for tok in ex.comment_ids[:steps]]
+
+
 def test_decode_step_probabilities_bitwise_reference(desk_setup):
+    """The array decode step, with its joined query, key and value
+    projection, against the reference graph."""
     cfg, vocab, examples = desk_setup
     model = Graph2SeqModel(cfg, len(vocab))
+    # off their initial values, so no layer norm gain is 1 and no bias 0
+    rng = np.random.default_rng(16)
+    for p in model.parameters().values():
+        p.data += (0.1 * rng.standard_normal(p.shape)).astype(p.data.dtype)
     for ex in examples[:3]:
-        fused = _decode_steps(model, ex)
-        with references():
-            reference = _decode_steps(model, ex)
-        np.testing.assert_array_equal(fused, reference)
+        with dk.no_grad():
+            memory = model.fuse_memory(ex.passage_ids, ex.local)
+        state = model.start_decode(memory)
+        schedule = _schedule(ex)
+        fused = np.stack([model.fuse_and_decode_step(state, tokens)
+                          for tokens in schedule])
+        np.testing.assert_array_equal(
+            fused, reference_decode_steps(model, memory, schedule))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("d", [D, 8])
+def test_joined_qkv_projection_bitwise_separate(rows, d):
+    """The column blocks of `x @ [Wq|Wk|Wv] + [bq|bk|bv]` equal the three
+    separate projections bitwise; decoding joins them on this."""
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((rows, 1, d)).astype(np.float32)
+    ws = [(rng.standard_normal((d, d)) * 0.1).astype(np.float32)
+          for _ in range(3)]
+    bs = [rng.standard_normal(d).astype(np.float32) for _ in range(3)]
+    joined = dk.linear_data(x, np.concatenate(ws, axis=1), np.concatenate(bs))
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        np.testing.assert_array_equal(joined[..., i * d:(i + 1) * d],
+                                      dk.linear_data(x, w, b))

@@ -515,12 +515,11 @@ def _uncached_beam(passage_ids, local, model, beam, max_len,
                 for tok in np.argsort(-logp, kind="stable")[:beam]:
                     candidates.append(Hypothesis(
                         tokens=hyp.tokens + [int(tok)],
-                        logp=hyp.logp + float(logp[tok]),
-                        finished=int(tok) == EOS))
+                        logp=hyp.logp + float(logp[tok])))
             candidates.sort(key=lambda h: -h.logp)
             active = []
             for h in candidates[:beam]:
-                (finished if h.finished else active).append(h)
+                (finished if h.tokens[-1] == EOS else active).append(h)
             if not active:
                 break
     finished.extend(active)
@@ -569,3 +568,66 @@ def test_cached_step_matches_full_prefix_decode(desk_trained):
                 nxt.reverse()
             state.select([rows.index(n[:-1]) for n in nxt])
             rows = nxt
+
+
+# ---------------------------------------------------------------------------
+# beam bookkeeping on a stub model
+
+class _MarkovStub:
+    """Stands in for the model in `beam_decode` and `_uncached_beam`: the
+    next-token logits depend on the last token alone, as `logits[last]`."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits, dtype=np.float32)
+
+    def fuse_memory(self, passage_ids, local):
+        return None
+
+    def start_decode(self, memory):
+        return _StubState()
+
+    def fuse_and_decode_step(self, state, tokens):
+        return dk.softmax(dk.Tensor(self.logits[tokens])).numpy()
+
+    def _decode(self, memory, prefix):
+        return dk.Tensor(self.logits[prefix])
+
+
+class _StubState:
+    def select(self, rows):
+        pass
+
+
+# PAD, BOS, EOS, then tokens 3..7. After BOS, 3 and 5 tie; after 3 and 5
+# the rows are equal, so their hypotheses' candidates tie across rows, and
+# 5 and 6 tie within each row.
+TIED = [[0, 0, 0, 0, 0, 0, 0, 0],
+        [-9, -9, 0.5, 2, 1, 2, 0, -1],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [-9, -9, 1, 0, -1, 1.5, 1.5, 0],
+        [-9, -9, 2, 0, 0, 0, 0, 0],
+        [-9, -9, 1, 0, -1, 1.5, 1.5, 0],
+        [-9, -9, 3, 0, 0, 0, 0, 0],
+        [-9, -9, 0, 1, 1, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("beam,max_len", [(2, 1), (3, 3), (4, 3), (4, 6)])
+def test_beam_ties_break_by_row_then_token(beam, max_len):
+    model = _MarkovStub(TIED)
+    beams = beam_decode([6], None, model, beam=beam, max_len=max_len)
+    reference = _uncached_beam([6], None, model, beam, max_len)
+    assert [t for t, _ in beams] == [t for t, _ in reference]
+    np.testing.assert_allclose([s for _, s in beams],
+                               [s for _, s in reference], rtol=1e-12)
+    if max_len == 1:
+        assert [t for t, _ in beams] == [[3], [5]]
+
+
+def test_beam_one_survivor_ending_at_first_step_keeps_its_score():
+    logits = np.array(TIED)
+    logits[BOS, EOS] = 5.0
+    model = _MarkovStub(logits)
+    beams = beam_decode([6], None, model, beam=1, max_len=4)
+    p_eos = dk.softmax(dk.Tensor(model.logits[BOS])).numpy()[EOS]
+    assert beams == [([], float(np.log(p_eos)))]
+    assert beams == _uncached_beam([6], None, model, 1, 4)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ekgen import cli, pipeline
-from ekgen.config import load_config
+from ekgen.config import PRESETS, load_config
 from ekgen.corpus import Comment, Passage
 from ekgen.ekg import build_global_ekg
 from ekgen.embed import TrainingDiverged
@@ -96,6 +96,15 @@ def test_report_stats_empty_corpus_no_division_error():
 def test_cli_prerequisite_error_exit_code(tmp_path):
     code = cli.main(["train-g2s", "--workspace", str(tmp_path / "ws")])
     assert code == 3
+
+
+def test_cli_accepts_every_preset(monkeypatch):
+    """`--preset` takes its choices from `PRESETS`, so a preset added there
+    alone parses too."""
+    monkeypatch.setitem(PRESETS, "extra", {})
+    for name in PRESETS:
+        args = cli.build_parser().parse_args(["stats", "--preset", name])
+        assert args.preset == name
 
 
 def test_cli_config_error_exit_code(tmp_path):
