@@ -329,9 +329,9 @@ class TransformerDecoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
         self.ln3 = LayerNorm(d_model)
 
-    def __call__(self, x, memory, causal_mask, memory_mask=None):
+    def __call__(self, x, memory, causal_mask):
         x = self.ln1(x + self.self_attn(x, x, x, causal_mask))
-        x = self.ln2(x + self.cross_attn(x, memory, memory, memory_mask))
+        x = self.ln2(x + self.cross_attn(x, memory, memory))
         return self.ln3(x + self.ff(x))
 
     def start(self, memory: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -39,70 +39,48 @@ def _masked(tokens: list[str], mask_pos: int) -> list[str]:
     return masked
 
 
-class HashedNgramEncoder:
-    """Frozen, deterministic sentence features from hashed character n-grams."""
+NGRAM_SIZES = (1, 2, 3)          # consecutive from 1: each extends the last
 
-    def __init__(self, d_f: int = 64, ngram_sizes: tuple[int, ...] = (1, 2, 3),
-                 seed: int = 0):
-        self.d_f = d_f
-        self.ngram_sizes = tuple(ngram_sizes)
-        self.seed = seed
 
-    def encode_many(self, sentences: list[list[str]]) -> np.ndarray:
-        """One row per sentence: signed counts of its hashed n-grams, scaled
-        to unit length (float64, (n, d_f)). An n-gram hashes as `crc32` of
-        its tokens joined by `\\x01` plus a size and seed tag; the hash picks
-        a slot (`h % d_f`) and a sign (bit 16). Each distinct n-gram is
-        hashed once. The counts are whole numbers, so their sums and sums of
-        squares are exact in any order, and every row equals the one its
-        sentence gets alone."""
-        tokens = list(itertools.chain.from_iterable(sentences))
-        index = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
-        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
-                          count=len(tokens))
-        lens = np.array([len(s) for s in sentences], dtype=np.int64)
-        sent = np.repeat(np.arange(len(sentences)), lens)
-        # tokens from each position to the end of its sentence
-        room = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))
-        cells, signs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        rank = ids
-        for n in range(1, max(self.ngram_sizes) + 1):
-            start = np.flatnonzero(room >= n)
-            # number the n-grams at `start` among the distinct ones, from
-            # the numbers of the (n-1)-grams they extend
-            key = rank[start] * len(index) + ids[start + n - 1] if n > 1 else ids
-            distinct, which = np.unique(key, return_inverse=True)
-            rank = np.zeros_like(ids)
-            rank[start] = which
-            if n not in self.ngram_sizes:
-                continue
-            at = np.zeros(len(distinct), dtype=np.int64)
-            at[which] = start                 # a position of each distinct n-gram
-            tag = f"\x02{n}\x02{self.seed}"
-            h = np.array([zlib.crc32(("\x01".join(tokens[s:s + n]) + tag).encode())
-                          for s in at.tolist()], dtype=np.int64)
-            cells.append(sent[start] * self.d_f + (h % self.d_f)[which])
-            signs.append(np.where((h >> 16) & 1, 1.0, -1.0)[which])
-        vecs = np.bincount(np.concatenate(cells), weights=np.concatenate(signs),
-                           minlength=len(sentences) * self.d_f
-                           ).astype(np.float64, copy=False).reshape(-1, self.d_f)
-        norms = np.sqrt((vecs * vecs).sum(axis=-1, keepdims=True))
-        return np.divide(vecs, norms, out=vecs, where=norms > 0)
-
-    def _bag(self, tokens: list[str]) -> np.ndarray:
-        """`encode_many` of one sentence."""
-        return self.encode_many([tokens])[0]
-
-    def encode_masked(self, tokens: list[str], mask_pos: int) -> dk.Tensor:
-        # position-tagged mask n-gram keeps some locality information
-        return dk.Tensor(self._bag(_masked(tokens, mask_pos)))
-
-    def encode_cls(self, tokens: list[str]) -> dk.Tensor:
-        return dk.Tensor(self._bag(tokens))
-
-    def config(self) -> dict:
-        return {"d_f": self.d_f, "ngram_sizes": list(self.ngram_sizes),
-                "seed": self.seed}
+def ngram_features(sentences: list[list[str]], d_f: int, seed: int) -> np.ndarray:
+    """Frozen, deterministic sentence features: one row per sentence, the
+    signed counts of its hashed n-grams (`NGRAM_SIZES`) scaled to unit
+    length (float64, (n, d_f)). An n-gram hashes as `crc32` of its tokens
+    joined by `\\x01` plus a size and seed tag; the hash picks a slot
+    (`h % d_f`) and a sign (bit 16). Each distinct n-gram is hashed once.
+    The counts are whole numbers, so their sums and sums of squares are
+    exact in any order, and every row equals the one its sentence gets
+    alone."""
+    tokens = list(itertools.chain.from_iterable(sentences))
+    index = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
+    ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64,
+                      count=len(tokens))
+    lens = np.array([len(s) for s in sentences], dtype=np.int64)
+    sent = np.repeat(np.arange(len(sentences)), lens)
+    # tokens from each position to the end of its sentence
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))
+    cells, signs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    rank = ids
+    for n in NGRAM_SIZES:
+        start = np.flatnonzero(room >= n)
+        # number the n-grams at `start` among the distinct ones, from the
+        # numbers of the (n-1)-grams they extend
+        key = rank[start] * len(index) + ids[start + n - 1] if n > 1 else ids
+        distinct, which = np.unique(key, return_inverse=True)
+        rank = np.zeros_like(ids)
+        rank[start] = which
+        at = np.zeros(len(distinct), dtype=np.int64)
+        at[which] = start                 # a position of each distinct n-gram
+        tag = f"\x02{n}\x02{seed}"
+        h = np.array([zlib.crc32(("\x01".join(tokens[s:s + n]) + tag).encode())
+                      for s in at.tolist()], dtype=np.int64)
+        cells.append(sent[start] * d_f + (h % d_f)[which])
+        signs.append(np.where((h >> 16) & 1, 1.0, -1.0)[which])
+    vecs = np.bincount(np.concatenate(cells), weights=np.concatenate(signs),
+                       minlength=len(sentences) * d_f
+                       ).astype(np.float64, copy=False).reshape(-1, d_f)
+    norms = np.sqrt((vecs * vecs).sum(axis=-1, keepdims=True))
+    return np.divide(vecs, norms, out=vecs, where=norms > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +91,21 @@ class VertexEmbeddingTable(dk.Module):
 
     def __init__(self, T: int, n_e: int, d_f: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.T = T
-        self.n_e = n_e
-        self.d_f = d_f
         self.w = dk.parameter(rng, T, n_e, d_f, scale=0.1)
 
     def at(self, t: int) -> dk.Tensor:
         """Embedding matrix of chapter t (1-based)."""
-        if not 1 <= t <= self.T:
-            raise ValueError(f"chapter {t} outside 1..{self.T}")
+        if not 1 <= t <= len(self.w.data):
+            raise ValueError(f"chapter {t} outside 1..{len(self.w.data)}")
         return self.w[t - 1]
 
 
 class RelationNetwork(dk.Module):
     """vertex pair -> edge embedding -> reconstructed sentence feature."""
+    slope = 0.2                  # of the leaky ReLU after each layer
 
-    def __init__(self, d_f: int, margin: float = 0.0, slope: float = 0.2,
-                 seed: int = 0):
+    def __init__(self, d_f: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.d_f = d_f
-        self.margin = margin
-        self.slope = slope
         self.layer1 = dk.Linear(rng, 2 * d_f, d_f)
         self.layer2 = dk.Linear(rng, 3 * d_f, d_f)
 
@@ -142,6 +114,11 @@ class RelationNetwork(dk.Module):
 
     def reconstruct(self, v_i: dk.Tensor, r: dk.Tensor, v_j: dk.Tensor) -> dk.Tensor:
         return self.layer2(dk.concat([v_i, r, v_j], axis=-1)).leaky_relu(self.slope)
+
+
+def _leaky(z: np.ndarray) -> np.ndarray:
+    """`Tensor.leaky_relu` at `RelationNetwork.slope`, on an array."""
+    return np.where(z > 0, z, RelationNetwork.slope * z)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +215,17 @@ def sample_negatives(examples: list[EdgeExample], global_ekg: GlobalEKG,
 # ---------------------------------------------------------------------------
 # losses
 
-def vertex_probability(f_v, t: int, table: VertexEmbeddingTable) -> np.ndarray:
-    """Distribution over entities for a masked-sentence feature at chapter t."""
-    logits = table.at(t) @ dk.as_tensor(f_v)
-    return dk.softmax(logits).numpy()
-
-
 def vertex_loss_smoothed(example: VertexExample, table: VertexEmbeddingTable,
                          lambdas: tuple[float, float, float],
-                         eps_ls: float, encoder) -> dk.Tensor:
-    """Smoothed masked-entity loss for one example; adjacent-chapter terms
-    are dropped at the sequence boundaries."""
+                         eps_ls: float, feature: np.ndarray) -> dk.Tensor:
+    """Smoothed masked-entity loss for one example, whose masked-sentence
+    feature is `feature`; adjacent-chapter terms are dropped at the sequence
+    boundaries."""
     lam0, lam1, lam2 = lambdas
-    f_v = encoder.encode_masked(example.tokens, example.mask_pos)
+    f_v = dk.Tensor(feature)
     loss = None
     for lam, t in ((lam0, example.t - 1), (lam1, example.t), (lam2, example.t + 1)):
-        if lam == 0.0 or not 1 <= t <= table.T:
+        if lam == 0.0 or not 1 <= t <= len(table.w.data):
             continue
         ce = dk.cross_entropy_label_smoothed(table.at(t) @ f_v,
                                              example.entity_id, eps_ls)
@@ -291,7 +263,7 @@ def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable
         targets = np.asarray([examples[i].entity_id for i in idxs])
         inv_m = _const(1.0 / len(idxs))
         for lam, tt in ((lambdas[0], t - 1), (lambdas[1], t), (lambdas[2], t + 1)):
-            if lam == 0.0 or not 1 <= tt <= table.T:
+            if lam == 0.0 or not 1 <= tt <= len(W):
                 continue
             logits = rows @ W[tt - 1].T
             shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -333,10 +305,11 @@ def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
 
 
 def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
-                      rn: RelationNetwork, features: np.ndarray) -> dk.Tensor | None:
-    """Summed margin reconstruction loss of every example that has a negative,
-    against its sentence feature (the same row of `features`), as one autodiff
-    node; None when no example has a negative.
+                      rn: RelationNetwork, features: np.ndarray,
+                      margin: float) -> dk.Tensor | None:
+    """Summed reconstruction loss with margin `margin` of every example that
+    has a negative, against its sentence feature (the same row of
+    `features`), as one autodiff node; None when no example has a negative.
 
     Rows are stacked as (example, positive then negative), and each layer is
     one matrix product over all rows. The result equals the sum of the
@@ -355,13 +328,12 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
     f_c = np.repeat(np.asarray(features, dtype=W.dtype)[keep], 2, axis=0)
     l1, l2, slope = rn.layer1, rn.layer2, rn.slope
     x1 = np.concatenate([W[t, i], W[t, j]], axis=-1)
-    z1 = x1 @ l1.w.data + l1.b.data
-    r = np.where(z1 > 0, z1, slope * z1)
-    x2 = np.concatenate([W[t, i], r, W[t, j]], axis=-1)
-    z2 = x2 @ l2.w.data + l2.b.data
-    diff = np.where(z2 > 0, z2, slope * z2) - f_c
+    z1 = l1.apply(x1)
+    x2 = np.concatenate([W[t, i], _leaky(z1), W[t, j]], axis=-1)
+    z2 = l2.apply(x2)
+    diff = _leaky(z2) - f_c
     dist = np.sqrt((diff * diff).sum(axis=-1))
-    gap = (dist[0::2] - dist[1::2]) + np.asarray(rn.margin, dtype=W.dtype)
+    gap = (dist[0::2] - dist[1::2]) + np.asarray(margin, dtype=W.dtype)
     hinge = np.where(gap > 0, gap, 0.0 * gap)
     out = _child(hinge.sum(), (table.w, l1.w, l1.b, l2.w, l2.b))
     if not out.requires_grad:
@@ -393,37 +365,28 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
 
 @dataclass
 class EkgEmbeddings:
-    """Trained artifact: vertex table, relation network, encoder spec."""
-    T: int
-    n_e: int
-    d_f: int
+    """Trained artifact: the vertex table, of shape (T, n_e, d_f), and the
+    relation network. Its file holds their arrays and nothing else."""
     table: VertexEmbeddingTable
     rn: RelationNetwork
-    encoder: HashedNgramEncoder
     history: dict = field(default_factory=dict)
 
     def save(self, path):
         arrays = {"table.w": self.table.w.data}
         for name, p in self.rn.parameters().items():
             arrays[f"rn.{name}"] = p.data
-        extra = {"T": self.T, "n_e": self.n_e, "d_f": self.d_f,
-                 "margin": self.rn.margin,
-                 "encoder_config": self.encoder.config()}
-        dk.save_arrays(path, arrays, magic=dk.EMBED_MAGIC, extra=extra)
+        dk.save_arrays(path, arrays, magic=dk.EMBED_MAGIC)
 
     @classmethod
     def load(cls, path) -> "EkgEmbeddings":
-        arrays, extra = dk.load_arrays(path, magic=dk.EMBED_MAGIC)
-        T, n_e, d_f = extra["T"], extra["n_e"], extra["d_f"]
+        """The artifact saved at `path`, its dims read from the table's shape."""
+        arrays, _ = dk.load_arrays(path, magic=dk.EMBED_MAGIC)
+        T, n_e, d_f = arrays["table.w"].shape
         table = VertexEmbeddingTable(T, n_e, d_f)
         table.load_state({"w": arrays["table.w"]})
-        rn = RelationNetwork(d_f, margin=extra.get("margin", 0.0))
+        rn = RelationNetwork(d_f)
         rn.load_state({k[3:]: v for k, v in arrays.items() if k.startswith("rn.")})
-        cfg = extra["encoder_config"]
-        encoder = HashedNgramEncoder(d_f=cfg["d_f"],
-                                     ngram_sizes=tuple(cfg["ngram_sizes"]),
-                                     seed=cfg["seed"])
-        return cls(T=T, n_e=n_e, d_f=d_f, table=table, rn=rn, encoder=encoder)
+        return cls(table=table, rn=rn)
 
 
 def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
@@ -431,14 +394,12 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
     """Two-phase training: vertex table first (`cfg.phase1_steps` steps),
     then the relation network with the table frozen (`cfg.phase2_steps`).
     Sentence features are computed once up front."""
-    T = novel.num_chapters
-    table = VertexEmbeddingTable(T, n_e, cfg.d_f, seed=cfg.seed)
-    encoder = HashedNgramEncoder(d_f=cfg.d_f, seed=cfg.seed)
-    rn = RelationNetwork(cfg.d_f, margin=cfg.alpha, seed=cfg.seed + 2)
+    table = VertexEmbeddingTable(novel.num_chapters, n_e, cfg.d_f, seed=cfg.seed)
+    rn = RelationNetwork(cfg.d_f, seed=cfg.seed + 2)
 
     v_examples = make_vertex_examples(novel, mentions)
-    features = encoder.encode_many([_masked(ex.tokens, ex.mask_pos)
-                                    for ex in v_examples])
+    features = ngram_features([_masked(ex.tokens, ex.mask_pos)
+                               for ex in v_examples], cfg.d_f, cfg.seed)
 
     history: dict[str, list[float]] = {"phase1": [], "phase2": [],
                                        "skipped_negatives": []}
@@ -460,7 +421,8 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
 
     # phase 2: relation network; the table is frozen
     e_examples = make_edge_examples(novel, global_ekg)
-    cls_features = encoder.encode_many([ex.tokens for ex in e_examples])
+    cls_features = ngram_features([ex.tokens for ex in e_examples],
+                                  cfg.d_f, cfg.seed)
     table.w.requires_grad = False
     rn_opt = dk.Adam(rn.parameters())
     for step in range(cfg.phase2_steps if cfg.lambda_r > 0 else 0):
@@ -469,7 +431,8 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
         rn_opt.zero_grad()
         history["skipped_negatives"].append(
             sum(ex.negative is None for ex in e_examples))
-        total = edge_triplet_loss(e_examples, table, rn, cls_features)
+        total = edge_triplet_loss(e_examples, table, rn, cls_features,
+                                  cfg.alpha)
         if total is None:
             break
         loss = cfg.lambda_r * total
@@ -483,8 +446,7 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
 
     assert np.array_equal(table.w.data, table_snapshot), \
         "vertex table changed during phase 2"
-    return EkgEmbeddings(T=T, n_e=n_e, d_f=cfg.d_f, table=table, rn=rn,
-                         encoder=encoder, history=history)
+    return EkgEmbeddings(table=table, rn=rn, history=history)
 
 
 def materialize_embeddings(artifact: EkgEmbeddings,
@@ -492,12 +454,11 @@ def materialize_embeddings(artifact: EkgEmbeddings,
     """Fill the local EKG with dense (T, c_e, d) and (T, c_r, d) sequences.
 
     Every (chapter, edge) pair goes through the relation network in one
-    call; with no edges the result is (T, 0, d)."""
+    call, on plain arrays, with the expression of `edge_triplet_loss`; with
+    no edges the result is (T, 0, d)."""
     W = artifact.table.w.data
     local.vertex_seq = W[:, np.asarray(local.vertex_ids), :].copy()
     pairs = np.asarray(local.edges, dtype=int).reshape(-1, 2)
-    with dk.no_grad():
-        r = artifact.rn.edge_embedding(dk.Tensor(W[:, pairs[:, 0]]),
-                                       dk.Tensor(W[:, pairs[:, 1]]))
-    local.edge_seq = r.numpy().astype(W.dtype, copy=False)
+    x = np.concatenate([W[:, pairs[:, 0]], W[:, pairs[:, 1]]], axis=-1)
+    local.edge_seq = _leaky(artifact.rn.layer1.apply(x))
     return local

@@ -14,9 +14,9 @@ import numpy as np
 from . import diffkit as dk
 from .config import PipelineConfig
 from .ekg import LocalEKG
-from .embed import (EdgeExample, HashedNgramEncoder, RelationNetwork,
+from .embed import (MASK_TOKEN, EdgeExample, RelationNetwork,
                     VertexEmbeddingTable, VertexExample, edge_triplet_loss,
-                    vertex_loss_total)
+                    ngram_features, vertex_loss_total)
 from .graph2seq import GATLayer, Graph2SeqModel, TemporalStack, gat_layer
 
 SMOOTH_TOL = 1e-6
@@ -164,13 +164,11 @@ def _loss_checks(rng) -> list[CheckResult]:
     results = []
     T, n_e, d_f = 3, 4, 6
     table = VertexEmbeddingTable(T, n_e, d_f, seed=int(rng.integers(1 << 30)))
-    encoder = HashedNgramEncoder(d_f=d_f, seed=3)
     examples = [VertexExample(t=int(rng.integers(1, T + 1)),
                               entity_id=int(rng.integers(n_e)),
-                              tokens=list("abcXdef"), mask_pos=3)
+                              tokens=[*"abc", MASK_TOKEN, *"def"], mask_pos=3)
                 for _ in range(4)]
-    features = np.stack([encoder.encode_masked(e.tokens, e.mask_pos).numpy()
-                         for e in examples])
+    features = ngram_features([e.tokens for e in examples], d_f, 3)
     results.append(_check(
         "vertex_loss_plain",
         lambda: vertex_loss_total(examples, table, (0.0, 1.0, 0.0), 0.0, features),
@@ -180,12 +178,12 @@ def _loss_checks(rng) -> list[CheckResult]:
         lambda: vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, features),
         {"w": table.w}, ROUGH_TOL))
 
-    rn = RelationNetwork(d_f, margin=0.3, seed=int(rng.integers(1 << 30)))
+    rn = RelationNetwork(d_f, seed=int(rng.integers(1 << 30)))
     ex = EdgeExample(t=2, pair=(0, 1), tokens=list("ghijkl"), negative=2)
-    f_c = encoder.encode_cls(ex.tokens).numpy()[None]
+    f_c = ngram_features([ex.tokens], d_f, 3)
     # margin chosen so the hinge is active, away from its kink
     results.append(_check("edge_triplet_loss",
-                          lambda: edge_triplet_loss([ex], table, rn, f_c),
+                          lambda: edge_triplet_loss([ex], table, rn, f_c, 0.3),
                           {"w": table.w, **rn.parameters()}, ROUGH_TOL))
 
     # four examples, one without a negative; the margin sits halfway across
@@ -195,19 +193,20 @@ def _loss_checks(rng) -> list[CheckResult]:
              EdgeExample(t=3, pair=(1, 3), tokens=list("efgh"), negative=0),
              EdgeExample(t=2, pair=(2, 0), tokens=list("ijkl"), negative=None),
              EdgeExample(t=2, pair=(3, 2), tokens=list("mnop"), negative=1)]
-    feats = np.stack([encoder.encode_cls(e.tokens).numpy() for e in batch])
+    feats = ngram_features([e.tokens for e in batch], d_f, 3)
     batch_rn = RelationNetwork(d_f, seed=int(rng.integers(1 << 30)))
     kinks = sorted(-_triplet_gap(e, table, batch_rn, f)
                    for e, f in zip(batch, feats) if e.negative is not None)
     k = int(np.argmax(np.diff(kinks)))
-    batch_rn.margin = (kinks[k] + kinks[k + 1]) / 2
+    margin = (kinks[k] + kinks[k + 1]) / 2
     results.append(_check("edge_triplet_loss_batch",
-                          lambda: edge_triplet_loss(batch, table, batch_rn, feats),
+                          lambda: edge_triplet_loss(batch, table, batch_rn, feats,
+                                                    margin),
                           {"w": table.w, **batch_rn.parameters()}, ROUGH_TOL))
 
     def multitask():
         return (vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1, features)
-                + 1.0 * edge_triplet_loss([ex], table, rn, f_c))
+                + 1.0 * edge_triplet_loss([ex], table, rn, f_c, 0.3))
     results.append(_check("multi_task_loss", multitask,
                           {"w": table.w, **rn.parameters()}, ROUGH_TOL))
 

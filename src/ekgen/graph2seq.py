@@ -223,6 +223,7 @@ class Graph2SeqModel(dk.Module):
         return dk.cross_entropy_label_smoothed(logits, np.asarray(target),
                                                self.config.eps_ls)
 
+    @dk.no_grad()
     def token_accuracy(self, passage_ids, local, comment_ids) -> float:
         target = comment_ids[:self.config.max_len - 1] + [EOS]
         dec_in = [BOS] + target[:-1]

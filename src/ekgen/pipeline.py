@@ -258,9 +258,17 @@ class Workspace:
 
     @cached_property
     def embeddings(self) -> EkgEmbeddings:
+        """The trained embeddings; a vertex table whose shape is not (corpus
+        chapters, corpus entities, this run's `d_f`) raises `CheckpointError`."""
         path = _require(self.root / "embed" / "ekg_embed.bin", "train-ekg")
         with _checkpoint_fields(path):
-            return EkgEmbeddings.load(path)
+            artifact = EkgEmbeddings.load(path)
+        want = (self.corpus.novel.num_chapters, self.corpus.n_e, self.cfg.d_f)
+        if artifact.table.w.shape != want:
+            raise dk.CheckpointError(
+                f"{path} holds a vertex table of shape {artifact.table.w.shape}, "
+                f"not (chapters, entities, d_f) = {want} of this corpus and run")
+        return artifact
 
     @cached_property
     def model(self) -> Graph2SeqModel:

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .diffkit import atomic_open
+
 FILLER = "abcdefgh"
 COMMENT_MARKERS = "tuvwxyz"
 
@@ -44,10 +46,10 @@ def entity_name(i: int) -> str:
 
 
 def generate(spec: SyntheticSpec, out_dir) -> dict:
-    """Write novel.json, lexicon.json and passages.jsonl; return the file
-    paths plus the exact counts the files contain."""
+    """Write novel.json, lexicon.json and passages.jsonl, each through
+    `atomic_open`; return the file paths plus the exact counts the files
+    contain."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(spec.seed)
     names = [entity_name(i) for i in range(spec.entities)]
     # sparse co-occurrence ring: distance-1 and distance-2 pairs only, so
@@ -100,11 +102,13 @@ def generate(spec: SyntheticSpec, out_dir) -> dict:
     novel_path = out_dir / "novel.json"
     lexicon_path = out_dir / "lexicon.json"
     passages_path = out_dir / "passages.jsonl"
-    novel_path.write_text(json.dumps(novel, sort_keys=True), encoding="utf-8")
-    lexicon_path.write_text(json.dumps(lexicon, sort_keys=True), encoding="utf-8")
-    with open(passages_path, "w", encoding="utf-8") as fh:
-        for p in passages:
-            fh.write(json.dumps(p, sort_keys=True) + "\n")
+    for path, text in (
+            (novel_path, json.dumps(novel, sort_keys=True)),
+            (lexicon_path, json.dumps(lexicon, sort_keys=True)),
+            (passages_path, "".join(json.dumps(p, sort_keys=True) + "\n"
+                                    for p in passages))):
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return {"novel": str(novel_path), "lexicon": str(lexicon_path),
             "passages": str(passages_path),
             "counts": {"chapters": spec.chapters, "entities": spec.entities,

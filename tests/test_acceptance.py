@@ -17,9 +17,9 @@ from ekgen import diffkit as dk
 from ekgen import pipeline
 from ekgen.config import PipelineConfig, load_config
 from ekgen.ekg import LocalEKG
-from ekgen.embed import (EdgeExample, HashedNgramEncoder, RelationNetwork,
-                         VertexEmbeddingTable, VertexExample, edge_triplet_loss,
-                         train_ekg, vertex_loss_smoothed)
+from ekgen.embed import (EdgeExample, RelationNetwork, VertexEmbeddingTable,
+                         VertexExample, _masked, edge_triplet_loss,
+                         ngram_features, train_ekg, vertex_loss_smoothed)
 from ekgen.gradsuite import run_gradient_suite
 from ekgen.graph2seq import GATLayer, beam_decode, gat_layer, greedy_decode
 from ekgen.metrics import EvalPair, bleu_corpus, rouge_l
@@ -84,15 +84,14 @@ def test_criterion_02_smoothed_loss_reduction_identity(capsys):
                 n_e = int(rng.integers(2, 7))
                 d_f = int(rng.integers(4, 17))
                 table = VertexEmbeddingTable(T, n_e, d_f, seed=k)
-                encoder = HashedNgramEncoder(d_f=d_f, seed=k)
                 tokens = list("abcdefghij"[: 4 + int(rng.integers(6))])
                 ex = VertexExample(t=int(rng.integers(1, T + 1)),
                                    entity_id=int(rng.integers(n_e)),
                                    tokens=tokens,
                                    mask_pos=int(rng.integers(len(tokens))))
+                (f,) = ngram_features([_masked(ex.tokens, ex.mask_pos)], d_f, k)
                 got = vertex_loss_smoothed(ex, table, (0.0, 1.0, 0.0), 0.0,
-                                           encoder).item()
-                f = encoder.encode_masked(ex.tokens, ex.mask_pos).numpy()
+                                           f).item()
                 logits = table.w.data[ex.t - 1] @ f
                 shifted = logits - logits.max()
                 logp = shifted - np.log(np.exp(shifted).sum())
@@ -111,12 +110,11 @@ def test_criterion_03_hinge_contract(capsys):
                 0.4, abs=1e-12)
             # inactive hinge through the full relation-network loss
             table = VertexEmbeddingTable(T=1, n_e=4, d_f=6, seed=0)
-            rn = RelationNetwork(d_f=6, margin=-1e3, seed=1)
-            encoder = HashedNgramEncoder(d_f=6, seed=0)
+            rn = RelationNetwork(d_f=6, seed=1)
             ex = EdgeExample(t=1, pair=(0, 1), tokens=list("abcdef"),
                              negative=2)
             loss = edge_triplet_loss([ex], table, rn,
-                                     encoder.encode_cls(ex.tokens).numpy()[None])
+                                     ngram_features([ex.tokens], 6, 0), -1e3)
             assert loss.item() == 0.0
             loss.backward()
             for p in {**rn.parameters(), "w": table.w}.values():

@@ -8,39 +8,18 @@ from ekgen import embed
 from ekgen.config import PipelineConfig
 from ekgen.corpus import Mention, Novel, _make_chapter
 from ekgen.ekg import GlobalEKG, LocalEKG, TemporalKG, build_global_ekg
-from ekgen.embed import (EdgeExample, EkgEmbeddings, HashedNgramEncoder,
-                         RelationNetwork, VertexExample, VertexEmbeddingTable,
-                         edge_triplet_loss, make_edge_examples,
-                         make_vertex_examples, materialize_embeddings,
+from ekgen.embed import (EdgeExample, EkgEmbeddings, RelationNetwork,
+                         VertexExample, VertexEmbeddingTable, edge_triplet_loss,
+                         make_edge_examples, make_vertex_examples,
+                         materialize_embeddings, ngram_features,
                          sample_negatives, train_ekg, vertex_loss_smoothed,
-                         vertex_loss_total, vertex_probability)
+                         vertex_loss_total)
 
 
-# ---------------------------------------------------------------------------
-# vertex probability
-
-def test_zero_table_gives_uniform():
-    table = VertexEmbeddingTable(T=2, n_e=4, d_f=3)
-    table.w.data[...] = 0.0
-    probs = vertex_probability(np.ones(3), 1, table)
-    np.testing.assert_allclose(probs, 0.25, atol=1e-7)
-
-
-def test_worked_logits_give_three_quarters():
-    table = VertexEmbeddingTable(T=1, n_e=2, d_f=2)
-    table.w.data[0] = [[np.log(3.0), 0.0], [0.0, 0.0]]
-    probs = vertex_probability(np.array([1.0, 0.0]), 1, table)
-    np.testing.assert_allclose(probs, [0.75, 0.25], atol=1e-6)
-
-
-def test_scaling_feature_sharpens_but_never_reorders():
-    rng = np.random.default_rng(0)
-    table = VertexEmbeddingTable(T=1, n_e=5, d_f=4, seed=1)
-    f = rng.standard_normal(4)
-    p1 = vertex_probability(f, 1, table)
-    p3 = vertex_probability(3.0 * f, 1, table)
-    assert p1.argmax() == p3.argmax()
-    assert p3.max() >= p1.max()
+def _masked_features(examples, d_f, seed=0):
+    """The masked-sentence feature row of each vertex example."""
+    return ngram_features([embed._masked(e.tokens, e.mask_pos) for e in examples],
+                          d_f, seed)
 
 
 def test_chapter_index_out_of_range_rejected():
@@ -54,9 +33,8 @@ def test_chapter_index_out_of_range_rejected():
 # ---------------------------------------------------------------------------
 # smoothed loss
 
-def _reference_plain_loss(example, table, encoder):
-    """Masked-entity cross entropy, computed directly in numpy."""
-    f = encoder.encode_masked(example.tokens, example.mask_pos).numpy()
+def _reference_plain_loss(example, table, f):
+    """Masked-entity cross entropy of feature `f`, computed directly in numpy."""
     logits = table.w.data[example.t - 1] @ f
     shifted = logits - logits.max()
     logp = shifted - np.log(np.exp(shifted).sum())
@@ -67,67 +45,62 @@ def test_smoothed_reduces_to_plain_loss():
     with dk.use_dtype(np.float64):
         rng = np.random.default_rng(5)
         table = VertexEmbeddingTable(T=3, n_e=4, d_f=8, seed=2)
-        encoder = HashedNgramEncoder(d_f=8, seed=0)
         for k in range(50):
             ex = VertexExample(t=int(rng.integers(1, 4)),
                                entity_id=int(rng.integers(4)),
                                tokens=list("abcdefgh"[: 4 + k % 5]),
                                mask_pos=k % 3)
-            got = vertex_loss_smoothed(ex, table, (0.0, 1.0, 0.0), 0.0,
-                                       encoder).item()
+            (f,) = _masked_features([ex], 8)
+            got = vertex_loss_smoothed(ex, table, (0.0, 1.0, 0.0), 0.0, f).item()
             assert got == pytest.approx(
-                _reference_plain_loss(ex, table, encoder), abs=1e-12)
+                _reference_plain_loss(ex, table, f), abs=1e-12)
 
 
 def test_boundary_chapters_drop_missing_terms():
     with dk.use_dtype(np.float64):
         table = VertexEmbeddingTable(T=1, n_e=3, d_f=6, seed=3)
-        encoder = HashedNgramEncoder(d_f=6, seed=0)
         ex = VertexExample(t=1, entity_id=1, tokens=list("abcdef"), mask_pos=2)
-        smoothed = vertex_loss_smoothed(ex, table, (0.5, 1.0, 0.3), 0.0,
-                                        encoder).item()
-        plain = vertex_loss_smoothed(ex, table, (0.0, 1.0, 0.0), 0.0,
-                                     encoder).item()
+        (f,) = _masked_features([ex], 6)
+        smoothed = vertex_loss_smoothed(ex, table, (0.5, 1.0, 0.3), 0.0, f).item()
+        plain = vertex_loss_smoothed(ex, table, (0.0, 1.0, 0.0), 0.0, f).item()
         assert smoothed == pytest.approx(plain, abs=1e-12)
 
 
 def test_middle_chapter_includes_three_terms():
     with dk.use_dtype(np.float64):
         table = VertexEmbeddingTable(T=3, n_e=3, d_f=6, seed=4)
-        encoder = HashedNgramEncoder(d_f=6, seed=0)
         ex = VertexExample(t=2, entity_id=0, tokens=list("abcdef"), mask_pos=1)
+        (f,) = _masked_features([ex], 6)
         lams = (0.5, 1.0, 0.3)
-        total = vertex_loss_smoothed(ex, table, lams, 0.0, encoder).item()
+        total = vertex_loss_smoothed(ex, table, lams, 0.0, f).item()
         parts = 0.0
         for lam, t in zip(lams, (1, 2, 3)):
             shifted = VertexExample(t=t, entity_id=0, tokens=ex.tokens,
                                     mask_pos=1)
             parts += lam * vertex_loss_smoothed(shifted, table, (0, 1, 0), 0.0,
-                                                encoder).item()
+                                                f).item()
         assert total == pytest.approx(parts, abs=1e-10)
 
 
 def test_all_terms_dropped_is_an_error():
     table = VertexEmbeddingTable(T=1, n_e=3, d_f=6)
-    encoder = HashedNgramEncoder(d_f=6)
     ex = VertexExample(t=1, entity_id=0, tokens=list("abc"), mask_pos=0)
+    (f,) = _masked_features([ex], 6)
     with pytest.raises(ValueError):
-        vertex_loss_smoothed(ex, table, (0.5, 0.0, 0.3), 0.0, encoder)
+        vertex_loss_smoothed(ex, table, (0.5, 0.0, 0.3), 0.0, f)
 
 
 def test_batched_total_matches_per_example_sum():
     with dk.use_dtype(np.float64):
         rng = np.random.default_rng(6)
         table = VertexEmbeddingTable(T=3, n_e=5, d_f=8, seed=7)
-        encoder = HashedNgramEncoder(d_f=8, seed=0)
         examples = [VertexExample(t=int(rng.integers(1, 4)),
                                   entity_id=int(rng.integers(5)),
                                   tokens=list("abcdefg"), mask_pos=3)
                     for _ in range(9)]
-        features = np.stack([encoder.encode_masked(e.tokens, e.mask_pos).numpy()
-                             for e in examples])
-        slow = sum(vertex_loss_smoothed(e, table, (0.5, 1.0, 0.3), 0.1,
-                                        encoder).item() for e in examples)
+        features = _masked_features(examples, 8)
+        slow = sum(vertex_loss_smoothed(e, table, (0.5, 1.0, 0.3), 0.1, f).item()
+                   for e, f in zip(examples, features))
         fast = vertex_loss_total(examples, table, (0.5, 1.0, 0.3), 0.1,
                                  features).item()
         assert fast == pytest.approx(slow, rel=1e-10)
@@ -174,11 +147,10 @@ def test_hinge_arithmetic_worked_examples():
 def test_hinge_inactive_gives_zero_loss_and_zero_gradients():
     with dk.use_dtype(np.float64):
         table = VertexEmbeddingTable(T=1, n_e=4, d_f=6, seed=8)
-        rn = RelationNetwork(d_f=6, margin=-1e3, seed=9)
-        encoder = HashedNgramEncoder(d_f=6, seed=0)
+        rn = RelationNetwork(d_f=6, seed=9)
         ex = EdgeExample(t=1, pair=(0, 1), tokens=list("abcdef"), negative=2)
         loss = edge_triplet_loss([ex], table, rn,
-                                 encoder.encode_cls(ex.tokens).numpy()[None])
+                                 ngram_features([ex.tokens], 6, 0), -1e3)
         assert loss.item() == 0.0
         loss.backward()
         for p in {**rn.parameters(), "w": table.w}.values():
@@ -188,18 +160,17 @@ def test_hinge_inactive_gives_zero_loss_and_zero_gradients():
 def test_no_negative_returns_none():
     table = VertexEmbeddingTable(T=1, n_e=3, d_f=4)
     rn = RelationNetwork(d_f=4)
-    encoder = HashedNgramEncoder(d_f=4)
     examples = [EdgeExample(t=1, pair=(0, 1), tokens=list("ab"), negative=None),
                 EdgeExample(t=1, pair=(1, 2), tokens=list("cd"), negative=None)]
-    features = np.stack([encoder.encode_cls(ex.tokens).numpy() for ex in examples])
-    assert edge_triplet_loss(examples, table, rn, features) is None
-    assert edge_triplet_loss([], table, rn, np.zeros((0, 4))) is None
+    features = ngram_features([ex.tokens for ex in examples], 4, 0)
+    assert edge_triplet_loss(examples, table, rn, features, 0.0) is None
+    assert edge_triplet_loss([], table, rn, np.zeros((0, 4)), 0.0) is None
 
 
 def _per_example_triplet_loss(example, table, rn, f_c):
-    """Margin reconstruction loss of one positive/negative pair against the
-    sentence feature `f_c`, built from engine ops, or None when no negative
-    was available; `edge_triplet_loss` must match its sum."""
+    """Reconstruction loss at margin 0 of one positive/negative pair against
+    the sentence feature `f_c`, built from engine ops, or None when no
+    negative was available; `edge_triplet_loss` must match its sum."""
     if example.negative is None:
         return None
     i, j = example.pair
@@ -210,7 +181,7 @@ def _per_example_triplet_loss(example, table, rn, f_c):
     f_pos = rn.reconstruct(v_i, r_pos, v_j)
     r_neg = rn.edge_embedding(v_i, v_k)
     f_neg = rn.reconstruct(v_i, r_neg, v_k)
-    gap = dk.l2_distance(f_pos, f_c) - dk.l2_distance(f_neg, f_c) + rn.margin
+    gap = dk.l2_distance(f_pos, f_c) - dk.l2_distance(f_neg, f_c)
     return gap.relu()
 
 
@@ -239,9 +210,7 @@ def synth_edge_batch(desk_corpus):
         examples += sample_negatives(make_edge_examples(novel, ekg), ekg,
                                      np.random.default_rng(seed))
     examples[-1].negative = None
-    encoder = HashedNgramEncoder(d_f=d_f)
-    features = np.stack([encoder.encode_cls(ex.tokens).numpy()
-                         for ex in examples])
+    features = ngram_features([ex.tokens for ex in examples], d_f, 0)
     return examples, novel.num_chapters, n_e, d_f, features
 
 
@@ -264,7 +233,7 @@ def test_batched_triplet_loss_matches_the_per_example_sum(synth_edge_batch,
 
     for p in params.values():
         p.zero_grad()
-    loss = edge_triplet_loss(examples, table, rn, features)
+    loss = edge_triplet_loss(examples, table, rn, features, 0.0)
     # the batched products and sums add in another order: equal up to
     # float32 round-off, with gradients held relative to their largest entry
     np.testing.assert_allclose(loss.data, reference.data, rtol=1e-5)
@@ -284,15 +253,14 @@ def test_batched_triplet_loss_matches_the_per_example_sum(synth_edge_batch,
                                    rtol=1e-5, atol=1e-6)
 
 
-def _reference_bag(encoder, tokens):
+def _reference_bag(tokens, d_f, seed):
     """Hashed n-gram bag, one n-gram at a time."""
-    vec = np.zeros(encoder.d_f)
-    for n in encoder.ngram_sizes:
+    vec = np.zeros(d_f)
+    for n in (1, 2, 3):
         for i in range(len(tokens) - n + 1):
-            key = ("\x01".join(tokens[i:i + n])
-                   + f"\x02{n}\x02{encoder.seed}").encode()
+            key = ("\x01".join(tokens[i:i + n]) + f"\x02{n}\x02{seed}").encode()
             h = zlib.crc32(key)
-            vec[h % encoder.d_f] += 1.0 if (h >> 16) & 1 else -1.0
+            vec[h % d_f] += 1.0 if (h >> 16) & 1 else -1.0
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
 
@@ -305,10 +273,9 @@ def test_bag_matches_one_ngram_at_a_time(d_f):
         [alphabet[k] for k in rng.integers(len(alphabet), size=int(n))]
         for n in rng.integers(2, 80, size=20)]
     for seed in (0, 7):
-        encoder = HashedNgramEncoder(d_f=d_f, seed=seed)
         for tokens in token_lists:
-            got = encoder._bag(tokens)
-            want = _reference_bag(encoder, tokens)
+            (got,) = ngram_features([tokens], d_f, seed)
+            want = _reference_bag(tokens, d_f, seed)
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want), tokens
 
@@ -387,6 +354,7 @@ def test_artifact_roundtrip(tmp_path):
     path = tmp_path / "embed.bin"
     artifact.save(path)
     loaded = EkgEmbeddings.load(path)
+    assert dk.load_arrays(path, magic=dk.EMBED_MAGIC)[1] == {}
     np.testing.assert_allclose(loaded.table.w.data, artifact.table.w.data,
                                atol=1e-6)
     a = dk.Tensor(np.linspace(0, 1, 8))
@@ -394,16 +362,12 @@ def test_artifact_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.rn.edge_embedding(a, b).numpy(),
                                artifact.rn.edge_embedding(a, b).numpy(),
                                atol=1e-6)
-    assert loaded.encoder.config() == artifact.encoder.config()
 
 
 def test_materialize_shapes_and_determinism():
     T, d = 3, 8
     table = VertexEmbeddingTable(T=T, n_e=9, d_f=d, seed=1)
-    rn = RelationNetwork(d_f=d, seed=2)
-    encoder = HashedNgramEncoder(d_f=d)
-    artifact = EkgEmbeddings(T=T, n_e=9, d_f=d, table=table, rn=rn,
-                             encoder=encoder)
+    artifact = EkgEmbeddings(table=table, rn=RelationNetwork(d_f=d, seed=2))
     local = LocalEKG(passage_id="p", t=2, vertex_ids=[0, 2, 4, 6, 8],
                      edges=[(0, 2), (2, 4), (4, 6), (6, 8)])
     materialize_embeddings(artifact, local)
@@ -420,8 +384,9 @@ def test_materialize_shapes_and_determinism():
 def _edge_seq_per_pair(artifact, local):
     """Relation-network edge embeddings one (chapter, edge) pair at a time."""
     W = artifact.table.w.data
-    out = np.zeros((artifact.T, len(local.edges), artifact.d_f), dtype=W.dtype)
-    for t in range(artifact.T):
+    T, _, d_f = W.shape
+    out = np.zeros((T, len(local.edges), d_f), dtype=W.dtype)
+    for t in range(T):
         for e, (i, j) in enumerate(local.edges):
             r = artifact.rn.edge_embedding(dk.Tensor(W[t, i]), dk.Tensor(W[t, j]))
             out[t, e] = r.numpy()
@@ -437,9 +402,7 @@ def test_materialize_matches_per_pair_reference(vertex_ids, edges):
     T, d = 4, 16
     table = VertexEmbeddingTable(T=T, n_e=9, d_f=d, seed=3)
     table.w.data *= 20.0       # outputs of a few units, as after training
-    artifact = EkgEmbeddings(T=T, n_e=9, d_f=d, table=table,
-                             rn=RelationNetwork(d_f=d, seed=4),
-                             encoder=HashedNgramEncoder(d_f=d))
+    artifact = EkgEmbeddings(table=table, rn=RelationNetwork(d_f=d, seed=4))
     local = materialize_embeddings(
         artifact, LocalEKG(passage_id="p", t=1, vertex_ids=vertex_ids,
                            edges=edges))
@@ -452,12 +415,11 @@ def test_materialize_matches_per_pair_reference(vertex_ids, edges):
 
 
 def test_hashed_encoder_deterministic_and_normalized():
-    enc = HashedNgramEncoder(d_f=32, seed=0)
-    v1 = enc.encode_cls(list("abcdef")).numpy()
-    v2 = enc.encode_cls(list("abcdef")).numpy()
+    v1, v2, v3 = ngram_features([list("abcdef"), list("abcdef"), list("ghijkl")],
+                                32, 0)
     np.testing.assert_array_equal(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-5)
-    assert not np.allclose(v1, enc.encode_cls(list("ghijkl")).numpy())
+    assert not np.allclose(v1, v3)
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +432,12 @@ def test_encode_many_rows_equal_one_sentence_bags():
         [alphabet[k] for k in rng.integers(len(alphabet), size=int(n))]
         for n in rng.integers(2, 80, size=30)]
     for d_f, seed in ((3, 0), (64, 7)):
-        encoder = HashedNgramEncoder(d_f=d_f, seed=seed)
-        rows = encoder.encode_many(sentences)
+        rows = ngram_features(sentences, d_f, seed)
         assert rows.shape == (len(sentences), d_f) and rows.dtype == np.float64
         for row, tokens in zip(rows, sentences):
-            assert np.array_equal(row, encoder._bag(tokens)), tokens
-            assert np.array_equal(row, _reference_bag(encoder, tokens)), tokens
-    assert HashedNgramEncoder(d_f=4).encode_many([]).shape == (0, 4)
+            assert np.array_equal(row, ngram_features([tokens], d_f, seed)[0]), tokens
+            assert np.array_equal(row, _reference_bag(tokens, d_f, seed)), tokens
+    assert ngram_features([], 4, 0).shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +456,7 @@ def _elementary_vertex_loss_total(examples, table, lambdas, eps_ls, features):
         rows = feats[np.asarray(idxs)]
         targets = np.asarray([examples[i].entity_id for i in idxs])
         for lam, tt in ((lambdas[0], t - 1), (lambdas[1], t), (lambdas[2], t + 1)):
-            if lam == 0.0 or not 1 <= tt <= table.T:
+            if lam == 0.0 or not 1 <= tt <= len(table.w.data):
                 continue
             logits = rows @ table.at(tt).T
             ce = dk.cross_entropy_label_smoothed(logits, targets, eps_ls)
@@ -519,9 +480,7 @@ def desk_vertex_batch(desk_corpus):
     float32 row per example."""
     novel, mentions, n_e, d_f = desk_corpus
     examples = make_vertex_examples(novel, mentions)
-    encoder = HashedNgramEncoder(d_f=d_f)
-    features = np.stack([encoder.encode_masked(ex.tokens, ex.mask_pos).numpy()
-                         for ex in examples])
+    features = _masked_features(examples, d_f).astype(np.float32)
     return examples, novel.num_chapters, n_e, d_f, features
 
 

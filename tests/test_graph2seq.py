@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ekgen import diffkit as dk
-from ekgen import pipeline
+from ekgen import embed, pipeline
 from ekgen.config import PipelineConfig, load_config
 from ekgen.corpus import BOS, EOS
 from ekgen.ekg import LocalEKG
@@ -313,6 +313,27 @@ def test_masking_graph_slot_changes_distribution():
     assert np.abs(baseline - changed).max() > 1e-9
 
 
+def test_token_accuracy_builds_no_graph(monkeypatch):
+    """`token_accuracy` decodes without a graph, to the logits the graph
+    holds."""
+    model = _tiny_model()
+    local = _tiny_local(np.random.default_rng(4))
+    passage, comment = [6, 7, 8, 9], [10, 11, 12]
+    decode, logits = model._decode, []
+
+    def spy(*args):
+        logits.append(decode(*args))
+        return logits[-1]
+    monkeypatch.setattr(model, "_decode", spy)
+    accuracy = model.token_accuracy(passage, local, comment)
+    (got,) = logits
+    want = decode(model.fuse_memory(passage, local), [BOS] + comment)
+    assert want.requires_grad and not got.requires_grad
+    assert np.array_equal(got.data, want.data)
+    target = np.asarray(comment + [EOS])
+    assert accuracy == float((want.data.argmax(axis=-1) == target).mean())
+
+
 def test_initial_nll_close_to_log_vocab():
     rng = np.random.default_rng(13)
     model = _tiny_model(vocab_size=100, seed=3)
@@ -357,7 +378,7 @@ def test_train_g2s_rejects_empty_dataset():
         train_g2s([], model, _tiny_config(g2s_steps=1))
 
 
-def test_pipeline_config_fields_reach_components():
+def test_pipeline_config_fields_reach_components(monkeypatch):
     # every value differs from its default and from the other layer counts,
     # so a field read under the wrong name shows
     cfg = PipelineConfig(d_f=6, d_model=12, n_heads=3, encoder_layers=3,
@@ -375,11 +396,18 @@ def test_pipeline_config_fields_reach_components():
     assert len(model.gat) == cfg.gat_layers
 
     novel, mentions, ekg = _tiny_corpus()
+    margins = []
+    triplet_loss = embed.edge_triplet_loss
+
+    def spy(*args):
+        margins.append(args[-1])
+        return triplet_loss(*args)
+    monkeypatch.setattr(embed, "edge_triplet_loss", spy)
     artifact = train_ekg(novel, mentions, ekg, cfg, n_e=3)
     assert artifact.table.w.shape == (novel.num_chapters, 3, cfg.d_f)
     assert len(artifact.history["phase1"]) == cfg.phase1_steps
     assert len(artifact.history["phase2"]) == cfg.phase2_steps
-    assert artifact.rn.margin == cfg.alpha
+    assert margins == [cfg.alpha] * cfg.phase2_steps
 
     rng = np.random.default_rng(3)
     examples = [G2SExample(passage_ids=[6, 7, 8], local=_tiny_local(rng, d_f=6),

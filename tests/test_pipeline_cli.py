@@ -233,6 +233,30 @@ def test_cli_truncated_checkpoint_exit_code(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("change, stages", [
+    (["d_f=4"], ()),
+    (["synth_chapters=3"], ("synth", "ingest", "build-ekg")),
+    (["synth_chapters=1"], ("synth", "ingest", "build-ekg")),
+], ids=["other-d_f", "more-chapters", "fewer-chapters"])
+def test_cli_refuses_embeddings_of_another_shape(tmp_path, capsys, change,
+                                                 stages):
+    """Embeddings trained for another d_f, or before the corpus was ingested
+    again into another number of chapters, exit 3 naming their file."""
+    ws = tmp_path / "ws"
+    for stage in ("synth", "ingest", "build-ekg", "train-ekg"):
+        assert cli.main([stage, "--workspace", str(ws)] + _small_args()) == 0
+    args = _small_args() + [a for item in change for a in ("--set", item)]
+    for stage in stages:
+        assert cli.main([stage, "--workspace", str(ws)] + args) == 0
+    capsys.readouterr()
+    assert cli.main(["train-g2s", "--workspace", str(ws)] + args) == 3
+    err = capsys.readouterr().err
+    path = ws / "embed" / "ekg_embed.bin"
+    assert err.startswith(f"error: {path} holds a vertex table of shape ")
+    assert err.count("\n") == 1, err
+    assert not (ws / "g2s").exists()
+
+
 def _drop(key):
     return lambda raw: raw.pop(key)
 
@@ -488,6 +512,7 @@ def test_write_failing_midway_keeps_previous_artifacts(tmp_path, monkeypatch):
     pipeline.run_full_pipeline(ws, cfg, generate_limit=1)
     pipeline.run_stats(ws, cfg)
     stages = {
+        "synth": lambda: pipeline.run_synth(ws, cfg),
         "ingest": lambda: pipeline.run_ingest(ws, cfg),
         "stats": lambda: pipeline.run_stats(ws, cfg),
         "build-ekg": lambda: pipeline.run_build_ekg(ws, cfg),
@@ -526,6 +551,8 @@ def test_write_failing_midway_keeps_previous_artifacts(tmp_path, monkeypatch):
             n += 1
     names = {(stage, name.removesuffix(".tmp")) for stage, name in torn}
     assert names == {
+        ("synth", "novel.json"), ("synth", "lexicon.json"),
+        ("synth", "passages.jsonl"), ("synth", "manifest.json"),
         ("ingest", "corpus.json"), ("ingest", "manifest.json"),
         ("stats", "stats.txt"), ("stats", "manifest.json"),
         ("build-ekg", "global.json"), ("build-ekg", "manifest.json"),

@@ -29,44 +29,52 @@ READER = {
 CHECKPOINTS = {"embed/ekg_embed.bin": dk.EMBED_MAGIC, "g2s/model.bin": dk.MAGIC}
 
 
-def _entry(i, edit):
-    def apply(manifest):
-        edit(manifest["params"][i % len(manifest["params"])])
+def _entry(edit):
+    """Apply `edit` to the array entry the drawn index picks; any index
+    reaches an entry, so every array of either checkpoint can be edited."""
+    def apply(manifest, k):
+        edit(manifest["params"][k % len(manifest["params"])])
     return apply
 
 
+def _whole(edit):
+    return lambda manifest, k: edit(manifest)
+
+
 def _extra(edit):
-    return lambda manifest: edit(manifest["extra"])
+    return lambda manifest, k: edit(manifest["extra"])
 
 
-# edits of a checkpoint's JSON manifest
+# edits of a checkpoint's JSON manifest, each given a drawn entry index
 EDITS = [
-    lambda m: m.clear(),
-    lambda m: m.pop("params"),
-    lambda m: m.__setitem__("params", {"x": 1}),
-    lambda m: m.__setitem__("extra", []),
-    _extra(lambda e: e.pop("T", None)),
-    _extra(lambda e: e.pop("encoder_config", None)),
+    _whole(lambda m: m.clear()),
+    _whole(lambda m: m.pop("params")),
+    _whole(lambda m: m.__setitem__("params", {"x": 1})),
+    _whole(lambda m: m.__setitem__("extra", [])),
+    _whole(lambda m: m.pop("extra")),
+    # the dims the embedding file once kept beside its arrays
+    _extra(lambda e: e.update(T=9, n_e=9, d_f=9)),
     _extra(lambda e: e.__setitem__("T", "3")),
-] + [edit for i in range(4) for edit in (
-    _entry(i, lambda e: e.pop("name")),
-    _entry(i, lambda e: e.pop("shape")),
-    _entry(i, lambda e: e.pop("offset")),
-    _entry(i, lambda e: e.__setitem__("shape", e["shape"] + [2])),
-    _entry(i, lambda e: e.__setitem__("shape", e["shape"][1:])),
-    _entry(i, lambda e: e.__setitem__("shape", "x")),
-    _entry(i, lambda e: e.__setitem__("shape", [-1])),
-    _entry(i, lambda e: e.__setitem__("offset", -4)),
-    _entry(i, lambda e: e.__setitem__("offset", str(e["offset"]))),
-    _entry(i, lambda e: e.__setitem__("offset", 1 << 40)),
-)]
+    _entry(lambda e: e.pop("name")),
+    _entry(lambda e: e.pop("shape")),
+    _entry(lambda e: e.pop("offset")),
+    _entry(lambda e: e.__setitem__("shape", e["shape"] + [2])),
+    _entry(lambda e: e.__setitem__("shape", e["shape"][1:])),
+    _entry(lambda e: e.__setitem__("shape", e["shape"][::-1])),
+    _entry(lambda e: e.__setitem__("shape", "x")),
+    _entry(lambda e: e.__setitem__("shape", [-1])),
+    _entry(lambda e: e.__setitem__("offset", -4)),
+    _entry(lambda e: e.__setitem__("offset", str(e["offset"]))),
+    _entry(lambda e: e.__setitem__("offset", 1 << 40)),
+]
+ENTRY = st.integers(0, 1 << 10)
 
 
-def _edit_manifest(raw: bytes, magic: bytes, edit) -> bytes:
+def _edit_manifest(raw: bytes, magic: bytes, edit, k: int) -> bytes:
     start = len(magic) + 4
     (n,) = struct.unpack_from("<I", raw, len(magic))
     manifest = json.loads(raw[start:start + n])
-    edit(manifest)
+    edit(manifest, k)
     body = json.dumps(manifest).encode("utf-8")
     return magic + struct.pack("<I", len(body)) + body + raw[start + n:]
 
@@ -111,22 +119,24 @@ def test_malformed_checkpoint_succeeds_or_exits_3_naming_it(
         pristine, tmp_path_factory, capsys, data):
     rel = data.draw(st.sampled_from(sorted(CHECKPOINTS)), label="checkpoint")
     edit = data.draw(st.sampled_from(EDITS), label="edit")
+    k = data.draw(ENTRY, label="entry")
     ws = tmp_path_factory.mktemp("malformed") / "ws"
     shutil.copytree(pristine, ws)
     path = ws / rel
-    path.write_bytes(_edit_manifest(path.read_bytes(), CHECKPOINTS[rel], edit))
+    path.write_bytes(_edit_manifest(path.read_bytes(), CHECKPOINTS[rel], edit, k))
     _run(ws, READER[rel], path, capsys)
 
 
 @settings(max_examples=100, deadline=None)
-@given(rel=st.sampled_from(sorted(CHECKPOINTS)), edit=st.sampled_from(EDITS))
+@given(rel=st.sampled_from(sorted(CHECKPOINTS)), edit=st.sampled_from(EDITS),
+       k=ENTRY)
 def test_load_arrays_loads_or_raises_checkpoint_error(pristine, tmp_path_factory,
-                                                      rel, edit):
+                                                      rel, edit, k):
     """`dk.load_arrays` itself, not only the stage that calls it, raises a
     malformed manifest as `CheckpointError` naming the file."""
     path = tmp_path_factory.mktemp("ck") / "ck.bin"
     raw = (pristine / rel).read_bytes()
-    path.write_bytes(_edit_manifest(raw, CHECKPOINTS[rel], edit))
+    path.write_bytes(_edit_manifest(raw, CHECKPOINTS[rel], edit, k))
     try:
         dk.load_arrays(path, magic=CHECKPOINTS[rel])
     except dk.CheckpointError as e:
