@@ -37,32 +37,23 @@ def main() -> int:
 
     start = time.monotonic()
     with pipeline.workspace_lock(ws):
-        pipeline.run_synth(ws, cfg)
-        pipeline.run_ingest(ws, cfg)
-        pipeline.run_build_ekg(ws, cfg)
+        report = pipeline.run_full_pipeline(ws, cfg)
+    w = pipeline.Workspace(ws, cfg)
+    print(pipeline.report_stats(w.corpus.novel, w.corpus.passages, w.ekg))
 
-        w = pipeline.Workspace(ws, cfg)
-        print(pipeline.report_stats(w.corpus.novel, w.corpus.passages, w.ekg))
+    hist = json.loads((ws / "embed" / "history.json").read_text())
+    p1 = hist["phase1"]
+    print(f"embedding phase 1: loss {p1[0]:.4f} -> {p1[-1]:.4f} "
+          f"over {len(p1)} steps")
+    if hist.get("phase2"):
+        p2 = hist["phase2"]
+        print(f"embedding phase 2: loss {p2[0]:.4f} -> {p2[-1]:.4f} "
+              f"over {len(p2)} steps")
+    g2s = json.loads((ws / "g2s" / "history.json").read_text())["loss"]
+    print(f"generator: loss {g2s[0]:.4f} -> {g2s[-1]:.4f} "
+          f"over {len(g2s)} steps")
 
-        pipeline.run_train_ekg(ws, cfg)
-        hist = json.loads((ws / "embed" / "history.json").read_text())
-        p1 = hist["phase1"]
-        print(f"embedding phase 1: loss {p1[0]:.4f} -> {p1[-1]:.4f} "
-              f"over {len(p1)} steps")
-        if hist.get("phase2"):
-            p2 = hist["phase2"]
-            print(f"embedding phase 2: loss {p2[0]:.4f} -> {p2[-1]:.4f} "
-                  f"over {len(p2)} steps")
-
-        pipeline.run_train_g2s(ws, cfg)
-        g2s = json.loads((ws / "g2s" / "history.json").read_text())["loss"]
-        print(f"generator: loss {g2s[0]:.4f} -> {g2s[-1]:.4f} "
-              f"over {len(g2s)} steps")
-
-        gen_path = pipeline.run_generate(ws, cfg)
-        report = pipeline.run_evaluate(ws, cfg)
-
-    with open(gen_path, encoding="utf-8") as fh:
+    with open(ws / "generate" / "comments.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     for rec in records[: args.show]:
         top = rec["comments"][0]["text"] if rec["comments"] else "<empty>"

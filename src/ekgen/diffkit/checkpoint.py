@@ -93,6 +93,9 @@ def load_arrays(path, magic: bytes = MAGIC) -> tuple[dict[str, np.ndarray], dict
                     f"of a {len(blob)}-byte data section; the file is truncated")
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
             arrays[name] = arr.reshape(shape).astype(np.float32)
-        return arrays, manifest.get("extra", {})
+        extra = manifest.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError(f"extra {extra!r} is not a JSON object")
+        return arrays, extra
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed manifest: {e!r}") from e

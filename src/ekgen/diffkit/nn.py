@@ -33,12 +33,18 @@ class Module:
             p.zero_grad()
 
     def load_state(self, state: dict[str, np.ndarray]):
+        """Set each parameter to its array in `state`. A state whose names or
+        shapes are not the parameters' raises ValueError naming them."""
         params = self.parameters()
         missing = set(params) ^ set(state)
         if missing:
-            raise KeyError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
+            raise ValueError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
         for name, p in params.items():
-            p.data = np.asarray(state[name], dtype=p.data.dtype).reshape(p.data.shape)
+            shape = np.shape(state[name])
+            if shape != p.data.shape:
+                raise ValueError(f"parameter {name!r} has shape {list(shape)}, "
+                                 f"not {list(p.data.shape)}")
+            p.data = np.asarray(state[name], dtype=p.data.dtype)
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.parameters().items()}

@@ -32,13 +32,6 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 # sentence features
 
-def _masked(tokens: list[str], mask_pos: int) -> list[str]:
-    """`tokens` with the one at `mask_pos` replaced by the mask token."""
-    masked = list(tokens)
-    masked[mask_pos] = MASK_TOKEN
-    return masked
-
-
 NGRAM_SIZES = (1, 2, 3)          # consecutive from 1: each extends the last
 
 
@@ -129,7 +122,7 @@ class VertexExample:
     t: int
     entity_id: int
     tokens: list[str]        # sentence with the mention span collapsed
-    mask_pos: int
+    mask_pos: int            # to the MASK_TOKEN at this index
 
 
 @dataclass
@@ -398,8 +391,8 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
     rn = RelationNetwork(cfg.d_f, seed=cfg.seed + 2)
 
     v_examples = make_vertex_examples(novel, mentions)
-    features = ngram_features([_masked(ex.tokens, ex.mask_pos)
-                               for ex in v_examples], cfg.d_f, cfg.seed)
+    features = ngram_features([ex.tokens for ex in v_examples], cfg.d_f,
+                              cfg.seed)
 
     history: dict[str, list[float]] = {"phase1": [], "phase2": [],
                                        "skipped_negatives": []}

@@ -223,19 +223,12 @@ def _parse_ekg(raw: dict) -> GlobalEKG:
                      entity_frequency=freq)
 
 
-# settings that fix a trained generator's parameters and what they mean
-_MODEL_KEYS = ("mode", "d_model", "d_f", "n_heads", "encoder_layers",
-               "decoder_layers", "bilstm_layers", "gat_layers")
-
-
-@contextlib.contextmanager
-def _checkpoint_fields(path: Path):
-    """A missing field, or one of the wrong type or shape, in the checkpoint
-    at `path` raises `CheckpointError` naming it."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as e:
-        raise dk.CheckpointError(f"{path}: malformed checkpoint: {e!r}") from e
+def _model_record(cfg: PipelineConfig, vocab: cp.Vocabulary) -> dict:
+    """What a generator checkpoint records beside its arrays: the settings
+    that its array names and shapes, which fix `d_model`, `d_f`, the layer
+    counts and the vocabulary size, do not show."""
+    return {"mode": cfg.mode, "n_heads": cfg.n_heads,
+            "vocab_hash": vocab.content_hash()}
 
 
 class Workspace:
@@ -261,8 +254,10 @@ class Workspace:
         """The trained embeddings; a vertex table whose shape is not (corpus
         chapters, corpus entities, this run's `d_f`) raises `CheckpointError`."""
         path = _require(self.root / "embed" / "ekg_embed.bin", "train-ekg")
-        with _checkpoint_fields(path):
+        try:
             artifact = EkgEmbeddings.load(path)
+        except (KeyError, TypeError, ValueError) as e:
+            raise dk.CheckpointError(f"{path}: malformed checkpoint: {e!r}") from e
         want = (self.corpus.novel.num_chapters, self.corpus.n_e, self.cfg.d_f)
         if artifact.table.w.shape != want:
             raise dk.CheckpointError(
@@ -272,29 +267,26 @@ class Workspace:
 
     @cached_property
     def model(self) -> Graph2SeqModel:
-        """The trained generator, built from this run's config once its
-        `model.json` sidecar is found to record the same model settings
-        (`_MODEL_KEYS`) and vocabulary; a sidecar that differs raises
-        `CheckpointError`."""
-        model_path = _require(self.root / "g2s" / "model.bin", "train-g2s")
-        sidecar_path = _require(self.root / "g2s" / "model.json", "train-g2s")
-        try:
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-            trained = {k: sidecar["config"][k] for k in _MODEL_KEYS}
-            trained["vocab_hash"] = sidecar["vocab_hash"]
-        except (ValueError, KeyError, TypeError) as e:
-            raise dk.CheckpointError(
-                f"{sidecar_path}: unreadable sidecar: {e!r}") from e
+        """The trained generator, built from this run's config. A checkpoint
+        that records another `_model_record`, or whose arrays do not fit
+        this run's model, raises `CheckpointError` naming what differs."""
+        path = _require(self.root / "g2s" / "model.bin", "train-g2s")
+        arrays, trained = dk.load_arrays(path)
         vocab = self.corpus.vocab
-        run = dict(vars(self.cfg), vocab_hash=vocab.content_hash())
-        differ = [f"{k} {trained[k]!r} (this run: {run[k]!r})"
-                  for k in trained if trained[k] != run[k]]
+        differ = [f"{k} {trained[k]!r} (this run: {v!r})" if k in trained
+                  else f"no {k} recorded"
+                  for k, v in _model_record(self.cfg, vocab).items()
+                  if trained.get(k) != v]
+        model = Graph2SeqModel(self.cfg, len(vocab))
+        try:
+            model.load_state(arrays)
+        except ValueError as e:
+            differ.append(str(e))
         if differ:
             raise dk.CheckpointError(
-                f"{model_path} was trained with {', '.join(differ)}")
-        with _checkpoint_fields(model_path):
-            model = Graph2SeqModel(self.cfg, len(vocab))
-            model.load_state(dk.load_arrays(model_path)[0])
+                f"{path} was trained as another model: {'; '.join(differ)}; "
+                "run with the settings it was trained with, or run train-g2s "
+                "again")
         return model
 
     def local_ekg(self, passage: cp.Passage) -> LocalEKG:
@@ -420,14 +412,10 @@ def run_train_g2s(ws: Path, cfg: PipelineConfig) -> Path:
     model = Graph2SeqModel(cfg, len(vocab))
     history = train_g2s(examples, model, cfg)
     out = ws / "g2s" / "model.bin"
-    dk.save_arrays(out, model.state())
-    sidecar = ws / "g2s" / "model.json"
-    _write_text(sidecar, json.dumps({"vocab_hash": vocab.content_hash(),
-                                     "config": json.loads(cfg.to_json())},
-                                    sort_keys=True))
+    dk.save_arrays(out, model.state(), extra=_model_record(cfg, vocab))
     hist = ws / "g2s" / "history.json"
     _write_text(hist, json.dumps(history, sort_keys=True))
-    _record(ws, "train-g2s", cfg, [out, sidecar, hist])
+    _record(ws, "train-g2s", cfg, [out, hist])
     return out
 
 
@@ -464,15 +452,19 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
     corpus = Workspace(ws, cfg).corpus
     gen_path = _require(ws / "generate" / "comments.jsonl", "generate")
     by_id = {p.id: p for p in corpus.passages}
-    pairs = []
+    pairs, lineno = [], 0
     with open(gen_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 rec = json.loads(line)
                 pid = rec["passage_id"]
+                texts = [c["text"] for c in rec["comments"]]
+                if not all(isinstance(t, str) for t in texts):
+                    raise TypeError(f"comment texts {texts!r} are not all "
+                                    "strings")
                 # best-scoring non-empty beam; beams are sorted by score
-                hyp = next((cp.tokenize(c["text"], corpus.token_mode)
-                            for c in rec["comments"] if c["text"]), None)
+                hyp = next((cp.tokenize(t, corpus.token_mode)
+                            for t in texts if t), None)
             except (ValueError, KeyError, TypeError) as e:
                 raise CorruptArtifact(f"{gen_path}:{lineno}: unreadable "
                                       f"record ({e!r})") from e
@@ -482,6 +474,10 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
             refs = [c.text for c in by_id[pid].comments[:5]]
             if hyp and refs:
                 pairs.append(EvalPair(hypothesis=hyp, references=refs))
+    if not lineno:
+        # generate writes one record per passage, and ingest keeps at least one
+        raise CorruptArtifact(f"{gen_path}: holds no record; run the "
+                              "'generate' stage again")
     if not pairs:
         raise RuntimeError("no non-empty hypotheses to evaluate")
     bleu = bleu_corpus(pairs)

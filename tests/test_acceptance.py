@@ -17,8 +17,8 @@ from ekgen import diffkit as dk
 from ekgen import pipeline
 from ekgen.config import PipelineConfig, load_config
 from ekgen.ekg import LocalEKG
-from ekgen.embed import (EdgeExample, RelationNetwork, VertexEmbeddingTable,
-                         VertexExample, _masked, edge_triplet_loss,
+from ekgen.embed import (MASK_TOKEN, EdgeExample, RelationNetwork,
+                         VertexEmbeddingTable, VertexExample, edge_triplet_loss,
                          ngram_features, train_ekg, vertex_loss_smoothed)
 from ekgen.gradsuite import run_gradient_suite
 from ekgen.graph2seq import GATLayer, beam_decode, gat_layer, greedy_decode
@@ -89,7 +89,8 @@ def test_criterion_02_smoothed_loss_reduction_identity(capsys):
                                    entity_id=int(rng.integers(n_e)),
                                    tokens=tokens,
                                    mask_pos=int(rng.integers(len(tokens))))
-                (f,) = ngram_features([_masked(ex.tokens, ex.mask_pos)], d_f, k)
+                tokens[ex.mask_pos] = MASK_TOKEN
+                (f,) = ngram_features([ex.tokens], d_f, k)
                 got = vertex_loss_smoothed(ex, table, (0.0, 1.0, 0.0), 0.0,
                                            f).item()
                 logits = table.w.data[ex.t - 1] @ f

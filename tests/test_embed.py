@@ -17,9 +17,11 @@ from ekgen.embed import (EdgeExample, EkgEmbeddings, RelationNetwork,
 
 
 def _masked_features(examples, d_f, seed=0):
-    """The masked-sentence feature row of each vertex example."""
-    return ngram_features([embed._masked(e.tokens, e.mask_pos) for e in examples],
-                          d_f, seed)
+    """The masked-sentence feature row of each vertex example, after putting
+    the mask token at its `mask_pos`, as `make_vertex_examples` does."""
+    for e in examples:
+        e.tokens[e.mask_pos] = embed.MASK_TOKEN
+    return ngram_features([e.tokens for e in examples], d_f, seed)
 
 
 def test_chapter_index_out_of_range_rejected():

@@ -219,5 +219,11 @@ def test_module_state_roundtrip():
 
 def test_module_load_state_rejects_mismatch():
     layer = dk.Linear(np.random.default_rng(0), 3, 3)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"mismatch: \['b'\]"):
         layer.load_state({"w": np.zeros((3, 3))})  # missing "b"
+
+
+def test_module_load_state_rejects_permuted_shape():
+    layer = dk.Linear(np.random.default_rng(0), 3, 5)
+    with pytest.raises(ValueError, match=r"'w' has shape \[5, 3\], not \[3, 5\]"):
+        layer.load_state({"w": np.zeros((5, 3)), "b": np.zeros(5)})

@@ -37,7 +37,7 @@ def test_full_small_pipeline_produces_all_artifacts(tmp_path):
     assert set(report) == {"bleu", "precisions", "bp", "rouge_l"}
     for rel in ["data/novel.json", "corpus/corpus.json", "ekg/global.json",
                 "embed/ekg_embed.bin", "g2s/model.bin",
-                "g2s/model.json", "generate/comments.jsonl",
+                "generate/comments.jsonl",
                 "evaluate/report.json", "manifest.json"]:
         assert (ws / rel).exists(), rel
     manifest = json.loads((ws / "manifest.json").read_text())
@@ -306,14 +306,19 @@ def trained_ws(tmp_path):
 
 
 @pytest.mark.parametrize("override", ["mode=EKG", "mode=GAT_V", "d_model=16",
-                                      "gat_layers=2", "n_heads=4"])
+                                      "gat_layers=2", "n_heads=4",
+                                      "encoder_layers=2", "decoder_layers=2",
+                                      "bilstm_layers=2", "d_f=16"])
 def test_cli_generate_refuses_other_model_settings(trained_ws, capsys, override):
     ws, args = trained_ws
     capsys.readouterr()
     code = cli.main(["generate", "--workspace", str(ws)] + args
                     + ["--set", override])
     assert code == 3
-    _assert_one_line_error(capsys)
+    err = capsys.readouterr().err
+    path = ws / "g2s" / "model.bin"
+    assert err.startswith(f"error: {path} was trained as another model: ") \
+        and err.count("\n") == 1, err
     assert not (ws / "generate").exists()
     assert cli.main(["generate", "--workspace", str(ws)] + args) == 0
 
@@ -322,23 +327,6 @@ def test_cli_generate_takes_length_limits_from_the_run(trained_ws):
     ws, args = trained_ws
     limits = ["--set", "max_len=20", "--set", "max_passage=16"]
     assert cli.main(["generate", "--workspace", str(ws)] + args + limits) == 0
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda raw: raw.__setitem__("vocab_hash", "0" * 16), "vocab_hash"),
-    (lambda raw: raw.pop("config"), "unreadable sidecar"),
-], ids=["other-vocabulary", "no-config"])
-def test_cli_generate_refuses_other_or_unreadable_sidecar(trained_ws, capsys,
-                                                         edit, message):
-    ws, args = trained_ws
-    sidecar = ws / "g2s" / "model.json"
-    raw = json.loads(sidecar.read_text())
-    edit(raw)
-    sidecar.write_text(json.dumps(raw))
-    capsys.readouterr()
-    assert cli.main(["generate", "--workspace", str(ws)] + args) == 3
-    err = capsys.readouterr().err
-    assert message in err and err.count("\n") == 1, err
 
 
 def test_failed_manifest_replace_keeps_previous_manifest(tmp_path, monkeypatch):
@@ -397,6 +385,22 @@ def test_cli_evaluate_unknown_passage_exit_code(generated_ws, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{len(lines)}: ") \
         and "no-such-passage" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", [[1], {"a": "b"}], ids=["list", "dict"])
+def test_cli_evaluate_refuses_non_string_comment_text(generated_ws, capsys,
+                                                      text):
+    ws, args = generated_ws
+    path = ws / "generate" / "comments.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[0])
+    rec["comments"][0]["text"] = text
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--workspace", str(ws)] + args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1, err
 
 
 def test_workspace_lock_records_owner_pid(tmp_path):
@@ -558,7 +562,7 @@ def test_write_failing_midway_keeps_previous_artifacts(tmp_path, monkeypatch):
         ("build-ekg", "global.json"), ("build-ekg", "manifest.json"),
         ("train-ekg", "ekg_embed.bin"), ("train-ekg", "history.json"),
         ("train-ekg", "manifest.json"),
-        ("train-g2s", "model.bin"), ("train-g2s", "model.json"),
-        ("train-g2s", "history.json"), ("train-g2s", "manifest.json"),
+        ("train-g2s", "model.bin"), ("train-g2s", "history.json"),
+        ("train-g2s", "manifest.json"),
         ("generate", "comments.jsonl"), ("generate", "manifest.json"),
         ("evaluate", "report.json"), ("evaluate", "manifest.json")}

@@ -23,7 +23,7 @@ READER = {
     "ekg/global.json": "train-ekg",
     "embed/ekg_embed.bin": "generate",
     "g2s/model.bin": "generate",
-    "g2s/model.json": "generate",
+    "generate/comments.jsonl": "evaluate",
     "manifest.json": "evaluate",
 }
 CHECKPOINTS = {"embed/ekg_embed.bin": dk.EMBED_MAGIC, "g2s/model.bin": dk.MAGIC}
@@ -55,6 +55,10 @@ EDITS = [
     # the dims the embedding file once kept beside its arrays
     _extra(lambda e: e.update(T=9, n_e=9, d_f=9)),
     _extra(lambda e: e.__setitem__("T", "3")),
+    # the settings a generator checkpoint records beside its arrays
+    _extra(lambda e: e.pop("mode", None)),
+    _extra(lambda e: e.__setitem__("n_heads", str(e.get("n_heads")))),
+    _extra(lambda e: e.__setitem__("vocab_hash", 7)),
     _entry(lambda e: e.pop("name")),
     _entry(lambda e: e.pop("shape")),
     _entry(lambda e: e.pop("offset")),
@@ -141,3 +145,33 @@ def test_load_arrays_loads_or_raises_checkpoint_error(pristine, tmp_path_factory
         dk.load_arrays(path, magic=CHECKPOINTS[rel])
     except dk.CheckpointError as e:
         assert str(e).startswith(f"{path}: "), e
+
+
+def _reverse_non_square(manifest):
+    entry = next(e for e in manifest["params"]
+                 if len(e["shape"]) == 2 and e["shape"][0] != e["shape"][1])
+    entry["shape"].reverse()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_extra(lambda e: e.__setitem__("vocab_hash", "0" * 16)), "vocab_hash"),
+    (_extra(lambda e: e.pop("mode")), "no mode recorded"),
+    (_whole(lambda m: m.__setitem__("extra", [])), "not a JSON object"),
+    (_whole(lambda m: m.__setitem__("extra", {})),
+     "no mode recorded; no n_heads recorded; no vocab_hash recorded"),
+    (_whole(_reverse_non_square), "has shape"),
+], ids=["other-vocabulary", "no-mode", "extra-not-object", "nothing-recorded",
+        "reversed-shape"])
+def test_cli_generate_refuses_other_or_unreadable_model_record(
+        pristine, tmp_path, capsys, edit, message):
+    """A generator checkpoint that records other settings, none, or arrays of
+    other shapes exits 3 with one line naming it."""
+    ws = tmp_path / "ws"
+    shutil.copytree(pristine, ws)
+    path = ws / "g2s" / "model.bin"
+    path.write_bytes(_edit_manifest(path.read_bytes(), dk.MAGIC, edit, 0))
+    capsys.readouterr()
+    assert cli.main(["generate", "--workspace", str(ws)] + ARGS) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and message in err \
+        and err.count("\n") == 1, err
