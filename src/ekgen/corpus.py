@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 PAD, BOS, EOS, UNK, MASK, CLS = 0, 1, 2, 3, 4, 5
@@ -35,7 +35,6 @@ def tokenize(text: str, mode: str = "char") -> list[str]:
 @dataclass
 class Chapter:
     index: int                       # 1-based ordinal after clustering
-    text: str                        # raw text, paragraph separators intact
     tokens: list[str]
     paragraphs: list[tuple[int, int]]  # token spans of paragraphs
     source_indices: list[int] = field(default_factory=list)
@@ -115,35 +114,30 @@ class Vocabulary:
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
     def decode(self, ids) -> list[str]:
-        return [self.id_to_token[i] for i in ids
-                if i not in (PAD, BOS, EOS)]
+        """Tokens of `ids`, without any of the special tokens."""
+        return [self.id_to_token[i] for i in ids if i >= len(SPECIALS)]
 
     def content_hash(self) -> str:
         import hashlib
         return hashlib.sha256("\x00".join(self.id_to_token).encode()).hexdigest()[:16]
 
 
-def _split_paragraphs(text: str) -> list[str]:
-    parts = re.split(r"\n\s*\n", text)
-    return [p for p in parts if p.strip()]
-
-
 def _make_chapter(index: int, text: str, mode: str,
                   source_indices: list[int] | None = None,
                   fallback_window: int = 100) -> Chapter:
-    paras = _split_paragraphs(text)
+    """Tokenize a chapter; blank lines separate its paragraphs."""
     tokens: list[str] = []
     spans: list[tuple[int, int]] = []
-    for p in paras:
+    for p in re.split(r"\n\s*\n", text):
         ptoks = tokenize(p, mode)
-        if ptoks:
+        if ptoks:               # a blank paragraph has no tokens
             spans.append((len(tokens), len(tokens) + len(ptoks)))
             tokens.extend(ptoks)
     if len(spans) <= 1 and len(tokens) > fallback_window:
         # no separators in source: fall back to fixed token windows
         spans = [(s, min(s + fallback_window, len(tokens)))
                  for s in range(0, len(tokens), fallback_window)]
-    return Chapter(index=index, text=text, tokens=tokens, paragraphs=spans,
+    return Chapter(index=index, tokens=tokens, paragraphs=spans,
                    source_indices=source_indices or [index])
 
 
@@ -254,14 +248,14 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
     return passages
 
 
-def cluster_chapters(novel: Novel, min_chapter_tokens: int = 1000,
-                     mode: str = "char") -> Novel:
+def cluster_chapters(novel: Novel, min_chapter_tokens: int = 1000) -> Novel:
     """Greedy left-to-right merge of short chapters.
 
     Consecutive chapters are merged until each group reaches the minimum
     token count; a short trailing group is absorbed backward into the
-    previous one. Indices are renumbered 1..T; source_indices record the
-    original ordinals.
+    previous one. A group's tokens are its chapters' tokens joined, and its
+    paragraphs are theirs, shifted to the joined coordinates. Indices are
+    renumbered 1..T; source_indices record the original ordinals.
     """
     groups: list[list[Chapter]] = []
     current: list[Chapter] = []
@@ -279,9 +273,12 @@ def cluster_chapters(novel: Novel, min_chapter_tokens: int = 1000,
             groups.append(current)
     merged = []
     for i, grp in enumerate(groups):
-        text = "\n\n".join(ch.text for ch in grp)
-        src = [s for ch in grp for s in ch.source_indices]
-        merged.append(_make_chapter(i + 1, text, mode, src))
+        tokens, paragraphs = [], []
+        for ch in grp:
+            paragraphs += [(s + len(tokens), e + len(tokens)) for s, e in ch.paragraphs]
+            tokens += ch.tokens
+        merged.append(Chapter(index=i + 1, tokens=tokens, paragraphs=paragraphs,
+                              source_indices=[s for ch in grp for s in ch.source_indices]))
     return Novel(id=novel.id, title=novel.title, chapters=merged)
 
 
@@ -359,31 +356,30 @@ def merge_passages(passages: list[Passage],
                    overlap_threshold: float = 0.5) -> list[Passage]:
     """Merge same-chapter passages whose span overlap exceeds the threshold.
 
-    Merging is transitive: the loop re-checks after every merge, so the
-    output has no same-chapter pair above the threshold. The merged span
-    is the union; comments and entity sets are concatenated/united.
+    One sweep in (chapter, span) order: a passage joins the group just
+    before it (same chapter, overlap with the group's span above the
+    threshold) or starts a new one. A group keeps its first passage's id,
+    spans the union and holds its passages' comments in order and their
+    entities; its text is empty until `refresh_passage_text`. A refused
+    passage ends after the group (a nested one overlaps it by 1.0) and
+    later ones start no earlier, so no two groups overlap above the
+    threshold and merging again changes nothing. A passage that overlaps
+    an earlier group too joins the one just before it: at 0.5, (60, 90)
+    goes with (50, 200), not with (0, 100) as at the transitive fixed point.
     """
-    pool = sorted(passages, key=lambda p: (p.chapter_index, p.span))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                a, b = pool[i], pool[j]
-                if a.chapter_index != b.chapter_index:
-                    continue
-                if overlap_rate(a.span, b.span) > overlap_threshold:
-                    span = (min(a.span[0], b.span[0]), max(a.span[1], b.span[1]))
-                    pool[i] = Passage(id=a.id, chapter_index=a.chapter_index,
-                                      span=span, text=[],
-                                      entity_ids=a.entity_ids | b.entity_ids,
-                                      comments=a.comments + b.comments)
-                    del pool[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return sorted(pool, key=lambda p: (p.chapter_index, p.span))
+    out: list[Passage] = []
+    for p in sorted(passages, key=lambda p: (p.chapter_index, p.span)):
+        last = out[-1] if out else None
+        if (last is not None and last.chapter_index == p.chapter_index
+                and overlap_rate(last.span, p.span) > overlap_threshold):
+            last.span = (last.span[0], max(last.span[1], p.span[1]))
+            last.text = []
+            last.entity_ids |= p.entity_ids
+            last.comments += p.comments
+        else:
+            out.append(replace(p, entity_ids=set(p.entity_ids),
+                               comments=list(p.comments)))
+    return out
 
 
 def refresh_passage_text(passages: list[Passage], novel: Novel) -> list[Passage]:

@@ -23,9 +23,12 @@ class TemporalKG:
 @dataclass
 class GlobalEKG:
     novel_id: str
-    T: int
     graphs: list[TemporalKG]
     entity_frequency: Counter
+
+    @property
+    def T(self) -> int:
+        return len(self.graphs)
 
     # Both are computed on first use and kept: a GlobalEKG is not changed
     # after it is built or loaded.
@@ -86,8 +89,7 @@ def build_global_ekg(novel: Novel, mentions: list[Mention]) -> GlobalEKG:
                 for b in range(a + 1, len(here)):
                     edges.setdefault((here[a], here[b]), []).append((ps, pe))
         graphs.append(TemporalKG(t=ch.index, vertices=vertices, edges=edges))
-    return GlobalEKG(novel_id=novel.id, T=novel.num_chapters,
-                     graphs=graphs, entity_frequency=freq)
+    return GlobalEKG(novel_id=novel.id, graphs=graphs, entity_frequency=freq)
 
 
 def extract_local_ekg(global_ekg: GlobalEKG, passage: Passage,

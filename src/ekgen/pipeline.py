@@ -181,7 +181,7 @@ class Corpus:
 def _parse_corpus(raw: dict) -> Corpus:
     novel = cp.Novel(
         id=raw["novel"]["id"], title=raw["novel"]["title"],
-        chapters=[cp.Chapter(index=c["index"], text="", tokens=c["tokens"],
+        chapters=[cp.Chapter(index=c["index"], tokens=c["tokens"],
                              paragraphs=[tuple(s) for s in c["paragraphs"]],
                              source_indices=c["source_indices"])
                   for c in raw["novel"]["chapters"]])
@@ -203,7 +203,7 @@ def _parse_corpus(raw: dict) -> Corpus:
 
 def _save_ekg(path: Path, ekg: GlobalEKG):
     payload = {
-        "novel_id": ekg.novel_id, "T": ekg.T,
+        "novel_id": ekg.novel_id,
         "frequency": {str(k): v for k, v in sorted(ekg.entity_frequency.items())},
         "graphs": [{"t": g.t, "vertices": sorted(g.vertices),
                     "edges": [{"pair": [i, j], "evidence": [list(s) for s in ev]}
@@ -219,7 +219,7 @@ def _parse_ekg(raw: dict) -> GlobalEKG:
                                 for e in g["edges"]})
               for g in raw["graphs"]]
     freq = Counter({int(k): v for k, v in raw["frequency"].items()})
-    return GlobalEKG(novel_id=raw["novel_id"], T=raw["T"], graphs=graphs,
+    return GlobalEKG(novel_id=raw["novel_id"], graphs=graphs,
                      entity_frequency=freq)
 
 
@@ -324,7 +324,7 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     passages_path = Path(passages_path) if passages_path else data / "passages.jsonl"
     novel, lexicon, passages = cp.load_corpus(novel_path, lexicon_path,
                                               passages_path, cfg.token_mode)
-    clustered = cp.cluster_chapters(novel, cfg.min_chapter_tokens, cfg.token_mode)
+    clustered = cp.cluster_chapters(novel, cfg.min_chapter_tokens)
     passages = cp.remap_passages(passages, novel, clustered)
     mentions = cp.match_mentions(clustered, lexicon, cfg.token_mode)
     if not mentions:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -99,10 +100,34 @@ def test_cluster_preserves_token_and_mention_counts(tmp_path):
     lexicon = cp.load_lexicon(files[1])
     total_tokens = sum(len(ch.tokens) for ch in novel.chapters)
     n_mentions = len(cp.match_mentions(novel, lexicon, "word"))
-    clustered = cp.cluster_chapters(novel, 5, "word")
+    clustered = cp.cluster_chapters(novel, 5)
     assert clustered.num_chapters < novel.num_chapters
     assert sum(len(ch.tokens) for ch in clustered.chapters) == total_tokens
     assert len(cp.match_mentions(clustered, lexicon, "word")) == n_mentions
+
+
+@pytest.mark.parametrize("min_tokens", [1, 160, 1000])
+def test_cluster_joins_tokens_and_shifts_paragraphs(min_tokens):
+    # chapter 2 has no paragraph break and more than 100 tokens, so it is
+    # cut into 100-token windows, and it keeps them inside its group
+    novel = cp.Novel(id="n", title="", chapters=[
+        cp._make_chapter(1, "ab\n\ncde", "char"),
+        cp._make_chapter(2, "f" * 150, "char"),
+        cp._make_chapter(3, "gh\n\n i", "char")])
+    assert novel.chapters[1].paragraphs == [(0, 100), (100, 150)]
+    out = cp.cluster_chapters(novel, min_tokens)
+    assert [s for ch in out.chapters for s in ch.source_indices] == [1, 2, 3]
+    for ch in out.chapters:
+        sources = [novel.chapters[s - 1] for s in ch.source_indices]
+        tokens, paragraphs = [], []
+        for src in sources:
+            paragraphs += [(s + len(tokens), e + len(tokens)) for s, e in src.paragraphs]
+            tokens += src.tokens
+        assert ch.tokens == tokens
+        assert ch.paragraphs == paragraphs
+    if min_tokens == 1000:
+        assert out.chapters[0].paragraphs == [(0, 2), (2, 5), (5, 105), (105, 155),
+                                              (155, 157), (157, 158)]
 
 
 def test_remap_passages_translates_spans(tmp_path):
@@ -194,18 +219,67 @@ def test_merge_ignores_other_chapters():
     assert len(out) == 2
 
 
+def _group_of(out, passage):
+    """The output passage that holds `passage`'s first comment."""
+    (group,) = [g for g in out if any(c is passage.comments[0] for c in g.comments)]
+    return group
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.7, 0.9])
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 150), st.integers(1, 50)),
-                min_size=1, max_size=10))
-def test_merge_postcondition_and_idempotence(raw):
-    passages = [make_passage(f"p{i}", 1, (s, s + ln))
-                for i, (s, ln) in enumerate(raw)]
-    once = cp.merge_passages(passages)
+@given(raw=st.lists(st.tuples(st.integers(1, 2), st.integers(0, 150),
+                              st.integers(1, 50)),
+                    min_size=1, max_size=10))
+def test_merge_postcondition_and_idempotence(threshold, raw):
+    passages = [make_passage(f"p{i}", ch, (s, s + ln))
+                for i, (ch, s, ln) in enumerate(raw)]
+    once = cp.merge_passages(passages, threshold)
+    # the inputs are left as they were
+    assert [(p.chapter_index, p.span, len(p.comments)) for p in passages] == \
+        [(ch, (s, s + ln), 3) for ch, s, ln in raw]
+    keys = [(p.chapter_index, p.span) for p in once]
+    assert keys == sorted(keys)
     for i, a in enumerate(once):
         for b in once[i + 1:]:
-            assert cp.overlap_rate(a.span, b.span) <= 0.5
-    again = cp.merge_passages([make_passage(p.id, 1, p.span) for p in once])
-    assert [p.span for p in again] == [p.span for p in once]
+            if a.chapter_index == b.chapter_index:
+                assert cp.overlap_rate(a.span, b.span) <= threshold
+    # every input comment lands in exactly one output passage, and every
+    # input span lies inside its group's span
+    held = Counter(id(c) for p in once for c in p.comments)
+    assert held == Counter(id(c) for p in passages for c in p.comments)
+    for p in passages:
+        group = _group_of(once, p)
+        assert group.chapter_index == p.chapter_index
+        assert group.span[0] <= p.span[0] and p.span[1] <= group.span[1]
+    again = cp.merge_passages([make_passage(p.id, p.chapter_index, p.span)
+                               for p in once], threshold)
+    assert [(p.chapter_index, p.span) for p in again] == keys
+
+
+def test_merge_nested_passage_joins_the_group_just_before_it():
+    a = make_passage("a", 1, (0, 100), upvotes=[1, 2, 3])
+    b = make_passage("b", 1, (50, 200), upvotes=[4, 5, 6])
+    c = make_passage("c", 1, (60, 90), upvotes=[7, 8, 9])
+    out = cp.merge_passages([c, b, a])
+    assert [(p.id, p.span) for p in out] == [("a", (0, 100)), ("b", (50, 200))]
+    assert [x.upvotes for x in out[0].comments] == [1, 2, 3]
+    assert [x.upvotes for x in out[1].comments] == [4, 5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("length, groups", [(15, None), (30, 1)])
+def test_merge_compares_each_passage_once(monkeypatch, n, length, groups):
+    """Length 15 at stride 10 overlaps the next passage by 1/3 (no merge);
+    length 30 by 2/3, so the whole chain becomes one passage."""
+    calls = []
+    real = cp.overlap_rate
+    monkeypatch.setattr(cp, "overlap_rate",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    passages = [make_passage(f"p{i}", 1, (10 * i, 10 * i + length))
+                for i in range(n)]
+    out = cp.merge_passages(passages[::-1])
+    assert len(out) == (groups or n)
+    assert len(calls) == n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +354,11 @@ def test_vocab_specials_distinct_and_dense():
     ids = [cp.PAD, cp.BOS, cp.EOS, cp.UNK, cp.MASK, cp.CLS]
     assert ids == list(range(6))
     assert vocab.decode([cp.BOS, vocab.token_to_id["x"], cp.EOS]) == ["x"]
+
+
+def test_vocab_decode_drops_every_special_token():
+    vocab = cp.build_vocab([["x"]])
+    x = vocab.token_to_id["x"]
+    specials = list(range(len(cp.SPECIALS)))
+    assert vocab.decode(specials + [x] + specials) == ["x"]
+    assert vocab.decode(np.array([cp.UNK, x, cp.MASK, cp.CLS])) == ["x"]

@@ -88,7 +88,7 @@ def _chain_ekg(freqs):
     n = len(freqs)
     edges = {(i, i + 1): [(0, 1)] for i in range(n - 1)}
     g = TemporalKG(t=1, vertices=set(range(n)), edges=edges)
-    return GlobalEKG(novel_id="n", T=1, graphs=[g],
+    return GlobalEKG(novel_id="n", graphs=[g],
                      entity_frequency=Counter(dict(enumerate(freqs))))
 
 
@@ -109,7 +109,7 @@ def test_bfs_prefers_high_frequency_neighbors():
     # star around 0 with neighbors 1..4; frequencies favor 3 then 2
     edges = {(0, j): [(0, 1)] for j in range(1, 5)}
     g = TemporalKG(t=1, vertices=set(range(5)), edges=edges)
-    ekg = GlobalEKG("n", 1, [g], Counter({0: 9, 1: 1, 2: 5, 3: 7, 4: 2}))
+    ekg = GlobalEKG("n", [g], Counter({0: 9, 1: 1, 2: 5, 3: 7, 4: 2}))
     local = extract_local_ekg(ekg, _passage({0}), K=3)
     assert local.vertex_ids == [0, 2, 3]
 
@@ -125,7 +125,7 @@ def test_over_k_keeps_most_frequent():
 def test_isolated_component_exhausts_frontier():
     g = TemporalKG(t=1, vertices={0, 1, 7, 8},
                    edges={(0, 1): [(0, 1)], (7, 8): [(0, 1)]})
-    ekg = GlobalEKG("n", 1, [g], Counter({0: 2, 1: 2, 7: 2, 8: 2}))
+    ekg = GlobalEKG("n", [g], Counter({0: 2, 1: 2, 7: 2, 8: 2}))
     local = extract_local_ekg(ekg, _passage({7, 8}), K=5)
     assert local.vertex_ids == [7, 8]
     assert local.edges == [(7, 8)]
@@ -133,7 +133,7 @@ def test_isolated_component_exhausts_frontier():
 
 def test_complete_graph_fallback_when_no_cooccurrence():
     g = TemporalKG(t=1, vertices={0, 1, 2}, edges={})
-    ekg = GlobalEKG("n", 1, [g], Counter({0: 1, 1: 1, 2: 1}))
+    ekg = GlobalEKG("n", [g], Counter({0: 1, 1: 1, 2: 1}))
     local = extract_local_ekg(ekg, _passage({0, 1, 2}), K=5)
     assert local.edges == [(0, 1), (0, 2), (1, 2)]
 

@@ -285,7 +285,7 @@ def test_bag_matches_one_ngram_at_a_time(d_f):
 def test_negative_sampling_respects_constraints():
     g = TemporalKG(t=1, vertices={0, 1, 2, 3, 4},
                    edges={(0, 1): [(0, 2)], (0, 2): [(0, 2)]})
-    ekg = GlobalEKG("n", 1, [g], entity_frequency=None)
+    ekg = GlobalEKG("n", [g], entity_frequency=None)
     examples = [EdgeExample(t=1, pair=(0, 1), tokens=list("ab"))
                 for _ in range(20)]
     sample_negatives(examples, ekg, np.random.default_rng(0))
@@ -296,7 +296,7 @@ def test_negative_sampling_respects_constraints():
 
 def test_negative_sampling_unsatisfiable_yields_none():
     g = TemporalKG(t=1, vertices={0, 1}, edges={(0, 1): [(0, 2)]})
-    ekg = GlobalEKG("n", 1, [g], entity_frequency=None)
+    ekg = GlobalEKG("n", [g], entity_frequency=None)
     examples = [EdgeExample(t=1, pair=(0, 1), tokens=list("ab"))]
     sample_negatives(examples, ekg, np.random.default_rng(0))
     assert examples[0].negative is None
@@ -587,7 +587,7 @@ def _novel_like_ekg(seed, T=16, n_e=20):
                  for ai, a in enumerate(vertices) for b in vertices[ai + 1:]
                  if rng.random() < density}
         graphs.append(TemporalKG(t=t, vertices=set(vertices), edges=edges))
-    return GlobalEKG("n", T, graphs, entity_frequency=None)
+    return GlobalEKG("n", graphs, entity_frequency=None)
 
 
 def _examples_of(ekg):
