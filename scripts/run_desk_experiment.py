@@ -39,7 +39,7 @@ def main() -> int:
     with pipeline.workspace_lock(ws):
         report = pipeline.run_full_pipeline(ws, cfg)
     w = pipeline.Workspace(ws, cfg)
-    print(pipeline.report_stats(w.corpus.novel, w.corpus.passages, w.ekg))
+    print(pipeline.report_stats(w.corpus.passages, w.ekg))
 
     hist = json.loads((ws / "embed" / "history.json").read_text())
     p1 = hist["phase1"]

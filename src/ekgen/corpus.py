@@ -96,8 +96,7 @@ class Comment:
 class Passage:
     id: str
     chapter_index: int
-    span: tuple[int, int]
-    text: list[str]
+    span: tuple[int, int]            # its tokens: chapter tokens[start:end]
     entity_ids: set[int] = field(default_factory=set)
     comments: list[Comment] = field(default_factory=list)
 
@@ -207,8 +206,10 @@ def _field(raw: dict, key: str, kind: type, where: str):
 
 
 def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
+    """One passage per non-blank line; its `id`, a string, defaults to
+    `p<line>`, and no two passages share one."""
     path = Path(path)
-    passages = []
+    passages, line_of = [], {}         # passage id -> its line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -224,12 +225,12 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
             if not 1 <= ch_idx <= novel.num_chapters:
                 raise ReferenceError_(
                     f"{where}: chapter {ch_idx} out of range 1..{novel.num_chapters}")
-            chapter = novel.chapters[ch_idx - 1]
+            n_tokens = len(novel.chapters[ch_idx - 1].tokens)
             start, end = _field(raw, "start", int, where), _field(raw, "end", int, where)
-            if not (0 <= start < end <= len(chapter.tokens)):
+            if not (0 <= start < end <= n_tokens):
                 raise ReferenceError_(
                     f"{where}: span [{start},{end}) outside chapter "
-                    f"{ch_idx} of {len(chapter.tokens)} tokens")
+                    f"{ch_idx} of {n_tokens} tokens")
             raw_comments = raw.get("comments", [])
             if not (isinstance(raw_comments, list)
                     and all(isinstance(c, dict) for c in raw_comments)):
@@ -242,9 +243,13 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
                     raise CorpusParseError(f"{where}: empty comment text")
                 if c.upvotes < 0:
                     raise CorpusParseError(f"{where}: negative upvotes")
-            passages.append(Passage(id=raw.get("id", f"p{lineno}"), chapter_index=ch_idx,
-                                    span=(start, end), text=chapter.tokens[start:end],
-                                    comments=comments))
+            pid = _field(raw, "id", str, where) if "id" in raw else f"p{lineno}"
+            if pid in line_of:
+                raise CorpusParseError(f"{where}: passage id {pid!r} is already "
+                                       f"that of line {line_of[pid]}")
+            line_of[pid] = lineno
+            passages.append(Passage(id=pid, chapter_index=ch_idx,
+                                    span=(start, end), comments=comments))
     return passages
 
 
@@ -296,10 +301,8 @@ def remap_passages(passages: list[Passage], original: Novel,
     for p in passages:
         src = original.chapters[p.chapter_index - 1].source_indices[0]
         new_idx, offset = where[src]
-        chapter = clustered.chapters[new_idx - 1]
-        start, end = p.span[0] + offset, p.span[1] + offset
-        out.append(Passage(id=p.id, chapter_index=new_idx, span=(start, end),
-                           text=chapter.tokens[start:end],
+        out.append(Passage(id=p.id, chapter_index=new_idx,
+                           span=(p.span[0] + offset, p.span[1] + offset),
                            entity_ids=set(p.entity_ids), comments=p.comments))
     return out
 
@@ -360,12 +363,12 @@ def merge_passages(passages: list[Passage],
     before it (same chapter, overlap with the group's span above the
     threshold) or starts a new one. A group keeps its first passage's id,
     spans the union and holds its passages' comments in order and their
-    entities; its text is empty until `refresh_passage_text`. A refused
-    passage ends after the group (a nested one overlaps it by 1.0) and
-    later ones start no earlier, so no two groups overlap above the
-    threshold and merging again changes nothing. A passage that overlaps
-    an earlier group too joins the one just before it: at 0.5, (60, 90)
-    goes with (50, 200), not with (0, 100) as at the transitive fixed point.
+    entities. A refused passage ends after the group (a nested one overlaps
+    it by 1.0) and later ones start no earlier, so no two groups overlap
+    above the threshold and merging again changes nothing. A passage that
+    overlaps an earlier group too joins the one just before it: at 0.5,
+    (60, 90) goes with (50, 200), not with (0, 100) as at the transitive
+    fixed point.
     """
     out: list[Passage] = []
     for p in sorted(passages, key=lambda p: (p.chapter_index, p.span)):
@@ -373,19 +376,12 @@ def merge_passages(passages: list[Passage],
         if (last is not None and last.chapter_index == p.chapter_index
                 and overlap_rate(last.span, p.span) > overlap_threshold):
             last.span = (last.span[0], max(last.span[1], p.span[1]))
-            last.text = []
             last.entity_ids |= p.entity_ids
             last.comments += p.comments
         else:
             out.append(replace(p, entity_ids=set(p.entity_ids),
                                comments=list(p.comments)))
     return out
-
-
-def refresh_passage_text(passages: list[Passage], novel: Novel) -> list[Passage]:
-    for p in passages:
-        p.text = novel.chapters[p.chapter_index - 1].tokens[p.span[0]:p.span[1]]
-    return passages
 
 
 def filter_passages(passages: list[Passage]) -> list[Passage]:

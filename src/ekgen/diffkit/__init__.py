@@ -7,6 +7,6 @@ from .nn import (Module, Linear, LSTMCell, lstm_sequence, BiLSTM,
                  TransformerEncoderLayer, TransformerDecoderLayer, causal_mask,
                  sinusoidal_positions)
 from .optim import Adam, lr_schedule
-from .gradcheck import grad_check, GradCheckReport
+from .gradcheck import grad_check
 from .checkpoint import (save_arrays, load_arrays, atomic_open, CheckpointError,
                          MAGIC, EMBED_MAGIC)

@@ -6,7 +6,6 @@ and the check); float32 round-off makes central differences useless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -14,23 +13,14 @@ import numpy as np
 from .tensor import Tensor
 
 
-@dataclass
-class GradCheckReport:
-    max_rel_err: float = 0.0
-    worst_param: str = ""
-    per_param: dict[str, float] = field(default_factory=dict)
-
-    def ok(self, tolerance: float) -> bool:
-        return self.max_rel_err <= tolerance
-
-
 def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
-               h: float = 1e-5) -> GradCheckReport:
-    """Compare analytic gradients of the scalar `f()` against central differences.
+               h: float = 1e-5) -> float:
+    """Compare analytic gradients of the scalar `f()` against central
+    differences; return the worst relative error over every coordinate.
 
     `f` must rebuild the graph from the current parameter values on every
-    call. Relative error per coordinate uses max(|num|, |ana|, 1e-8) as the
-    denominator; the report aggregates the worst coordinate per parameter.
+    call. A coordinate's relative error is |num - ana| / max(|num|, |ana|),
+    and 0 when both are below 1e-6.
     """
     for p in params.values():
         p.zero_grad()
@@ -56,10 +46,9 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
             return 0.0
         return abs(num - ana) / max(abs(num), abs(ana))
 
-    report = GradCheckReport()
+    worst = 0.0
     for name, p in params.items():
         flat = p.data.reshape(-1)
-        worst = 0.0
         for i in range(flat.size):
             ana = float(analytic[name].reshape(-1)[i])
             err = rel_err(central(flat, i, h), ana)
@@ -68,8 +57,4 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                 # retry with a coarser step and keep the better estimate
                 err = min(err, rel_err(central(flat, i, 10 * h), ana))
             worst = max(worst, err)
-        report.per_param[name] = worst
-        if worst > report.max_rel_err:
-            report.max_rel_err = worst
-            report.worst_param = name
-    return report
+    return worst

@@ -125,6 +125,17 @@ def gelu_data(x: np.ndarray):
     return y.astype(x.dtype, copy=False), t
 
 
+def leaky_relu_data(x: np.ndarray, slope: float) -> np.ndarray:
+    """Forward kernel of `Tensor.leaky_relu`, in `x`'s dtype."""
+    return np.where(x > 0, x, slope * x)
+
+
+def leaky_relu_grad(g: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
+    """Backward of `Tensor.leaky_relu` at input `x`: the factor is float64
+    and the product is cast to `x`'s dtype."""
+    return (g * np.where(x > 0, 1.0, slope)).astype(x.dtype, copy=False)
+
+
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
@@ -133,8 +144,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False, _parents: tuple = ()):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=_DTYPE)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -234,9 +243,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out = _child(self.data * other.data, (self, other))
@@ -248,16 +254,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out = _child(self.data / other.data, (self, other))
-        if out.requires_grad:
-            def _bw():
-                self._accum(out.grad / other.data)
-                other._accum(-out.grad * self.data / (other.data ** 2))
-            out._backward = _bw
-        return out
 
     def __pow__(self, p: float):
         out = _child(self.data ** p, (self,))
@@ -350,12 +346,11 @@ class Tensor:
             out._backward = lambda: self._accum(out.grad * y * (1.0 - y))
         return out
 
-    def leaky_relu(self, slope: float = 0.2) -> "Tensor":
-        y = np.where(self.data > 0, self.data, slope * self.data)
-        out = _child(y, (self,))
+    def leaky_relu(self, slope: float) -> "Tensor":
+        out = _child(leaky_relu_data(self.data, slope), (self,))
         if out.requires_grad:
             out._backward = lambda: self._accum(
-                out.grad * np.where(self.data > 0, 1.0, slope))
+                leaky_relu_grad(out.grad, self.data, slope))
         return out
 
     def relu(self) -> "Tensor":
@@ -370,19 +365,6 @@ class Tensor:
             dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
             dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             out._backward = lambda: self._accum(out.grad * dy)
-        return out
-
-    def exp(self) -> "Tensor":
-        y = np.exp(self.data)
-        out = _child(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad * y)
-        return out
-
-    def log(self) -> "Tensor":
-        out = _child(np.log(self.data), (self,))
-        if out.requires_grad:
-            out._backward = lambda: self._accum(out.grad / self.data)
         return out
 
     def sqrt(self) -> "Tensor":

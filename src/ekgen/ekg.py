@@ -26,10 +26,6 @@ class GlobalEKG:
     graphs: list[TemporalKG]
     entity_frequency: Counter
 
-    @property
-    def T(self) -> int:
-        return len(self.graphs)
-
     # Both are computed on first use and kept: a GlobalEKG is not changed
     # after it is built or loaded.
     @cached_property
@@ -59,10 +55,6 @@ class LocalEKG:
     edges: list[tuple[int, int]]          # (i, j) with i < j, sorted
     vertex_seq: np.ndarray | None = None
     edge_seq: np.ndarray | None = None
-
-    @property
-    def c_e(self) -> int:
-        return len(self.vertex_ids)
 
     @property
     def c_r(self) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffkit as dk
-from .diffkit.tensor import _child, _const
+from .diffkit.tensor import _child, _const, leaky_relu_data, leaky_relu_grad
 from .config import PipelineConfig
 from .corpus import Mention, Novel
 from .ekg import GlobalEKG, LocalEKG
@@ -107,11 +107,6 @@ class RelationNetwork(dk.Module):
 
     def reconstruct(self, v_i: dk.Tensor, r: dk.Tensor, v_j: dk.Tensor) -> dk.Tensor:
         return self.layer2(dk.concat([v_i, r, v_j], axis=-1)).leaky_relu(self.slope)
-
-
-def _leaky(z: np.ndarray) -> np.ndarray:
-    """`Tensor.leaky_relu` at `RelationNetwork.slope`, on an array."""
-    return np.where(z > 0, z, RelationNetwork.slope * z)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +286,6 @@ def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable
     return out
 
 
-def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
-    """Backward of leaky_relu at input `z`, in `Tensor.leaky_relu`'s dtypes:
-    the factor is float64 and the product is cast back."""
-    return (g * np.where(z > 0, 1.0, slope)).astype(z.dtype)
-
-
 def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
                       rn: RelationNetwork, features: np.ndarray,
                       margin: float) -> dk.Tensor | None:
@@ -322,23 +311,23 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
     l1, l2, slope = rn.layer1, rn.layer2, rn.slope
     x1 = np.concatenate([W[t, i], W[t, j]], axis=-1)
     z1 = l1.apply(x1)
-    x2 = np.concatenate([W[t, i], _leaky(z1), W[t, j]], axis=-1)
+    x2 = np.concatenate([W[t, i], leaky_relu_data(z1, slope), W[t, j]], axis=-1)
     z2 = l2.apply(x2)
-    diff = _leaky(z2) - f_c
+    diff = leaky_relu_data(z2, slope) - f_c
     dist = np.sqrt((diff * diff).sum(axis=-1))
     gap = (dist[0::2] - dist[1::2]) + np.asarray(margin, dtype=W.dtype)
-    hinge = np.where(gap > 0, gap, 0.0 * gap)
+    hinge = leaky_relu_data(gap, 0.0)
     out = _child(hinge.sum(), (table.w, l1.w, l1.b, l2.w, l2.b))
     if not out.requires_grad:
         return out
 
     def _bw():
-        g_gap = _leaky_grad(out.grad, gap, 0.0)
+        g_gap = leaky_relu_grad(out.grad, gap, 0.0)
         g_dist = np.stack([g_gap, -g_gap], axis=-1).ravel()
         g_sq = (g_dist * 0.5 / np.maximum(dist, 1e-12))[:, None] * diff
-        g_z2 = _leaky_grad(g_sq + g_sq, z2, slope)
+        g_z2 = leaky_relu_grad(g_sq + g_sq, z2, slope)
         g_x2 = g_z2 @ l2.w.data.T
-        g_z1 = _leaky_grad(g_x2[:, d:2 * d], z1, slope)
+        g_z1 = leaky_relu_grad(g_x2[:, d:2 * d], z1, slope)
         l2.b._accum(g_z2.sum(axis=0))
         l2.w._accum(x2.T @ g_z2)
         l1.b._accum(g_z1.sum(axis=0))
@@ -453,5 +442,5 @@ def materialize_embeddings(artifact: EkgEmbeddings,
     local.vertex_seq = W[:, np.asarray(local.vertex_ids), :].copy()
     pairs = np.asarray(local.edges, dtype=int).reshape(-1, 2)
     x = np.concatenate([W[:, pairs[:, 0]], W[:, pairs[:, 1]]], axis=-1)
-    local.edge_seq = _leaky(artifact.rn.layer1.apply(x))
+    local.edge_seq = leaky_relu_data(artifact.rn.layer1.apply(x), artifact.rn.slope)
     return local

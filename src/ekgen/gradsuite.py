@@ -35,8 +35,7 @@ class CheckResult:
 
 
 def _check(name, f, params, tol) -> CheckResult:
-    report = dk.grad_check(f, params)
-    return CheckResult(name=name, rel_err=report.max_rel_err, tolerance=tol)
+    return CheckResult(name=name, rel_err=dk.grad_check(f, params), tolerance=tol)
 
 
 def _op_checks(rng) -> list[CheckResult]:
@@ -64,8 +63,6 @@ def _op_checks(rng) -> list[CheckResult]:
                           ROUGH_TOL))
     results.append(_check("softmax",
                           lambda: (dk.softmax(a, axis=-1) * c).sum(), {"a": a},
-                          SMOOTH_TOL))
-    results.append(_check("log", lambda: (a * a + 0.5).log().sum(), {"a": a},
                           SMOOTH_TOL))
     results.append(_check("cross_entropy_ls",
                           lambda: dk.cross_entropy_label_smoothed(v, 2, 0.1),

@@ -24,7 +24,6 @@ class BleuReport:
     bleu: float                 # 0..100
     precisions: list[float]     # n = 1..4
     brevity_penalty: float
-    length_ratio: float
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -57,14 +56,13 @@ def bleu_corpus(pairs: list[EvalPair], max_n: int = 4) -> BleuReport:
             total[n - 1] += sum(counts.values())
             matched[n - 1] += sum(min(c, max_ref[ng]) for ng, c in counts.items())
     precisions = [m / t if t else 0.0 for m, t in zip(matched, total)]
-    ratio = hyp_len / ref_len if ref_len else 0.0
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
     if min(precisions) <= 0.0:
         score = 0.0
     else:
         score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
     return BleuReport(bleu=100.0 * score, precisions=precisions,
-                      brevity_penalty=bp, length_ratio=ratio)
+                      brevity_penalty=bp)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:

@@ -177,6 +177,10 @@ class Corpus:
     n_e: int
     token_mode: str
 
+    def tokens(self, p: cp.Passage) -> list[str]:
+        """The passage's tokens: its span of its chapter's tokens."""
+        return self.novel.chapters[p.chapter_index - 1].tokens[slice(*p.span)]
+
 
 def _parse_corpus(raw: dict) -> Corpus:
     novel = cp.Novel(
@@ -187,8 +191,6 @@ def _parse_corpus(raw: dict) -> Corpus:
                   for c in raw["novel"]["chapters"]])
     passages = [cp.Passage(id=p["id"], chapter_index=p["chapter"],
                            span=tuple(p["span"]),
-                           text=novel.chapters[p["chapter"] - 1]
-                           .tokens[p["span"][0]:p["span"][1]],
                            entity_ids=set(p["entity_ids"]),
                            comments=[cp.Comment(text=c["tokens"],
                                                 upvotes=c["upvotes"])
@@ -296,12 +298,12 @@ class Workspace:
 
     def examples(self) -> list[G2SExample]:
         """One training example per comment, sharing its passage's local EKG."""
-        vocab = self.corpus.vocab
+        corpus, encode = self.corpus, self.corpus.vocab.encode
         examples = []
-        for p in self.corpus.passages:
-            local, pids = self.local_ekg(p), vocab.encode(p.text)
+        for p in corpus.passages:
+            local, pids = self.local_ekg(p), encode(corpus.tokens(p))
             examples += [G2SExample(passage_ids=pids, local=local,
-                                    comment_ids=vocab.encode(c.text))
+                                    comment_ids=encode(c.text))
                          for c in p.comments]
         return examples
 
@@ -331,7 +333,6 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
         raise cp.CorpusParseError(f"{lexicon_path}: no entity name or alias "
                                   f"occurs in {novel_path}")
     passages = cp.merge_passages(passages, cfg.overlap_threshold)
-    cp.refresh_passage_text(passages, clustered)
     cp.attach_entities(passages, mentions)
     passages = cp.filter_passages(passages)
     if not passages:
@@ -348,25 +349,22 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     return out
 
 
-def report_stats(novel, passages, ekg: GlobalEKG | None = None) -> str:
-    """Table-style dataset statistics."""
+def report_stats(passages, ekg: GlobalEKG) -> str:
+    """Table-style dataset statistics of one novel."""
     n_passages = len(passages)
     n_comments = sum(len(p.comments) for p in passages)
     if n_passages:
         avg_entities = sum(len(p.entity_ids) for p in passages) / n_passages
         avg_comments = n_comments / n_passages
-        if ekg is not None:
-            pairs = ekg.cooccurring_pairs
-            avg_relations = sum(
-                sum(1 for ai, a in enumerate(sorted(p.entity_ids))
-                    for b in sorted(p.entity_ids)[ai + 1:] if (a, b) in pairs)
-                for p in passages) / n_passages
-        else:
-            avg_relations = 0.0
+        pairs = ekg.cooccurring_pairs
+        avg_relations = sum(
+            sum(1 for ai, a in enumerate(sorted(p.entity_ids))
+                for b in sorted(p.entity_ids)[ai + 1:] if (a, b) in pairs)
+            for p in passages) / n_passages
     else:
         avg_entities = avg_comments = avg_relations = 0.0
     lines = [
-        ("# novels", 1 if novel else 0),
+        ("# novels", 1),
         ("# passages", n_passages),
         ("# comments", n_comments),
         ("Avg. # entities per passage", round(avg_entities, 2)),
@@ -379,7 +377,7 @@ def report_stats(novel, passages, ekg: GlobalEKG | None = None) -> str:
 
 def run_stats(ws: Path, cfg: PipelineConfig) -> str:
     c = Workspace(ws, cfg).corpus
-    text = report_stats(c.novel, c.passages, build_global_ekg(c.novel, c.mentions))
+    text = report_stats(c.passages, build_global_ekg(c.novel, c.mentions))
     out = ws / "corpus" / "stats.txt"
     _write_text(out, text + "\n")
     _record(ws, "stats", cfg, [out])
@@ -423,22 +421,22 @@ def teacher_forced_accuracy(ws: Path, cfg: PipelineConfig) -> float:
     """Mean teacher-forced token accuracy of the trained generator over one
     training example per passage, the one of its last comment."""
     w = Workspace(ws, cfg)
-    encode = w.corpus.vocab.encode
-    return float(np.mean([w.model.token_accuracy(encode(p.text), w.local_ekg(p),
+    c, encode = w.corpus, w.corpus.vocab.encode
+    return float(np.mean([w.model.token_accuracy(encode(c.tokens(p)), w.local_ekg(p),
                                                  encode(p.comments[-1].text))
-                          for p in w.corpus.passages]))
+                          for p in c.passages]))
 
 
 def run_generate(ws: Path, cfg: PipelineConfig, limit: int | None = None) -> Path:
     w = Workspace(ws, cfg)
-    vocab, model = w.corpus.vocab, w.model
-    sep = "" if w.corpus.token_mode == "char" else " "
+    c, model = w.corpus, w.model
+    sep = "" if c.token_mode == "char" else " "
     lines = []
-    for p in w.corpus.passages[:limit]:
-        beams = beam_decode(vocab.encode(p.text), w.local_ekg(p), model,
+    for p in c.passages[:limit]:
+        beams = beam_decode(c.vocab.encode(c.tokens(p)), w.local_ekg(p), model,
                             beam=cfg.beam, max_len=cfg.max_len)
         record = {"passage_id": p.id,
-                  "comments": [{"text": sep.join(vocab.decode(toks)),
+                  "comments": [{"text": sep.join(c.vocab.decode(toks)),
                                 "score": round(score, 6)}
                                for toks, score in beams]}
         lines.append(json.dumps(record, sort_keys=True) + "\n")

@@ -43,6 +43,6 @@ def three_chapter_files(tmp_path):
 def make_passage(pid, chapter, span, n_entities=1, comments=3, upvotes=None):
     ups = upvotes or [10 - i for i in range(comments)]
     return cp.Passage(
-        id=pid, chapter_index=chapter, span=span, text=[],
+        id=pid, chapter_index=chapter, span=span,
         entity_ids=set(range(n_entities)),
         comments=[cp.Comment(text=["x"], upvotes=u) for u in ups[:comments]])

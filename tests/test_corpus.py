@@ -140,7 +140,7 @@ def test_remap_passages_translates_spans(tmp_path):
     out = cp.remap_passages(passages, novel, clustered)
     assert out[0].chapter_index == 1
     assert out[0].span == (4, 6)
-    assert out[0].text == ["b", "b"]
+    assert clustered.chapters[0].tokens[4:6] == ["b", "b"]
 
 
 # ---------------------------------------------------------------------------

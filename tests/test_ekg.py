@@ -39,7 +39,7 @@ def test_chapter_without_mentions_is_empty_graph():
     ekg = build_global_ekg(novel, [Mention(0, 1, (0, 1))])
     assert ekg.graphs[1].vertices == set()
     assert ekg.graphs[1].edges == {}
-    assert ekg.T == 2
+    assert len(ekg.graphs) == 2
 
 
 def test_entity_frequency_counts_all_mentions():
@@ -93,14 +93,14 @@ def _chain_ekg(freqs):
 
 
 def _passage(entity_ids):
-    return cp.Passage(id="p", chapter_index=1, span=(0, 1), text=["x"],
+    return cp.Passage(id="p", chapter_index=1, span=(0, 1),
                       entity_ids=set(entity_ids))
 
 
 def test_bfs_fills_to_k_vertices():
     ekg = _chain_ekg([5, 4, 3, 2, 1, 1, 1])
     local = extract_local_ekg(ekg, _passage({0, 1}), K=5)
-    assert local.c_e == 5
+    assert len(local.vertex_ids) == 5
     assert local.vertex_ids == [0, 1, 2, 3, 4]
     assert set(local.edges) == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
@@ -119,7 +119,7 @@ def test_over_k_keeps_most_frequent():
     local = extract_local_ekg(ekg, _passage(set(range(7))), K=5)
     assert local.vertex_ids == sorted(
         sorted(range(7), key=lambda e: (-ekg.entity_frequency[e], e))[:5])
-    assert local.c_e == 5
+    assert len(local.vertex_ids) == 5
 
 
 def test_isolated_component_exhausts_frontier():

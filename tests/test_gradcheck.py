@@ -7,9 +7,7 @@ from ekgen import diffkit as dk
 def test_quadratic_gradient_tight():
     with dk.use_dtype(np.float64):
         x = dk.Tensor(np.array([0.5, -1.2, 2.0]), requires_grad=True)
-        report = dk.grad_check(lambda: (x * x).sum(), {"x": x})
-        assert report.max_rel_err < 1e-8
-        assert report.ok(1e-6)
+        assert dk.grad_check(lambda: (x * x).sum(), {"x": x}) < 1e-8
 
 
 def test_grad_check_requires_scalar():
@@ -29,7 +27,4 @@ def test_grad_check_flags_wrong_gradient():
             out._backward = lambda: x._accum(out.grad * x.data)
             return out
 
-        report = dk.grad_check(broken, {"x": x})
-        assert report.max_rel_err > 0.1
-        assert not report.ok(1e-4)
-        assert report.worst_param == "x"
+        assert dk.grad_check(broken, {"x": x}) > 0.1

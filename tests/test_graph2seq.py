@@ -520,10 +520,10 @@ def desk_trained(tmp_path_factory):
                   pipeline.run_train_g2s):
         stage(ws, cfg)
     w = pipeline.Workspace(ws, cfg)
-    encode = w.corpus.vocab.encode
-    examples = [G2SExample(passage_ids=encode(p.text), local=w.local_ekg(p),
+    c, encode = w.corpus, w.corpus.vocab.encode
+    examples = [G2SExample(passage_ids=encode(c.tokens(p)), local=w.local_ekg(p),
                            comment_ids=encode(p.comments[-1].text))
-                for p in w.corpus.passages[:4]]
+                for p in c.passages[:4]]
     return w.model, examples, cfg.max_len
 
 

@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from ekgen import cli, pipeline
 from ekgen.config import PRESETS, load_config
 from ekgen.corpus import Comment, Passage
-from ekgen.ekg import build_global_ekg
+from ekgen.ekg import GlobalEKG, build_global_ekg
 from ekgen.embed import TrainingDiverged
 
 
@@ -62,8 +63,8 @@ def test_corpus_roundtrip_through_workspace(tmp_path):
     assert c.passages and c.mentions
     assert all(len(p.comments) >= 3 for p in c.passages)
     # saved vocabulary decodes passage text back to the original tokens
-    p = c.passages[0]
-    assert c.vocab.decode(c.vocab.encode(p.text)) == p.text
+    tokens = c.tokens(c.passages[0])
+    assert c.vocab.decode(c.vocab.encode(tokens)) == tokens
 
 
 def test_workspace_lock_blocks_second_writer(tmp_path):
@@ -78,17 +79,16 @@ def test_workspace_lock_blocks_second_writer(tmp_path):
 
 
 def test_report_stats_single_passage():
-    p = Passage(id="p", chapter_index=1, span=(0, 5), text=list("abcde"),
-                entity_ids={0, 1},
+    p = Passage(id="p", chapter_index=1, span=(0, 5), entity_ids={0, 1},
                 comments=[Comment(["x"], 1)] * 3)
-    text = pipeline.report_stats(novel=object(), passages=[p])
+    text = pipeline.report_stats([p], GlobalEKG("n", [], Counter()))
     assert "# passages" in text
     assert "| 2.0" in text   # avg entities
     assert "| 3.0" in text   # avg comments
 
 
 def test_report_stats_empty_corpus_no_division_error():
-    text = pipeline.report_stats(novel=None, passages=[])
+    text = pipeline.report_stats([], GlobalEKG("n", [], Counter()))
     assert "# passages" in text
     assert "| 0" in text
 
@@ -161,6 +161,26 @@ def test_cli_stage_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("stage, setting, message, artifact", [
+    ("train-ekg", "rn_lr=1e30", "phase 2 loss became nan at step 1", "embed"),
+    ("train-g2s", "lr_scale=1e30", "NLL became nan at step 2", "g2s"),
+])
+def test_cli_diverging_training_exit_code(tmp_path, capsys, stage, setting,
+                                          message, artifact):
+    """A learning rate that makes the loss nan: the stage exits 1 with one
+    error line, and writes no artifact. Six entities leave phase 2
+    negatives (with four, every example lacks one)."""
+    ws = tmp_path / "ws"
+    args = _small_args() + ["--set", "synth_entities=6", "--set", setting]
+    stages = ["synth", "ingest", "build-ekg", "train-ekg", "train-g2s"]
+    for prior in stages[:stages.index(stage)]:
+        assert cli.main([prior, "--workspace", str(ws)] + args) == 0
+    capsys.readouterr()
+    assert cli.main([stage, "--workspace", str(ws)] + args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / artifact).exists()
+
+
 def test_cli_synth_and_stats(tmp_path, capsys):
     ws = str(tmp_path / "ws")
     args = []
@@ -181,7 +201,7 @@ def test_stats_relation_average_counts_cooccurring_pairs(tmp_path):
     pipeline.run_ingest(ws, cfg)
     c = pipeline.Workspace(ws, cfg).corpus
     ekg = build_global_ekg(c.novel, c.mentions)
-    text = pipeline.report_stats(c.novel, c.passages, ekg)
+    text = pipeline.report_stats(c.passages, ekg)
     line = next(l for l in text.splitlines() if "relations" in l)
     value = float(line.split("|")[1])
     assert value >= 0.0
@@ -206,6 +226,34 @@ def test_cli_malformed_novel_exit_code(tmp_path, capsys):
                     + _small_args())
     assert code == 3
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("novel.json", lambda raw: raw["chapters"][0].pop("text")),
+    ("novel.json", lambda raw: raw["chapters"][0].__setitem__("text", "")),
+    ("lexicon.json", '{"entities": ['),
+    ("lexicon.json", lambda raw: raw["entities"][0].pop("name")),
+    ("lexicon.json", lambda raw: raw["entities"][0].__setitem__("aliases", [""])),
+    ("lexicon.json", lambda raw: raw.__setitem__("entities", [])),
+], ids=["chapter-no-text", "chapter-empty", "lexicon-not-json",
+        "entity-no-name", "alias-empty", "no-entities"])
+def test_cli_malformed_novel_or_lexicon_exit_code(tmp_path, capsys, name,
+                                                  corrupt):
+    """A synth input file changed by `corrupt`, or replaced by it when it is
+    a string: ingest exits 3 with one error line naming the file."""
+    ws = tmp_path / "ws"
+    assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
+    path = ws / "data" / name
+    if isinstance(corrupt, str):
+        path.write_text(corrupt, encoding="utf-8")
+    else:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(raw)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["ingest", "--workspace", str(ws)] + _small_args()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
 
 
 def test_cli_dangling_entity_reference_exit_code(tmp_path, capsys):
@@ -276,17 +324,26 @@ def _set_in_comment(key, value):
     _set_in_comment("upvotes", "many"), _set_in_comment("text", 7),
     lambda raw: raw["comments"][0].pop("text"),
     lambda raw: raw["comments"][0].pop("upvotes"),
+    _set_in_comment("text", " "), _set_in_comment("upvotes", -1),
+    _set("id", 0), _set("id", "p1"),          # line 1's id
+    '{"chapter": 1,', "[1, 2]",
 ], ids=["no-chapter", "no-start", "no-end", "chapter-str", "start-float",
         "end-null", "comments-str", "upvotes-str", "text-int", "no-text",
-        "no-upvotes"])
+        "no-upvotes", "text-blank", "upvotes-negative", "id-int",
+        "id-duplicate", "not-json", "json-array"])
 def test_cli_malformed_passage_field_exit_code(tmp_path, capsys, corrupt):
+    """Line 2 of passages.jsonl changed by `corrupt`, or replaced by it when
+    it is a string."""
     ws = tmp_path / "ws"
     assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
     path = ws / "data" / "passages.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
-    raw = json.loads(lines[1])
-    corrupt(raw)
-    lines[1] = json.dumps(raw)
+    if isinstance(corrupt, str):
+        lines[1] = corrupt
+    else:
+        raw = json.loads(lines[1])
+        corrupt(raw)
+        lines[1] = json.dumps(raw)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     code = cli.main(["ingest", "--workspace", str(ws)] + _small_args())
@@ -385,6 +442,22 @@ def test_cli_evaluate_unknown_passage_exit_code(generated_ws, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{len(lines)}: ") \
         and "no-such-passage" in err and err.count("\n") == 1, err
+
+
+def test_cli_evaluate_without_non_empty_hypothesis_exit_code(generated_ws,
+                                                            capsys):
+    ws, args = generated_ws
+    path = ws / "generate" / "comments.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        for comment in rec["comments"]:
+            comment["text"] = ""
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--workspace", str(ws)] + args) == 1
+    assert capsys.readouterr().err == \
+        "error: no non-empty hypotheses to evaluate\n"
+    assert not (ws / "evaluate").exists()
 
 
 @pytest.mark.parametrize("text", [[1], {"a": "b"}], ids=["list", "dict"])

@@ -1,3 +1,6 @@
+import json
+from collections import Counter
+
 import pytest
 
 from ekgen import corpus as cp
@@ -5,11 +8,26 @@ from ekgen.synth import SyntheticSpec, generate
 
 
 def test_counts_match_spec(tmp_path):
-    spec = SyntheticSpec(chapters=3, entities=6, passages=60,
-                         comments_per_passage=5, seed=0)
-    info = generate(spec, tmp_path)
-    assert info["counts"] == {"chapters": 3, "entities": 6,
-                              "passages": 60, "comments": 300}
+    # 61 passages do not divide into 3 chapters: the first takes the extra one
+    for passages, per_chapter in ((60, [20, 20, 20]), (61, [21, 20, 20])):
+        spec = SyntheticSpec(chapters=3, entities=6, passages=passages,
+                             comments_per_passage=5, seed=0)
+        info = generate(spec, tmp_path / str(passages))
+        assert info["counts"] == {"chapters": 3, "entities": 6,
+                                  "passages": passages,
+                                  "comments": 5 * passages}
+        with open(info["passages"], encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        with open(info["novel"], encoding="utf-8") as fh:
+            chapters = json.load(fh)["chapters"]
+        with open(info["lexicon"], encoding="utf-8") as fh:
+            entities = json.load(fh)["entities"]
+        by_chapter = Counter(r["chapter"] for r in records)
+        assert [by_chapter[t] for t in (1, 2, 3)] == per_chapter
+        assert info["counts"] == {
+            "chapters": len(chapters), "entities": len(entities),
+            "passages": len(records),
+            "comments": sum(len(r["comments"]) for r in records)}
 
 
 def test_generated_corpus_passes_corpus_invariants(tmp_path):

@@ -102,7 +102,7 @@ def test_forward_ops_finite_on_finite_input():
     x = dk.Tensor(rng.standard_normal((4, 4)))
     for op in (lambda t: t.tanh(), lambda t: t.sigmoid(), lambda t: t.gelu(),
                lambda t: t.leaky_relu(0.2), lambda t: dk.softmax(t),
-               lambda t: dk.log_softmax(t), lambda t: t.exp()):
+               lambda t: dk.log_softmax(t)):
         assert np.isfinite(op(x).numpy()).all()
 
 
