@@ -156,13 +156,17 @@ def load_novel(path, mode: str = "char") -> Novel:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise CorpusParseError(f"{path}:{e.lineno}: {e.msg}") from e
-    try:
-        chapters = sorted(raw["chapters"], key=lambda c: c["index"])
-        built = [_make_chapter(i + 1, c["text"], mode, [c["index"]])
-                 for i, c in enumerate(chapters)]
-        novel = Novel(id=str(raw["id"]), title=raw.get("title", ""), chapters=built)
-    except (KeyError, TypeError) as e:
-        raise CorpusParseError(f"{path}: missing field {e}") from e
+    where = str(path)
+    chapters = sorted(
+        ((_field(c, "index", int, f"{where}: chapter {i}"),
+          _field(c, "text", str, f"{where}: chapter {i}"))
+         for i, c in enumerate(_field(raw, "chapters", list, where))),
+        key=lambda c: c[0])
+    if "id" not in raw:
+        raise CorpusParseError(f"{where}: missing field 'id'")
+    built = [_make_chapter(i + 1, text, mode, [index])
+             for i, (index, text) in enumerate(chapters)]
+    novel = Novel(id=str(raw["id"]), title=raw.get("title", ""), chapters=built)
     for ch in novel.chapters:
         if not ch.tokens:
             raise CorpusParseError(f"{path}: chapter {ch.index} is empty")
@@ -176,7 +180,7 @@ def load_lexicon(path) -> EntityLexicon:
     except json.JSONDecodeError as e:
         raise CorpusParseError(f"{path}:{e.lineno}: {e.msg}") from e
     entries = []
-    for ent in raw.get("entities", []):
+    for ent in _field(raw, "entities", list, str(path)):
         try:
             entries.append(LexiconEntry(entity_id=int(ent["id"]), name=ent["name"],
                                         aliases=list(ent.get("aliases", [])),
@@ -194,8 +198,11 @@ def load_lexicon(path) -> EntityLexicon:
 
 
 def _field(raw: dict, key: str, kind: type, where: str):
-    """`raw[key]` when it holds a JSON value of `kind`; otherwise a
-    `CorpusParseError` at `where` (bools do not count as integers)."""
+    """`raw[key]` when `raw` is a JSON object and `raw[key]` a JSON value
+    of `kind`; otherwise a `CorpusParseError` at `where` (bools do not count
+    as integers)."""
+    if not isinstance(raw, dict):
+        raise CorpusParseError(f"{where}: expected a JSON object")
     if key not in raw:
         raise CorpusParseError(f"{where}: missing field {key!r}")
     value = raw[key]
@@ -219,8 +226,6 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
                 raw = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusParseError(f"{where}: {e.msg}") from e
-            if not isinstance(raw, dict):
-                raise CorpusParseError(f"{where}: expected a JSON object")
             ch_idx = _field(raw, "chapter", int, where)
             if not 1 <= ch_idx <= novel.num_chapters:
                 raise ReferenceError_(

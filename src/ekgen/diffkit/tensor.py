@@ -102,6 +102,9 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
                 (a.T @ g if a.ndim == 2 else a * g))
     if a.ndim == 1:
         return g @ b.T, np.outer(a, g)
+    if a.ndim > 2 and b.ndim == 2:
+        # a batch of row blocks times one matrix: one gemm over all rows
+        return (g @ b.T, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
     return (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
             _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
 
@@ -437,7 +440,9 @@ def cross_entropy_label_smoothed(logits: Tensor, target: int | np.ndarray,
 
     Target distribution mixes the one-hot target with the uniform
     distribution over all classes by weight `eps_ls`; `eps_ls=0` is plain
-    cross entropy. `logits` is (n,) or (len, n) with integer targets.
+    cross entropy. `logits` is (n,) with an integer target, or (..., n)
+    with integer targets of shape `logits.shape[:-1]`; the loss is the mean
+    over all of them.
     """
     logits = as_tensor(logits)
     logp = log_softmax(logits, axis=-1)
@@ -448,8 +453,7 @@ def cross_entropy_label_smoothed(logits: Tensor, target: int | np.ndarray,
             return -picked
         return -((1.0 - eps_ls) * picked + (eps_ls / n) * logp.sum())
     idx = np.asarray(target, dtype=np.int64)
-    rows = np.arange(idx.shape[0])
-    picked = logp[rows, idx]
+    picked = logp[(*np.indices(idx.shape, sparse=True), idx)]
     if eps_ls == 0.0:
         return -picked.mean()
     return -((1.0 - eps_ls) * picked.mean()

@@ -17,7 +17,7 @@ from .ekg import LocalEKG
 from .embed import (MASK_TOKEN, EdgeExample, RelationNetwork,
                     VertexEmbeddingTable, VertexExample, edge_triplet_loss,
                     ngram_features, vertex_loss_total)
-from .graph2seq import GATLayer, Graph2SeqModel, TemporalStack, gat_layer
+from .graph2seq import G2SExample, GATLayer, Graph2SeqModel, gat_layer
 
 SMOOTH_TOL = 1e-6
 ROUGH_TOL = 1e-4
@@ -156,8 +156,7 @@ def _triplet_gap(ex, table, rn, f_c) -> float:
 
 def _loss_checks(rng) -> list[CheckResult]:
     """Eq-level losses: plain and smoothed vertex loss, triplet loss, the
-    multi-task sum, and the full generator NLL, alone and for two examples
-    through one temporal stack."""
+    multi-task sum, and the full generator NLL, alone and over a batch."""
     results = []
     T, n_e, d_f = 3, 4, 6
     table = VertexEmbeddingTable(T, n_e, d_f, seed=int(rng.integers(1 << 30)))
@@ -220,21 +219,18 @@ def _loss_checks(rng) -> list[CheckResult]:
     comment = [7, 8]
     params = model.parameters()
     results.append(_check("g2s_full_nll",
-                          lambda: model.nll(passage, local, comment),
+                          lambda: model.nll([G2SExample(passage, local, comment)]),
                           params, ROUGH_TOL))
-    # with a second local, at another chapter and without edges, through
-    # one temporal stack; the parameters before the memory, since the
-    # decoder's are checked above
+    # three examples: two of one shape share `local`, so their graph rows
+    # repeat in one stacked gather; the third is a shape of its own, at
+    # another chapter and without edges; one GAT union holds both locals
     other = LocalEKG(passage_id="q", t=3, vertex_ids=[0, 1], edges=[],
                      vertex_seq=local.vertex_seq[::-1, 1:])
-
-    def stacked():
-        stack = TemporalStack([local, other])
-        return (model.nll(passage, local, comment, stack)
-                + model.nll([8, 6], other, [6], stack))
-    results.append(_check("g2s_stacked_nll", stacked, {
-        k: p for k, p in params.items() if k.startswith(("lstm.", "gat."))},
-        ROUGH_TOL))
+    batch = [G2SExample(passage, local, comment),
+             G2SExample([8, 6, 7, 7], local, [8, 6]),
+             G2SExample([8, 6], other, [6])]
+    results.append(_check("g2s_batch_nll", lambda: model.nll(batch), params,
+                          ROUGH_TOL))
     return results
 
 

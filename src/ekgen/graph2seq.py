@@ -80,14 +80,6 @@ def gat_layer(vfeats, efeats, edges, layer: GATLayer, mode: str) -> dk.Tensor:
     return layer(vfeats, efeats, edges, use_edges=(mode == "GAT_VE"))
 
 
-@dataclass
-class TemporalStack:
-    """The local EKGs of one training step. The first `temporal_encode`
-    that reads from the stack runs the Bi-LSTM once over all of them."""
-    locals: list[LocalEKG]
-    rows: dict | None = None     # id(local) -> (vertex rows, edge rows)
-
-
 class Graph2SeqModel(dk.Module):
     def __init__(self, cfg: PipelineConfig, vocab_size: int):
         rng = np.random.default_rng(cfg.seed)
@@ -107,67 +99,72 @@ class Graph2SeqModel(dk.Module):
 
     # -- encoding ------------------------------------------------------------
 
-    def temporal_encode(self, local: LocalEKG,
-                        stack: TemporalStack | None = None
+    def temporal_encode(self, *locals_: LocalEKG
                         ) -> tuple[dk.Tensor, dk.Tensor | None]:
-        """`local`'s vertex and edge rows of the Bi-LSTM over `stack` (by
-        default a stack of `local` alone), each row read at its passage's
-        chapter. The edge sequences are encoded only in GAT_VE mode, the one
-        mode that reads them; elsewhere, and for a local without edges, the
-        edge output is None. The two outputs are separate graphs."""
-        stack = stack or TemporalStack([local])
-        if stack.rows is None:
-            locals_ = {id(l): l for l in stack.locals}.values()
-            if any(l.vertex_seq is None for l in locals_):
-                raise ValueError("local EKG has no materialized embeddings")
-            v = self._lstm_rows([(l, l.vertex_seq) for l in locals_])
-            e = self._lstm_rows([(l, l.edge_seq) for l in locals_
-                                 if self.config.mode == "GAT_VE"
-                                 and l.edge_seq is not None
-                                 and l.edge_seq.shape[1]])
-            stack.rows = {key: (rows, e.get(key)) for key, rows in v.items()}
-        return stack.rows[id(local)]
+        """The Bi-LSTM rows of the vertices of `locals_`, then of their
+        edges, each stacked in the order of `locals_` and each row read at its
+        local's chapter: one pass over all vertex sequences side by side and,
+        in GAT_VE mode, the one mode that reads them, one over all edge
+        sequences. Elsewhere, and when no local has an edge, the edge output
+        is None. The two outputs are separate graphs."""
+        if any(l.vertex_seq is None for l in locals_):
+            raise ValueError("local EKG has no materialized embeddings")
+        v = self._lstm_rows([(l, l.vertex_seq) for l in locals_])
+        if self.config.mode != "GAT_VE":
+            return v, None
+        if any(l.edges and l.edge_seq is None for l in locals_):
+            raise ValueError("local EKG has no materialized edge embeddings")
+        return v, self._lstm_rows([(l, l.edge_seq) for l in locals_ if l.edges])
 
-    def _lstm_rows(self, seqs: list[tuple[LocalEKG, np.ndarray]]) -> dict:
+    def _lstm_rows(self, seqs: list[tuple[LocalEKG, np.ndarray]]
+                   ) -> dk.Tensor | None:
         """One `BiLSTM.row` over the (T, n, d_f) sequences side by side, each
-        local's rows read at its chapter; id(local) -> its rows."""
+        local's rows read at its chapter."""
         if not seqs:
-            return {}
-        out = self.lstm.row(
+            return None
+        return self.lstm.row(
             dk.Tensor(np.concatenate([s for _, s in seqs], axis=1)),
             np.concatenate([np.full(s.shape[1], l.t - 1) for l, s in seqs]))
-        ends = np.cumsum([s.shape[1] for _, s in seqs])
-        return {id(l): out[end - s.shape[1]:end]
-                for (l, s), end in zip(seqs, ends)}
 
-    def graph_encode(self, local: LocalEKG, stack=None) -> dk.Tensor:
-        vfeats, efeats = self.temporal_encode(local, stack)
+    def graph_encode(self, *locals_: LocalEKG) -> dk.Tensor:
+        """Vertex encodings of `locals_`, stacked in their order. Each GAT
+        layer runs once over the disjoint union of their graphs, so its
+        mask is block-diagonal and no vertex attends across locals."""
+        vfeats, efeats = self.temporal_encode(*locals_)
         if self.config.mode == "EKG":
             return vfeats
-        pos = {eid: i for i, eid in enumerate(local.vertex_ids)}
-        edges = [(pos[a], pos[b]) for (a, b) in local.edges]
+        edges, base = [], 0
+        for local in locals_:
+            pos = {eid: base + i for i, eid in enumerate(local.vertex_ids)}
+            edges += [(pos[a], pos[b]) for (a, b) in local.edges]
+            base += len(pos)
         for layer in self.gat:
             vfeats = gat_layer(vfeats, efeats, edges, layer, self.config.mode)
         return vfeats
 
-    def encode_passage(self, token_ids: list[int]) -> dk.Tensor:
-        if not token_ids:
+    def encode_passage(self, token_ids) -> dk.Tensor:
+        """Encoder output over a passage's last `max_passage` token ids,
+        (L, d); over the rows of a (B, L) batch of passages, (B, L, d)."""
+        ids = np.asarray(token_ids, dtype=np.int64)[..., -self.config.max_passage:]
+        if not ids.shape[-1]:
             raise ValueError("empty passage")
-        ids = token_ids[-self.config.max_passage:]
         d = self.config.d_model
         x = dk.embedding_lookup(self.tok_emb, ids) * np.sqrt(d)
-        x = x + dk.Tensor(self.pos[:len(ids)])
-        pad = np.asarray(ids) == PAD
-        mask = np.where(pad, -1e9, 0.0)[None, :] if pad.any() else None
+        x = x + dk.Tensor(self.pos[:ids.shape[-1]])
+        pad = ids == PAD
+        # (..., heads, query, key) scores: one key mask row per passage
+        mask = np.where(pad, -1e9, 0.0)[..., None, None, :] if pad.any() else None
         for layer in self.enc_layers:
             x = layer(x, mask)
         return x
 
     # -- decoding ------------------------------------------------------------
 
-    def _decode(self, memory: dk.Tensor, prefix_ids: list[int]) -> dk.Tensor:
-        """Logits for every prefix position; causal self-attention."""
-        n = len(prefix_ids)
+    def _decode(self, memory: dk.Tensor, prefix_ids) -> dk.Tensor:
+        """Logits for every prefix position; causal self-attention. A (B, n)
+        batch of prefixes reads a (B, M, d) batch of memories."""
+        prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
+        n = prefix_ids.shape[-1]
         if n > self.config.max_len + 1:
             raise ValueError(f"prefix of {n} exceeds max length")
         d = self.config.d_model
@@ -178,9 +175,8 @@ class Graph2SeqModel(dk.Module):
             x = layer(x, memory, cmask)
         return self.out_proj(x)
 
-    def fuse_memory(self, passage_ids: list[int], local: LocalEKG,
-                    stack=None) -> dk.Tensor:
-        graph = self.graph_encode(local, stack)
+    def fuse_memory(self, passage_ids: list[int], local: LocalEKG) -> dk.Tensor:
+        graph = self.graph_encode(local)
         return dk.concat([graph, self.encode_passage(passage_ids)], axis=0)
 
     def start_decode(self, memory: dk.Tensor) -> "DecodeState":
@@ -213,15 +209,43 @@ class Graph2SeqModel(dk.Module):
         state.pos += 1
         return dk.softmax_data(self.out_proj.apply(x), -1)[:, 0]
 
-    def nll(self, passage_ids: list[int], local: LocalEKG,
-            comment_ids: list[int], stack=None) -> dk.Tensor:
-        """Teacher-forced label-smoothed NLL, mean over target positions."""
-        target = comment_ids[:self.config.max_len - 1] + [EOS]
-        dec_in = [BOS] + target[:-1]
-        memory = self.fuse_memory(passage_ids, local, stack)
-        logits = self._decode(memory, dec_in)
-        return dk.cross_entropy_label_smoothed(logits, np.asarray(target),
-                                               self.config.eps_ls)
+    def nll(self, examples: list["G2SExample"]) -> dk.Tensor:
+        """Mean over `examples` of the teacher-forced label-smoothed NLL,
+        each example's the mean over its target positions; one graph.
+
+        The distinct locals go through one `graph_encode`. The examples of
+        one shape (passage length after truncation, target length and
+        vertex count) go through one `encode_passage`, one `_decode` and
+        one cross-entropy, stacked on a leading axis without padding; an
+        example of a shape of its own keeps its unstacked 2-D arrays.
+        """
+        if not examples:
+            raise ValueError("no examples")
+        cfg = self.config
+        locals_ = list({id(ex.local): ex.local for ex in examples}.values())
+        graph = self.graph_encode(*locals_)
+        ends = np.cumsum([len(l.vertex_ids) for l in locals_])
+        rows = {id(l): np.arange(end - len(l.vertex_ids), end)
+                for l, end in zip(locals_, ends)}
+        groups: dict[tuple[int, int, int], list] = {}
+        for ex in examples:
+            passage = ex.passage_ids[-cfg.max_passage:]
+            target = ex.comment_ids[:cfg.max_len - 1] + [EOS]
+            key = (len(passage), len(target), len(ex.local.vertex_ids))
+            groups.setdefault(key, []).append(
+                (passage, [BOS] + target[:-1], target, rows[id(ex.local)]))
+        loss = None
+        for group in groups.values():
+            passage, dec_in, target, graph_rows = (
+                np.asarray(col if len(group) > 1 else col[0])
+                for col in zip(*group))
+            memory = dk.concat([graph[graph_rows], self.encode_passage(passage)],
+                               axis=-2)
+            term = dk.cross_entropy_label_smoothed(
+                self._decode(memory, dec_in), target, cfg.eps_ls
+            ) * (len(group) / len(examples))
+            loss = term if loss is None else loss + term
+        return loss
 
     @dk.no_grad()
     def token_accuracy(self, passage_ids, local, comment_ids) -> float:
@@ -277,18 +301,13 @@ def train_g2s(examples: list[G2SExample], model: Graph2SeqModel,
             order.extend(perm)
         batch = [order.pop(0) for _ in range(min(cfg.batch_size, len(order)))]
         opt.zero_grad()
-        loss = None
-        stack = TemporalStack([examples[idx].local for idx in batch])
-        for idx in batch:
-            ex = examples[idx]
-            term = model.nll(ex.passage_ids, ex.local, ex.comment_ids, stack)
-            loss = term if loss is None else loss + term
-        loss = loss * (1.0 / len(batch))
+        loss = model.nll([examples[idx] for idx in batch])
         val = loss.item()
         if not np.isfinite(val):
             raise TrainingDiverged(f"NLL became {val} at step {step}")
         history.append(val)
         loss.backward()
+        del loss                # free this step's graph before the next
         lr = dk.lr_schedule(step, model.config.d_model, cfg.warmup,
                             cfg.lr_scale)
         opt.step(lr)

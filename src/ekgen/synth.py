@@ -52,9 +52,9 @@ def generate(spec: SyntheticSpec, out_dir) -> dict:
     out_dir = Path(out_dir)
     rng = random.Random(spec.seed)
     names = [entity_name(i) for i in range(spec.entities)]
-    # sparse co-occurrence ring: distance-1 and distance-2 pairs only, so
-    # every chapter graph is connected but never complete (negative pairs
-    # for triplet training always exist when entities >= 4)
+    # co-occurrence ring: distance-1 and distance-2 pairs only. At 4 or 5
+    # entities that is every pair, so the ring is complete; from 6 on it is
+    # sparse, and negative pairs for triplet training always exist
     n = spec.entities
     ring = sorted({tuple(sorted(((i, (i + d) % n)))) for i in range(n)
                    for d in (1, 2) if i != (i + d) % n})

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -50,6 +51,37 @@ def test_malformed_json_carries_locus(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(cp.CorpusParseError, match="novel.json"):
         cp.load_novel(bad)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"id": "n", "chapters": [{"index": 1, "text": 5}]},
+     "chapter 0: field 'text' must be str, got 5"),
+    ({"id": "n", "chapters": [{"index": "1", "text": "abc"}]},
+     "chapter 0: field 'index' must be int"),
+    ({"id": "n"}, "missing field 'chapters'"),
+    ({"chapters": [{"index": 1, "text": "abc"}]}, "missing field 'id'"),
+    ({"id": "n", "chapters": ["abc"]}, "chapter 0: expected a JSON object"),
+], ids=["text-number", "index-string", "no-chapters", "no-id",
+        "chapter-not-object"])
+def test_malformed_novel_names_field_and_type(tmp_path, raw, message):
+    bad = tmp_path / "novel.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(cp.CorpusParseError, match="^" + re.escape(
+            f"{bad}: {message}")):
+        cp.load_novel(bad)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([], "expected a JSON object"),
+    ({"entities": 5}, "field 'entities' must be list, got 5"),
+    ({}, "missing field 'entities'"),
+], ids=["array", "entities-number", "no-entities-field"])
+def test_malformed_lexicon_is_a_parse_error(tmp_path, raw, message):
+    bad = tmp_path / "lexicon.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(cp.CorpusParseError, match="^" + re.escape(
+            f"{bad}: {message}")):
+        cp.load_lexicon(bad)
 
 
 def test_non_dense_entity_ids_rejected(tmp_path):

@@ -8,8 +8,7 @@ from ekgen.corpus import BOS, EOS
 from ekgen.ekg import LocalEKG
 from ekgen.embed import train_ekg
 from ekgen.graph2seq import (G2SExample, GATLayer, Graph2SeqModel, Hypothesis,
-                             TemporalStack, beam_decode, gat_layer,
-                             greedy_decode, train_g2s)
+                             beam_decode, gat_layer, greedy_decode, train_g2s)
 
 from test_embed import _tiny_corpus
 
@@ -219,10 +218,14 @@ def test_temporal_encode_requires_materialized_sequences():
     local = LocalEKG(passage_id="p", t=1, vertex_ids=[0], edges=[])
     with pytest.raises(ValueError):
         model.temporal_encode(local)
-    # also beside a materialized local in one stack
-    stack = TemporalStack([_tiny_local(np.random.default_rng(22)), local])
+    # also beside a materialized local in one pass
     with pytest.raises(ValueError, match="materialized"):
-        model.temporal_encode(local, stack)
+        model.temporal_encode(_tiny_local(np.random.default_rng(22)), local)
+    # GAT_VE reads the edge sequences of every local that has edges
+    edged = _tiny_local(np.random.default_rng(24))
+    edged.edge_seq = None
+    with pytest.raises(ValueError, match="edge embeddings"):
+        model.temporal_encode(edged)
 
 
 def test_other_timestep_perturbation_propagates_through_recurrence():
@@ -338,8 +341,8 @@ def test_initial_nll_close_to_log_vocab():
     rng = np.random.default_rng(13)
     model = _tiny_model(vocab_size=100, seed=3)
     local = _tiny_local(rng)
-    losses = [model.nll([6, 7, 8], local,
-                        [int(rng.integers(6, 100)) for _ in range(8)]).item()
+    losses = [model.nll([G2SExample(
+        [6, 7, 8], local, [int(rng.integers(6, 100)) for _ in range(8)])]).item()
               for _ in range(4)]
     assert np.mean(losses) == pytest.approx(np.log(100), rel=0.1)
 
@@ -435,15 +438,17 @@ def _stack_batch(rng, T=6, d_f=16):
 
 
 def _batch_step(model, batch, stacked):
-    """Loss and parameter gradients of one train_g2s step over `batch`,
-    its locals read through one stack, or each example on its own."""
+    """Loss and parameter gradients of one train_g2s step over `batch`:
+    one `nll` over the batch, or the mean of each example's own `nll`."""
     model.zero_grad()
-    stack = TemporalStack([ex.local for ex in batch]) if stacked else None
-    loss = None
-    for ex in batch:
-        term = model.nll(ex.passage_ids, ex.local, ex.comment_ids, stack)
-        loss = term if loss is None else loss + term
-    loss = loss * (1.0 / len(batch))
+    if stacked:
+        loss = model.nll(batch)
+    else:
+        loss = None
+        for ex in batch:
+            term = model.nll([ex])
+            loss = term if loss is None else loss + term
+        loss = loss * (1.0 / len(batch))
     loss.backward()
     return loss.item(), {k: None if p.grad is None else p.grad.copy()
                          for k, p in model.parameters().items()}
@@ -466,21 +471,64 @@ def test_stacked_step_matches_per_example_step(mode, monkeypatch):
     ref_loss, ref_grads = _batch_step(model, batch, stacked=False)
     np.testing.assert_allclose(loss, ref_loss, rtol=1e-6)
     assert grads.keys() == ref_grads.keys()
+    largest = max(np.abs(g).max() for g in ref_grads.values() if g is not None)
     for name, expected in ref_grads.items():
         assert (grads[name] is None) == (expected is None), name
-        if expected is not None:
-            np.testing.assert_allclose(grads[name], expected, rtol=1e-5,
-                                       atol=1e-6 * np.abs(expected).max(),
-                                       err_msg=name)
-    stack = TemporalStack([ex.local for ex in batch])
-    for ex in batch:
-        v, e = model.temporal_encode(ex.local, stack)
-        v_ref, e_ref = model.temporal_encode(ex.local)
-        np.testing.assert_allclose(v.numpy(), v_ref.numpy(), rtol=1e-5,
+        if expected is None:
+            continue
+        if name.endswith("wk.b"):
+            # softmax ignores a shift shared by all keys, so a key bias's
+            # gradient is zero up to round-off, which differs between the
+            # two summation orders: both must be round-off
+            for g in (grads[name], expected):
+                assert np.abs(g).max() <= 1e-6 * largest, name
+            continue
+        np.testing.assert_allclose(grads[name], expected, rtol=1e-5,
+                                   atol=1e-6 * np.abs(expected).max(),
+                                   err_msg=name)
+    # the stacked rows are each local's own, in order
+    locals_ = list({id(ex.local): ex.local for ex in batch}.values())
+    v, e = model.temporal_encode(*locals_)
+    assert v.shape == (15, 16)
+    assert (e is None) == (mode != "GAT_VE")
+    v_at = e_at = 0
+    for local in locals_:
+        v_ref, e_ref = model.temporal_encode(local)
+        c_e = len(local.vertex_ids)
+        np.testing.assert_allclose(v.numpy()[v_at:v_at + c_e], v_ref.numpy(),
+                                   rtol=1e-5, atol=1e-6)
+        v_at += c_e
+        assert (e_ref is None) == (mode != "GAT_VE" or not local.edges)
+        if e_ref is not None:
+            assert e_ref.shape == (len(local.edges), 16)
+            np.testing.assert_allclose(e.numpy()[e_at:e_at + local.c_r],
+                                       e_ref.numpy(), rtol=1e-5, atol=1e-6)
+            e_at += local.c_r
+    assert e is None or e.shape == (e_at, 16)
+
+
+@pytest.mark.parametrize("mode", ["GAT_V", "GAT_VE"])
+def test_gat_over_union_normalizes_per_vertex_and_matches_each_local(mode):
+    rng = np.random.default_rng(23)
+    model = _tiny_model(mode=mode, d_f=16, d_model=16, gat_layers=2, seed=8)
+    locals_ = list({id(ex.local): ex.local
+                    for ex in _stack_batch(rng)}.values())
+    union = model.graph_encode(*locals_).numpy()
+    coefs = [layer.last_coefficients for layer in model.gat]
+    assert [len(c) for c in coefs] == [union.shape[0]] * len(model.gat)
+    for per_layer in coefs:
+        for vertex in per_layer:
+            assert abs(vertex.sum() - 1.0) <= 1e-6
+    at = 0
+    for local in locals_:
+        own = model.graph_encode(local).numpy()
+        np.testing.assert_allclose(union[at:at + len(own)], own, rtol=1e-5,
                                    atol=1e-6)
-        assert (e is None) == (e_ref is None)
-        assert e is None or e.shape == (len(ex.local.edges), 16)
-        assert (e is None) == (mode != "GAT_VE" or not ex.local.edges)
+        # the same coefficients as in the local's own graph
+        for got, want in zip(coefs[-1][at:at + len(own)],
+                             model.gat[-1].last_coefficients):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        at += len(own)
 
 
 def test_beam_one_equals_greedy():
@@ -525,6 +573,26 @@ def desk_trained(tmp_path_factory):
                            comment_ids=encode(p.comments[-1].text))
                 for p in c.passages[:4]]
     return w.model, examples, cfg.max_len
+
+
+def test_desk_batch_runs_encoder_and_decoder_once_per_shape(desk_trained,
+                                                           monkeypatch):
+    model, examples, _ = desk_trained
+    cfg = model.config
+    shapes = {(len(ex.passage_ids[-cfg.max_passage:]),
+               len(ex.comment_ids[:cfg.max_len - 1]) + 1,
+               len(ex.local.vertex_ids)) for ex in examples}
+    assert len(shapes) == 1             # desk passages and comments: one shape
+    calls = []
+    encode, decode = model.encode_passage, model._decode
+    monkeypatch.setattr(model, "encode_passage", lambda ids: (
+        calls.append(("encode_passage", np.shape(ids))), encode(ids))[1])
+    monkeypatch.setattr(model, "_decode", lambda memory, prefix: (
+        calls.append(("_decode", memory.shape)), decode(memory, prefix))[1])
+    model.nll(examples)
+    (passage, _, c_e), = shapes
+    assert calls == [("encode_passage", (len(examples), passage)),
+                     ("_decode", (len(examples), c_e + passage, cfg.d_model))]
 
 
 def _uncached_beam(passage_ids, local, model, beam, max_len,

@@ -1,0 +1,24 @@
+"""Smoke runs of the benchmark harness: it wraps and calls the model's
+entry points by name (`nll`, `temporal_encode`, `graph_encode`,
+`encode_passage`, `fuse_memory`, `gat_layer`, `_decode`), so a change to
+their call shapes shows here rather than only when the benchmark runs."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_perfbench_desk_runs_and_checks_its_outputs(trace):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "desk", "--seed", "1", "--seconds", "0", "--trace", trace],
+        capture_output=True, text=True, timeout=600, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["correct"] is True, proc.stderr[-2000:]

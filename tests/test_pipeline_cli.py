@@ -235,8 +235,13 @@ def test_cli_malformed_novel_exit_code(tmp_path, capsys):
     ("lexicon.json", lambda raw: raw["entities"][0].pop("name")),
     ("lexicon.json", lambda raw: raw["entities"][0].__setitem__("aliases", [""])),
     ("lexicon.json", lambda raw: raw.__setitem__("entities", [])),
+    ("novel.json", lambda raw: raw["chapters"][0].__setitem__("text", 5)),
+    ("novel.json", lambda raw: raw.pop("chapters")),
+    ("lexicon.json", "[]"),
+    ("lexicon.json", '{"entities": 5}'),
 ], ids=["chapter-no-text", "chapter-empty", "lexicon-not-json",
-        "entity-no-name", "alias-empty", "no-entities"])
+        "entity-no-name", "alias-empty", "no-entities", "chapter-text-number",
+        "novel-no-chapters", "lexicon-array", "entities-number"])
 def test_cli_malformed_novel_or_lexicon_exit_code(tmp_path, capsys, name,
                                                   corrupt):
     """A synth input file changed by `corrupt`, or replaced by it when it is
