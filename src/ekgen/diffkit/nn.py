@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (Tensor, _child, _const, _matmul_grads, _node_grad,
-                     _softmax_grad, _tracks, as_tensor, concat, gelu_data,
+                     _softmax_grad, _tracks, as_tensor, gelu_data,
                      layer_norm, layer_norm_data, linear, linear_data,
                      parameter, softmax_data, zeros)
 
@@ -66,7 +66,8 @@ class Linear(Module):
 class LSTMCell(Module):
     """Parameters of a standard LSTM cell; gate order i, f, g, o.
 
-    `lstm_sequence` runs them over a whole sequence.
+    `lstm_sequence` runs one cell over a whole sequence; `bilstm_layer`
+    runs a forward and a backward cell in one time loop.
     """
 
     def __init__(self, rng, d_in: int, d_hidden: int):
@@ -76,8 +77,80 @@ class LSTMCell(Module):
         self.b = zeros(4 * d_hidden)
 
 
-def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
-                  row: int | np.ndarray | None = None) -> Tensor:
+def _recur(xs: np.ndarray, w_hh: np.ndarray, n: int, track: bool):
+    """An LSTM run from a zero state over the input projections `xs`
+    (steps, ..., 4n), bias included, in their order. Returns the hidden
+    states in that order and, when `track`, the caches its backward reads:
+    the gates after their nonlinearity (i, f, g, o), the cell states and
+    their tanh."""
+    hs = np.empty(xs.shape[:-1] + (n,), dtype=xs.dtype)
+    if track:
+        caches = np.empty_like(xs), np.empty_like(hs), np.empty_like(hs)
+    h = np.zeros(hs.shape[1:], dtype=xs.dtype)
+    c = np.zeros_like(h)
+    for k in range(len(xs)):
+        z = xs[k] + h @ w_hh
+        act = 1.0 / (1.0 + np.exp(-z))
+        act[..., 2 * n:3 * n] = np.tanh(z[..., 2 * n:3 * n])
+        i, f, g, o = (act[..., j * n:(j + 1) * n] for j in range(4))
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs[k] = h
+        if track:
+            caches[0][k], caches[1][k], caches[2][k] = act, c, tc
+    return hs, (caches if track else None)
+
+
+def _shifted(a: np.ndarray) -> np.ndarray:
+    """The state each step of a step-ordered `a` read: the previous step's,
+    or zero at the first."""
+    prev = np.zeros_like(a)
+    prev[1:] = a[:-1]
+    return prev
+
+
+def _bptt(gates, cs, tcs, dh_out, w_hh, n: int) -> np.ndarray:
+    """Backpropagation through time over `_recur`'s caches, given the
+    gradient of each step's hidden state: the gradients of the gate
+    pre-activations, in step order. The gate derivatives are taken for all
+    steps at once, so each step does only its recurrent products."""
+    d_act = gates * (1.0 - gates)                    # sigmoid' of i, f, o
+    g = gates[..., 2 * n:3 * n]
+    d_act[..., 2 * n:3 * n] = 1.0 - g * g            # tanh' of g
+    d_c = gates[..., 3 * n:] * (1.0 - tcs * tcs)     # dh -> dc through tanh(c)
+    c_prev = _shifted(cs)
+    dz = np.empty_like(gates)
+    dh = np.zeros_like(dh_out[0])
+    dc = np.zeros_like(dh)
+    w_hh_t = np.swapaxes(w_hh, -1, -2)
+    for k in reversed(range(len(gates))):
+        i, f, g = (gates[k, ..., j * n:(j + 1) * n] for j in range(3))
+        dh = dh + dh_out[k]
+        dc = dc + dh * d_c[k]
+        z = dz[k]
+        z[..., 0:n] = dc * g
+        z[..., n:2 * n] = dc * c_prev[k]
+        z[..., 2 * n:3 * n] = dc * i
+        z[..., 3 * n:] = dh * tcs[k]
+        z *= d_act[k]
+        dc = dc * f
+        dh = z @ w_hh_t
+    return dz
+
+
+def _accum_cell_grads(cell: LSTMCell, x: np.ndarray, h_prev: np.ndarray,
+                      dz: np.ndarray):
+    """`cell`'s weight gradients from the steps' inputs `x`, the hidden
+    states they read `h_prev` and their pre-activation gradients `dz`, all
+    in time order, each one gemm (or sum) over all rows."""
+    flat = dz.reshape(-1, dz.shape[-1])
+    cell.w_ih._accum(x.reshape(-1, x.shape[-1]).T @ flat)
+    cell.w_hh._accum(h_prev.reshape(-1, h_prev.shape[-1]).T @ flat)
+    cell.b._accum(flat.sum(axis=0))
+
+
+def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False) -> Tensor:
     """Hidden states of `cell` run from a zero state over the leading axis of
     `x` (T, ..., d_in), as one autodiff node of shape (T, ..., d_hidden).
 
@@ -87,85 +160,106 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False,
     backpropagation through time over the gates cached here, which are kept
     only when a graph is being built.
 
-    With `row`, the node is only that row's state, (..., d_hidden), and only
-    the steps that reach it run: 0..row, or T - 1..row with `reverse`. Its
-    value and gradients equal those of row `row` of the whole sequence; the
-    steps left out would only have added zeros to the gradients. `row` may
-    also give each sequence its own time, as an int array of shape
-    `x.shape[1:-1]`; the node is then `hs[row, arange(N)]`, and the steps run
-    to the latest time (0..max), or from T - 1 down to the earliest.
+    One direction alone: the reference `bilstm_layer` is tested against.
     """
     x = as_tensor(x)
     parents = (x, cell.w_ih, cell.w_hh, cell.b)
     track = _tracks(parents)
     n = cell.d_hidden
-    w_ih, w_hh, b = cell.w_ih.data, cell.w_hh.data, cell.b.data
-    xw = x.data @ w_ih
-    T = xw.shape[0]
-    if row is None:
-        order = range(T - 1, -1, -1) if reverse else range(T)
-    else:
-        row = np.asarray(row)
-        if ((row < -T) | (row >= T)).any():
-            raise IndexError(f"row index out of range for {T} steps")
-        row = np.where(row < 0, row + T, row)
-        order = (range(T - 1, row.min(initial=T) - 1, -1) if reverse
-                 else range(row.max(initial=-1) + 1))
-        pick = (row, *np.indices(row.shape))
-    # zeros: the weight gradients read every row, including steps not run
-    hs = np.zeros(xw.shape[:-1] + (n,), dtype=xw.dtype)
-    if track:
-        gates = np.empty_like(xw)        # i, f, g, o after their nonlinearity
-        cs = np.empty_like(hs)
-        tcs = np.empty_like(hs)          # tanh of each cell state
-    h = np.zeros(hs.shape[1:], dtype=xw.dtype)
-    c = np.zeros_like(h)
-    for t in order:
-        z = xw[t] + h @ w_hh + b
-        act = 1.0 / (1.0 + np.exp(-z))
-        act[..., 2 * n:3 * n] = np.tanh(z[..., 2 * n:3 * n])
-        i, f, g, o = (act[..., k * n:(k + 1) * n] for k in range(4))
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs[t] = h
-        if track:
-            gates[t], cs[t], tcs[t] = act, c, tc
-    out = _child(hs if row is None else hs[pick], parents)
+    run = slice(None, None, -1) if reverse else slice(None)   # time <-> step
+    xw = x.data @ cell.w_ih.data + cell.b.data
+    hs, caches = _recur(xw[run], cell.w_hh.data, n, track)
+    out = _child(hs[run], parents)
     if not track:
         return out
 
     def _bw():
-        if row is None:
-            dh_out = out.grad
+        dz = np.ascontiguousarray(
+            _bptt(*caches, out.grad[run], cell.w_hh.data, n)[run])
+        _accum_cell_grads(cell, x.data, _shifted(hs)[run], dz)
+        if x.requires_grad:
+            x._accum(dz @ cell.w_ih.data.T)
+    out._backward = _bw
+    return out
+
+
+def bilstm_layer(x: Tensor, fwd: LSTMCell, bwd: LSTMCell,
+                 pick: tuple | None = None) -> Tensor:
+    """`concat([lstm_sequence(x, fwd), lstm_sequence(x, bwd, reverse=True)],
+    axis=-1)` as one autodiff node, equal to it in value and in every
+    gradient.
+
+    Both directions advance in one time loop: step k reads time k forward
+    and time T - 1 - k backward, with the two states stacked on a leading
+    axis of 2 and one batched `h @ w_hh` over both directions' weights. The
+    sequence axes `x.shape[1:-1]` are flattened into one column axis inside.
+
+    With `pick`, one integer array per leading axis of `x` (time, then each
+    sequence axis), the node is only `full[pick]`, (..., 2 * d_hidden), and
+    only the steps that reach a picked row run: forward over 0..max(time),
+    backward over T - 1..min(time). A repeated (time, column) pair adds its
+    gradients. Gates are cached only when a graph is being built.
+    """
+    x = as_tensor(x)
+    cells = (fwd, bwd)
+    parents = (x, fwd.w_ih, fwd.w_hh, fwd.b, bwd.w_ih, bwd.w_hh, bwd.b)
+    track = _tracks(parents)
+    n = fwd.d_hidden
+    T, lead = x.shape[0], x.shape[1:-1]
+    m = int(np.prod(lead, dtype=np.int64))
+    # each direction's input projection over all steps, as lstm_sequence's
+    xw = [x.data @ cell.w_ih.data + cell.b.data for cell in cells]
+    if pick is None:
+        steps = T
+    else:
+        if len(pick) != x.ndim - 1:
+            raise IndexError(f"pick needs {x.ndim - 1} index arrays, "
+                             f"got {len(pick)}")
+        times = np.arange(T)[pick[0]]
+        cols = np.arange(m).reshape(lead)[tuple(pick[1:])]
+        times, cols = np.broadcast_arrays(times, cols)
+        steps = max(times.max(initial=-1) + 1, T - times.min(initial=T))
+    # step order: [k, 0] is forward time k, [k, 1] backward time T - 1 - k
+    xs = np.stack([xw[0].reshape(T, m, 4 * n)[:steps],
+                   xw[1].reshape(T, m, 4 * n)[::-1][:steps]], axis=1)
+    w_hh = np.stack([fwd.w_hh.data, bwd.w_hh.data])
+    hs, caches = _recur(xs, w_hh, n, track)
+    if pick is None:
+        y = np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
+        out = _child(y.reshape(x.shape[:-1] + (2 * n,)), parents)
+    else:
+        out = _child(np.concatenate([hs[times, 0, cols],
+                                     hs[T - 1 - times, 1, cols]], axis=-1),
+                     parents)
+    if not track:
+        return out
+
+    def in_time_order(a, d):
+        """Direction `d`'s rows of the step-ordered `a` over all T times,
+        zero at the times that did not run, as lstm_sequence sums them."""
+        full = np.zeros((T,) + a.shape[2:], dtype=a.dtype)
+        if d == 0:
+            full[:steps] = a[:, 0]
+        else:
+            full[T - steps:] = a[::-1, 1]
+        return full
+
+    def _bw():
+        if pick is None:
+            grad = out.grad.reshape(T, m, 2 * n)
+            dh_out = np.stack([grad[..., :n], grad[::-1, ..., n:]], axis=1)
         else:
             dh_out = np.zeros_like(hs)
-            dh_out[pick] += out.grad
-        # state each step read: the neighbour in the running order, or zero
-        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
-        if reverse:
-            h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
-        else:
-            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
-        dz = np.zeros_like(gates)
-        dh = np.zeros_like(h)
-        dc = np.zeros_like(h)
-        for t in reversed(order):
-            i, f, g, o = (gates[t, ..., k * n:(k + 1) * n] for k in range(4))
-            dh = dh + dh_out[t]
-            dc = dc + dh * o * (1.0 - tcs[t] * tcs[t])
-            dz[t, ..., 0:n] = dc * g * i * (1.0 - i)
-            dz[t, ..., n:2 * n] = dc * c_prev[t] * f * (1.0 - f)
-            dz[t, ..., 2 * n:3 * n] = dc * i * (1.0 - g * g)
-            dz[t, ..., 3 * n:] = dh * tcs[t] * o * (1.0 - o)
-            dc = dc * f
-            dh = dz[t] @ w_hh.T
-        flat = dz.reshape(-1, 4 * n)
-        cell.w_ih._accum(x.data.reshape(-1, w_ih.shape[0]).T @ flat)
-        cell.w_hh._accum(h_prev.reshape(-1, n).T @ flat)
-        cell.b._accum(flat.sum(axis=0))
-        if x.requires_grad:
-            x._accum(dz @ w_ih.T)
+            np.add.at(dh_out, (times, 0, cols), out.grad[..., :n])
+            np.add.at(dh_out, (T - 1 - times, 1, cols), out.grad[..., n:])
+        dz = _bptt(*caches, dh_out, w_hh, n)
+        h_prev = _shifted(hs)
+        # each direction's gradients summed over its rows in time order
+        for d, cell in enumerate(cells):
+            dz_d = in_time_order(dz, d)
+            _accum_cell_grads(cell, x.data, in_time_order(h_prev, d), dz_d)
+            if x.requires_grad:
+                x._accum(dz_d.reshape(xw[d].shape) @ cell.w_ih.data.T)
     out._backward = _bw
     return out
 
@@ -174,7 +268,7 @@ class BiLSTM(Module):
     """Stacked bidirectional LSTM over a (T, ..., d_in) sequence.
 
     Output at step t is concat(forward h_t, backward h_t), so the feature
-    width is 2 * d_hidden.
+    width is 2 * d_hidden. Each layer is one `bilstm_layer` node.
     """
 
     def __init__(self, rng, d_in: int, d_hidden: int, n_layers: int = 2):
@@ -191,15 +285,12 @@ class BiLSTM(Module):
     def __call__(self, inputs: Tensor) -> Tensor:
         return self._layers(inputs, self.n_layers)
 
-    def row(self, inputs: Tensor, t: int | np.ndarray) -> Tensor:
-        """Row `t` of `self(inputs)`, with equal value and gradients. The
-        last layer runs forward only over steps 0..t and backward only over
-        T - 1..t, the steps that reach row t. An int array `t` of shape
-        `inputs.shape[1:-1]` reads each sequence at its own time."""
+    def pick(self, inputs: Tensor, *index) -> Tensor:
+        """`self(inputs)[index]`, with equal value and gradients, for one
+        integer array per leading axis of `inputs` (time, then each sequence
+        axis): the last layer runs only the steps that reach those rows."""
         x = self._layers(inputs, self.n_layers - 1)
-        return concat([lstm_sequence(x, self.fwd[-1], row=t),
-                       lstm_sequence(x, self.bwd[-1], reverse=True, row=t)],
-                      axis=-1)
+        return bilstm_layer(x, self.fwd[-1], self.bwd[-1], pick=index)
 
     def _layers(self, inputs: Tensor, n: int) -> Tensor:
         """Output sequence of the first `n` layers."""
@@ -207,8 +298,7 @@ class BiLSTM(Module):
             raise ValueError("BiLSTM requires a non-empty sequence")
         x = inputs
         for fcell, bcell in zip(self.fwd[:n], self.bwd[:n]):
-            x = concat([lstm_sequence(x, fcell),
-                        lstm_sequence(x, bcell, reverse=True)], axis=-1)
+            x = bilstm_layer(x, fcell, bcell)
         return x
 
 

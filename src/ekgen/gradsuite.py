@@ -237,8 +237,9 @@ def _loss_checks(rng) -> list[CheckResult]:
 def _fused_checks(rng) -> list[CheckResult]:
     """Fused ops at the shapes and options the model does not reach in the
     entries above: `linear` on 1-D input and without bias, `layer_norm` over
-    a 3-D batch, and `BiLSTM.row` at the first, a middle and the last row,
-    and with one time per sequence."""
+    a 3-D batch, one `bilstm_layer` over the whole sequence and at picks
+    that repeat a (time, sequence) pair, and `BiLSTM.pick` at the first, a
+    middle and the last row, and with one time per sequence."""
     results = []
     w = dk.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = dk.Tensor(rng.standard_normal(3), requires_grad=True)
@@ -264,12 +265,24 @@ def _fused_checks(rng) -> list[CheckResult]:
     lstm = dk.BiLSTM(np.random.default_rng(int(rng.integers(1 << 30))), 3, 2,
                      n_layers=2)
     seq = dk.Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
+    fwd, bwd = lstm.fwd[0], lstm.bwd[0]
+    layer_params = {"seq": seq, **{f"{name}.{k}": p for name, cell in
+                                   (("fwd", fwd), ("bwd", bwd))
+                                   for k, p in cell.parameters().items()}}
+    # (time, sequence) pairs: the first and the last step, and one repeated
+    pick = (np.array([0, 1, 1, 2]), np.array([1, 0, 0, 1]))
+    for name, at in (("bilstm_layer", None), ("bilstm_layer_pick", pick)):
+        probe = dk.Tensor(rng.standard_normal(
+            (3, 2, 4) if at is None else (len(pick[0]), 4)))
+        results.append(_check(
+            name, lambda: (dk.bilstm_layer(seq, fwd, bwd, at) * probe).sum(),
+            layer_params, ROUGH_TOL))
     row_probe = dk.Tensor(rng.standard_normal((2, 4)))
-    times = {f"bilstm_row_t{t}": t for t in (0, 1, 2)}
+    times = {f"bilstm_row_t{t}": np.array([t, t]) for t in (0, 1, 2)}
     times["bilstm_row_per_row_times"] = np.array([2, 0])    # last, first
     for name, t in times.items():
         results.append(_check(
-            name, lambda: (lstm.row(seq, t) * row_probe).sum(),
+            name, lambda: (lstm.pick(seq, t, np.arange(2)) * row_probe).sum(),
             {"seq": seq, **lstm.parameters()}, ROUGH_TOL))
     return results
 

@@ -118,13 +118,25 @@ class Graph2SeqModel(dk.Module):
 
     def _lstm_rows(self, seqs: list[tuple[LocalEKG, np.ndarray]]
                    ) -> dk.Tensor | None:
-        """One `BiLSTM.row` over the (T, n, d_f) sequences side by side, each
-        local's rows read at its chapter."""
+        """The Bi-LSTM rows of the (T, n, d_f) sequences `seqs`, each
+        local's read at its chapter, from one `BiLSTM.pick` over their
+        distinct (T, d_f) columns side by side.
+
+        Locals that share an entity or an entity pair share its column.
+        Columns are keyed by their bytes, not by id: two locals may give one
+        id different sequences."""
         if not seqs:
             return None
-        return self.lstm.row(
-            dk.Tensor(np.concatenate([s for _, s in seqs], axis=1)),
-            np.concatenate([np.full(s.shape[1], l.t - 1) for l, s in seqs]))
+        index: dict[bytes, int] = {}
+        columns, picks, times = [], [], []
+        for local, seq in seqs:
+            for col in np.swapaxes(seq, 0, 1):
+                picks.append(index.setdefault(col.tobytes(), len(index)))
+                if picks[-1] == len(columns):
+                    columns.append(col)
+            times += [local.t - 1] * seq.shape[1]
+        return self.lstm.pick(dk.Tensor(np.stack(columns, axis=1)),
+                              np.array(times), np.array(picks))
 
     def graph_encode(self, *locals_: LocalEKG) -> dk.Tensor:
         """Vertex encodings of `locals_`, stacked in their order. Each GAT

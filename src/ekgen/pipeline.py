@@ -4,7 +4,8 @@ train-ekg -> train-g2s -> generate -> evaluate.
 Each stage reads its prerequisites from the workspace, writes its
 artifacts into a stage subdirectory, and records config + output hashes
 in the run manifest. Stages are pure functions of their inputs, so a
-seeded run is reproducible byte for byte.
+seeded run is reproducible byte for byte under one BLAS setting, which the
+manifest records with each stage.
 """
 
 from __future__ import annotations
@@ -120,6 +121,17 @@ def workspace_lock(ws: Path):
         lock.unlink(missing_ok=True)
 
 
+def blas_record() -> dict:
+    """The BLAS setting a stage ran under. Seeded artifacts repeat byte for
+    byte only under one such setting: summation order in BLAS can follow the
+    library, its version and its thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "threads": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def _record(ws: Path, stage: str, cfg: PipelineConfig, outputs: list[Path]):
     manifest_path = ws / "manifest.json"
     stages = (_read_artifact(manifest_path, lambda raw: {**raw["stages"]})
@@ -128,6 +140,7 @@ def _record(ws: Path, stage: str, cfg: PipelineConfig, outputs: list[Path]):
         "seed": cfg.seed,
         "config": json.loads(cfg.to_json()),
         "outputs": {str(p.relative_to(ws)): _sha256(p) for p in sorted(outputs)},
+        "blas": blas_record(),
     }
     _write_text(manifest_path, json.dumps({"stages": stages}, sort_keys=True, indent=1))
 

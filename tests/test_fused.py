@@ -1,9 +1,9 @@
 """The fused ops (`linear`, `layer_norm`, the attention core and
-`BiLSTM.row`) against the graphs of elementary ops they replace, kept here
-as references. Outputs and every gradient must be bitwise equal, not merely
-close: the desk overfit criterion moves under one-ulp changes. The array
-decode step, which runs the fused ops' forward kernels, must be bitwise
-equal to the same graphs too."""
+`bilstm_layer` with `BiLSTM.pick`) against the graphs of elementary ops they
+replace, kept here as references. Outputs and every gradient must be bitwise
+equal, not merely close: the desk overfit criterion moves under one-ulp
+changes. The array decode step, which runs the fused ops' forward kernels,
+must be bitwise equal to the same graphs too."""
 
 import contextlib
 from dataclasses import replace
@@ -59,10 +59,19 @@ def reference_attention(q, k, v, n_heads, mask=None):
     return out.reshape(*out.shape[:-2], d)
 
 
-def reference_bilstm_row(self, inputs, t):
-    if np.ndim(t) == 0:
-        return self(inputs)[t]
-    return self(inputs)[t, np.arange(len(t))]
+def reference_bilstm_layer(x, fwd, bwd, pick=None):
+    out = dk.concat([dk.lstm_sequence(x, fwd),
+                     dk.lstm_sequence(x, bwd, reverse=True)], axis=-1)
+    return out if pick is None else out[pick]
+
+
+def reference_bilstm_row(self, inputs, *index):
+    """`BiLSTM.pick` as every layer's whole sequence, then an index of the
+    (time, sequence) pairs."""
+    x = inputs
+    for fwd, bwd in zip(self.fwd, self.bwd):
+        x = reference_bilstm_layer(x, fwd, bwd)
+    return x[index]
 
 
 @contextlib.contextmanager
@@ -72,7 +81,7 @@ def references():
         mp.setattr(dk.Linear, "__call__", reference_linear)
         mp.setattr(dk_nn, "layer_norm", reference_layer_norm)
         mp.setattr(dk_nn, "multi_head_attention", reference_attention)
-        mp.setattr(dk.BiLSTM, "row", reference_bilstm_row)
+        mp.setattr(dk.BiLSTM, "pick", reference_bilstm_row)
         yield
 
 
@@ -274,7 +283,69 @@ def test_attention_builds_one_node():
 
 
 # ---------------------------------------------------------------------------
-# BiLSTM row
+# BiLSTM layer and pick
+
+def _bilstm_results(run, data, probe, params, held):
+    """Output, input gradient and each of `params`' gradients of one
+    forward through `run` and one backward of `probe`, with `params` first
+    holding `held`, as after another sequence."""
+    for k, p in params.items():
+        p.grad = held[k].copy()
+    x = _leaf(data)
+    out = run(x)
+    out.backward(probe.astype(out.data.dtype))
+    return (out.numpy().copy(),
+            {"x": x.grad, **{k: p.grad.copy() for k, p in params.items()}})
+
+
+def _picks(rng, T, lead, n):
+    """`n` (time, sequence) pairs over a (T, *lead) grid that hold the
+    first and the last step and repeat one pair."""
+    times = rng.integers(0, T, n)
+    times[0], times[-1] = 0, T - 1
+    cols = [rng.integers(0, s, n) for s in lead]
+    for a in (times, *cols):
+        a[2] = a[1]
+    return (times, *cols)
+
+
+@pytest.mark.parametrize("T", [1, 3, 16])
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["2d", "3d"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_bilstm_layer_bitwise_concat_of_directions(layers, lead, T):
+    """Each layer one `bilstm_layer` against the concat of two
+    `lstm_sequence` directions, over the whole sequence and at picks."""
+    rng = np.random.default_rng(T + len(lead))
+    lstm = dk.BiLSTM(np.random.default_rng(layers), D, D // 2, n_layers=layers)
+    held = {k: rng.standard_normal(p.shape).astype(np.float32)
+            for k, p in lstm.parameters().items()}
+    data = rng.standard_normal((T, *lead, D))
+    for pick in (None, _picks(rng, T, lead, 7)):
+        shape = (T, *lead) if pick is None else pick[0].shape
+        probe = rng.standard_normal((*shape, D))
+        fused = ((lambda x: lstm(x)) if pick is None
+                 else (lambda x: lstm.pick(x, *pick)))
+        _assert_bitwise(*(
+            _bilstm_results(run, data, probe, lstm.parameters(), held)
+            for run in (fused, lambda x: reference_bilstm_row(lstm, x, *(
+                pick or (slice(None),))))))
+
+
+def test_bilstm_layer_builds_no_graph_under_no_grad():
+    rng = np.random.default_rng(9)
+    fwd, bwd = (dk.LSTMCell(rng, 3, 2) for _ in range(2))
+    x = dk.Tensor(rng.standard_normal((4, 2, 3)))
+    out = dk.bilstm_layer(x, fwd, bwd)
+    assert out._parents == (x, *fwd.parameters().values(),
+                            *bwd.parameters().values())
+    for pick in (None, (np.array([3, 0]), np.array([1, 1]))):
+        with dk.no_grad():
+            inference = dk.bilstm_layer(x, fwd, bwd, pick)
+        assert not inference.requires_grad and inference._backward is None
+        assert inference._parents == ()
+        want = out.numpy() if pick is None else out.numpy()[pick]
+        np.testing.assert_array_equal(inference.numpy(), want)
+
 
 @pytest.mark.parametrize("T,c_e", [(3, 5), (16, 5), (16, 1)],
                          ids=["desk", "novel", "one-vertex"])
@@ -283,44 +354,46 @@ def test_bilstm_row_bitwise_reference(T, c_e, layers):
     rng = np.random.default_rng(11)
     lstm = dk.BiLSTM(np.random.default_rng(12), D, D // 2, n_layers=layers)
     data = rng.standard_normal((T, c_e, D))
-    probe = rng.standard_normal((c_e, D)).astype(np.float32)
     # parameters already hold a gradient, as after the other sequence
     held = {k: rng.standard_normal(p.shape).astype(np.float32)
             for k, p in lstm.parameters().items()}
     # one time for every row, then one time per row: mixed with the first,
     # the last and a repeated time (a single time on a one-row sequence),
-    # and the last time for every row
-    times = sorted({0, 1, T // 2, T - 1} & set(range(T)))
-    times += [np.resize([T // 2, 0, T - 1, T // 2], c_e), np.full(c_e, T - 1)]
-    for t in times:
-        results = []
-        for run in (lambda x: lstm.row(x, t),
-                    lambda x: reference_bilstm_row(lstm, x, t)):
-            for k, p in lstm.parameters().items():
-                p.grad = held[k].copy()
-            x = _leaf(data)
-            out = run(x)
-            out.backward(probe)
-            results.append((out.numpy().copy(),
-                            {"x": x.grad, **{k: p.grad.copy() for k, p in
-                                             lstm.parameters().items()}}))
-        _assert_bitwise(*results)
+    # the last time for every row, and pairs that repeat a (time, row)
+    rows = np.arange(c_e)
+    picks = [(np.full(c_e, t), rows) for t in sorted({0, 1, T // 2, T - 1}
+                                                     & set(range(T)))]
+    picks += [(np.resize([T // 2, 0, T - 1, T // 2], c_e), rows),
+              (np.full(c_e, T - 1), rows), _picks(rng, T, (c_e,), 9)]
+    for pick in picks:
+        probe = rng.standard_normal((len(pick[0]), D))
+        _assert_bitwise(*(
+            _bilstm_results(lambda x: run(lstm, x, *pick), data, probe,
+                            lstm.parameters(), held)
+            for run in (dk.BiLSTM.pick, reference_bilstm_row)))
 
 
 def test_bilstm_row_takes_negative_index_and_rejects_out_of_range():
     rng = np.random.default_rng(13)
     lstm = dk.BiLSTM(rng, 3, 2)
     x = dk.Tensor(rng.standard_normal((4, 3)))
-    np.testing.assert_array_equal(lstm.row(x, -1).numpy(), lstm(x)[-1].numpy())
+    np.testing.assert_array_equal(lstm.pick(x, -1).numpy(),
+                                  lstm(x)[-1].numpy())
     with pytest.raises(IndexError):
-        lstm.row(x, 4)
-    # one time per sequence: the same rules for each
+        lstm.pick(x, 4)
+    # one time per sequence: the same rules for each, and for the sequences
     xs = dk.Tensor(rng.standard_normal((4, 3, 3)))
-    np.testing.assert_array_equal(lstm.row(xs, np.array([-1, 0, -4])).numpy(),
-                                  lstm.row(xs, np.array([3, 0, 0])).numpy())
+    rows = np.arange(3)
+    np.testing.assert_array_equal(
+        lstm.pick(xs, np.array([-1, 0, -4]), rows).numpy(),
+        lstm.pick(xs, np.array([3, 0, 0]), np.array([-3, 1, 2])).numpy())
     for bad in ([0, 4, 1], [0, -5, 1]):
         with pytest.raises(IndexError):
-            lstm.row(xs, np.array(bad))
+            lstm.pick(xs, np.array(bad), rows)
+    with pytest.raises(IndexError):
+        lstm.pick(xs, np.array([0, 1]), np.array([0, 3]))
+    with pytest.raises(IndexError):
+        lstm.pick(xs, np.array([0, 1]))
 
 
 # ---------------------------------------------------------------------------

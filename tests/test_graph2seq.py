@@ -239,6 +239,47 @@ def test_other_timestep_perturbation_propagates_through_recurrence():
     assert np.abs(base - perturbed).max() > 1e-6
 
 
+def _spy_picks(monkeypatch):
+    """Record the input shape and the picked rows of every `BiLSTM.pick`."""
+    calls = []
+    pick = dk.BiLSTM.pick
+    monkeypatch.setattr(dk.BiLSTM, "pick", lambda self, x, *index: (
+        calls.append((x.shape, [np.asarray(i).tolist() for i in index])),
+        pick(self, x, *index))[1])
+    return calls
+
+
+def test_equal_sequences_share_one_lstm_column(monkeypatch):
+    rng = np.random.default_rng(25)
+    model = _tiny_model(mode="GAT_V")
+    a = _tiny_local(rng, c_e=2, t=2)
+    # the same vertex ids with another sequence, then a local that holds
+    # `a`'s second sequence under another id at another chapter
+    b = _tiny_local(rng, c_e=2, t=2)
+    c = LocalEKG(passage_id="c", t=3, vertex_ids=[7], edges=[],
+                 vertex_seq=a.vertex_seq[:, 1:].copy())
+    calls = _spy_picks(monkeypatch)
+    rows = model.temporal_encode(a, b, c)[0].numpy()
+    (shape, (times, cols)), = calls
+    assert shape == (3, 4, 4)           # a's two columns, then b's two
+    assert cols == [0, 1, 2, 3, 1] and times == [1, 1, 1, 1, 2]
+    for at, local in ((0, a), (2, b), (4, c)):
+        own = model.temporal_encode(local)[0].numpy()
+        np.testing.assert_allclose(rows[at:at + len(own)], own, rtol=1e-5,
+                                   atol=1e-6)
+
+
+def test_temporal_outputs_backpropagate_one_after_the_other():
+    """Each output of `temporal_encode(local)` is its own graph, so each
+    backpropagates once, in turn, into the Bi-LSTM parameters."""
+    model = _tiny_model()
+    v, e = model.temporal_encode(_tiny_local(np.random.default_rng(26)))
+    v.backward(np.ones_like(v.data))
+    first = model.lstm.fwd[0].w_ih.grad.copy()
+    e.backward(np.ones_like(e.data))
+    assert np.abs(model.lstm.fwd[0].w_ih.grad - first).max() > 0
+
+
 # ---------------------------------------------------------------------------
 # encoding / decoding contracts
 
@@ -460,14 +501,13 @@ def test_stacked_step_matches_per_example_step(mode, monkeypatch):
     model = _tiny_model(mode=mode, d_f=16, d_model=16, bilstm_layers=2,
                         seed=7)
     batch = _stack_batch(rng)
-    shapes = []
-    row = dk.BiLSTM.row
-    monkeypatch.setattr(dk.BiLSTM, "row", lambda self, x, t: (
-        shapes.append(x.shape), row(self, x, t))[1])
+    calls = _spy_picks(monkeypatch)
     loss, grads = _batch_step(model, batch, stacked=True)
-    # one pass over the five distinct locals' 15 vertex rows, and in GAT_VE
-    # one over their 8 edge rows
-    assert shapes == [(6, 15, 16)] + [(6, 8, 16)] * (mode == "GAT_VE")
+    # one pass over the five distinct locals' 15 distinct vertex sequences,
+    # and in GAT_VE one over their 8 distinct edge sequences: the ids repeat
+    # across locals, but no two sequences are equal
+    assert [shape for shape, _ in calls] == (
+        [(6, 15, 16)] + [(6, 8, 16)] * (mode == "GAT_VE"))
     ref_loss, ref_grads = _batch_step(model, batch, stacked=False)
     np.testing.assert_allclose(loss, ref_loss, rtol=1e-6)
     assert grads.keys() == ref_grads.keys()
@@ -593,6 +633,20 @@ def test_desk_batch_runs_encoder_and_decoder_once_per_shape(desk_trained,
     (passage, _, c_e), = shapes
     assert calls == [("encode_passage", (len(examples), passage)),
                      ("_decode", (len(examples), c_e + passage, cfg.d_model))]
+
+
+def test_desk_batch_feeds_at_most_one_lstm_column_per_entity(desk_trained,
+                                                           monkeypatch):
+    """Desk's locals read one global EKG, so a vertex sequence is an
+    entity's: the step's vertex rows need at most one column per entity."""
+    model, examples, _ = desk_trained
+    calls = _spy_picks(monkeypatch)
+    model.nll(examples)
+    shape, (_, cols) = calls[0]
+    locals_ = {id(ex.local): ex.local for ex in examples}.values()
+    n_rows = sum(len(local.vertex_ids) for local in locals_)
+    assert len(cols) == n_rows
+    assert shape[1] <= load_config(preset="desk").synth_entities < n_rows
 
 
 def _uncached_beam(passage_ids, local, model, beam, max_len,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ekgen import cli, pipeline
@@ -50,6 +51,26 @@ def test_full_small_pipeline_produces_all_artifacts(tmp_path):
     assert len(records) == 2
     for rec in records:
         assert len(rec["comments"]) >= 1
+
+
+def test_manifest_records_blas_setting(tmp_path, monkeypatch):
+    """Each stage records the BLAS library, its thread variables and the
+    core count, the setting its bytes repeat under."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    ws = tmp_path / "ws"
+    pipeline.run_synth(ws, _cfg())
+    pipeline.run_ingest(ws, _cfg())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    want = {"name": blas["name"], "version": blas["version"],
+            "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                        "MKL_NUM_THREADS": "3"},
+            "cpu_count": os.cpu_count()}
+    stages = json.loads((ws / "manifest.json").read_text())["stages"]
+    assert set(stages) == {"synth", "ingest"}
+    for entry in stages.values():
+        assert entry["blas"] == want
 
 
 def test_corpus_roundtrip_through_workspace(tmp_path):
