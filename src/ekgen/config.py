@@ -66,7 +66,7 @@ class PipelineConfig:
             raise ConfigError("lambda1 must be positive")
         for name in ("lambda0", "lambda2", "lambda_r", "alpha", "eps_ls",
                      "overlap_threshold", "lr_scale", "embed_lr", "rn_lr",
-                     "phase2_steps"):
+                     "phase2_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         for name in ("K", "d_f", "d_model", "n_heads", "encoder_layers",

@@ -180,20 +180,23 @@ def load_lexicon(path) -> EntityLexicon:
     except json.JSONDecodeError as e:
         raise CorpusParseError(f"{path}:{e.lineno}: {e.msg}") from e
     entries = []
-    for ent in _field(raw, "entities", list, str(path)):
-        try:
-            entries.append(LexiconEntry(entity_id=int(ent["id"]), name=ent["name"],
-                                        aliases=list(ent.get("aliases", [])),
-                                        kind=ent.get("kind", "person")))
-        except (KeyError, TypeError) as e:
-            raise CorpusParseError(f"{path}: malformed entity entry: {e}") from e
+    for i, ent in enumerate(_field(raw, "entities", list, str(path))):
+        where = f"{path}: entity {i}"
+        entity_id = _field(ent, "id", int, where)
+        name = _field(ent, "name", str, where)
+        aliases = _field(ent, "aliases", list, where) if "aliases" in ent else []
+        # a name without a token would match an empty span at every position
+        if not name.strip():
+            raise CorpusParseError(f"{where}: field 'name' is blank")
+        if not all(isinstance(a, str) and a.strip() for a in aliases):
+            raise CorpusParseError(f"{where}: field 'aliases' must be a list "
+                                   f"of non-blank str, got {aliases!r}")
+        kind = _field(ent, "kind", str, where) if "kind" in ent else "person"
+        entries.append(LexiconEntry(entity_id, name, aliases, kind))
     entries.sort(key=lambda e: e.entity_id)
     ids = [e.entity_id for e in entries]
     if ids != list(range(len(ids))):
         raise ReferenceError_(f"{path}: entity ids must be dense 0..n-1, got {ids}")
-    for e in entries:
-        if any(not a for a in e.aliases):
-            raise ReferenceError_(f"{path}: entity {e.entity_id} has an empty alias")
     return EntityLexicon(entries)
 
 

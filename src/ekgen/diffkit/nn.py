@@ -183,8 +183,7 @@ def lstm_sequence(x: Tensor, cell: LSTMCell, reverse: bool = False) -> Tensor:
     return out
 
 
-def bilstm_layer(x: Tensor, fwd: LSTMCell, bwd: LSTMCell,
-                 pick: tuple | None = None) -> Tensor:
+def bilstm_layer(x: Tensor, fwd: LSTMCell, bwd: LSTMCell) -> Tensor:
     """`concat([lstm_sequence(x, fwd), lstm_sequence(x, bwd, reverse=True)],
     axis=-1)` as one autodiff node, equal to it in value and in every
     gradient.
@@ -193,71 +192,37 @@ def bilstm_layer(x: Tensor, fwd: LSTMCell, bwd: LSTMCell,
     and time T - 1 - k backward, with the two states stacked on a leading
     axis of 2 and one batched `h @ w_hh` over both directions' weights. The
     sequence axes `x.shape[1:-1]` are flattened into one column axis inside.
-
-    With `pick`, one integer array per leading axis of `x` (time, then each
-    sequence axis), the node is only `full[pick]`, (..., 2 * d_hidden), and
-    only the steps that reach a picked row run: forward over 0..max(time),
-    backward over T - 1..min(time). A repeated (time, column) pair adds its
-    gradients. Gates are cached only when a graph is being built.
+    Gates are cached only when a graph is being built.
     """
     x = as_tensor(x)
     cells = (fwd, bwd)
     parents = (x, fwd.w_ih, fwd.w_hh, fwd.b, bwd.w_ih, bwd.w_hh, bwd.b)
     track = _tracks(parents)
     n = fwd.d_hidden
-    T, lead = x.shape[0], x.shape[1:-1]
-    m = int(np.prod(lead, dtype=np.int64))
+    T = x.shape[0]
+    m = int(np.prod(x.shape[1:-1], dtype=np.int64))
     # each direction's input projection over all steps, as lstm_sequence's
     xw = [x.data @ cell.w_ih.data + cell.b.data for cell in cells]
-    if pick is None:
-        steps = T
-    else:
-        if len(pick) != x.ndim - 1:
-            raise IndexError(f"pick needs {x.ndim - 1} index arrays, "
-                             f"got {len(pick)}")
-        times = np.arange(T)[pick[0]]
-        cols = np.arange(m).reshape(lead)[tuple(pick[1:])]
-        times, cols = np.broadcast_arrays(times, cols)
-        steps = max(times.max(initial=-1) + 1, T - times.min(initial=T))
     # step order: [k, 0] is forward time k, [k, 1] backward time T - 1 - k
-    xs = np.stack([xw[0].reshape(T, m, 4 * n)[:steps],
-                   xw[1].reshape(T, m, 4 * n)[::-1][:steps]], axis=1)
+    xs = np.stack([xw[0].reshape(T, m, 4 * n),
+                   xw[1].reshape(T, m, 4 * n)[::-1]], axis=1)
     w_hh = np.stack([fwd.w_hh.data, bwd.w_hh.data])
     hs, caches = _recur(xs, w_hh, n, track)
-    if pick is None:
-        y = np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
-        out = _child(y.reshape(x.shape[:-1] + (2 * n,)), parents)
-    else:
-        out = _child(np.concatenate([hs[times, 0, cols],
-                                     hs[T - 1 - times, 1, cols]], axis=-1),
-                     parents)
+    y = np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
+    out = _child(y.reshape(x.shape[:-1] + (2 * n,)), parents)
     if not track:
         return out
 
-    def in_time_order(a, d):
-        """Direction `d`'s rows of the step-ordered `a` over all T times,
-        zero at the times that did not run, as lstm_sequence sums them."""
-        full = np.zeros((T,) + a.shape[2:], dtype=a.dtype)
-        if d == 0:
-            full[:steps] = a[:, 0]
-        else:
-            full[T - steps:] = a[::-1, 1]
-        return full
-
     def _bw():
-        if pick is None:
-            grad = out.grad.reshape(T, m, 2 * n)
-            dh_out = np.stack([grad[..., :n], grad[::-1, ..., n:]], axis=1)
-        else:
-            dh_out = np.zeros_like(hs)
-            np.add.at(dh_out, (times, 0, cols), out.grad[..., :n])
-            np.add.at(dh_out, (T - 1 - times, 1, cols), out.grad[..., n:])
+        grad = out.grad.reshape(T, m, 2 * n)
+        dh_out = np.stack([grad[..., :n], grad[::-1, ..., n:]], axis=1)
         dz = _bptt(*caches, dh_out, w_hh, n)
         h_prev = _shifted(hs)
         # each direction's gradients summed over its rows in time order
         for d, cell in enumerate(cells):
-            dz_d = in_time_order(dz, d)
-            _accum_cell_grads(cell, x.data, in_time_order(h_prev, d), dz_d)
+            run = slice(None, None, -1) if d else slice(None)   # step -> time
+            dz_d = dz[run, d]
+            _accum_cell_grads(cell, x.data, h_prev[run, d], dz_d)
             if x.requires_grad:
                 x._accum(dz_d.reshape(xw[d].shape) @ cell.w_ih.data.T)
     out._backward = _bw
@@ -268,7 +233,9 @@ class BiLSTM(Module):
     """Stacked bidirectional LSTM over a (T, ..., d_in) sequence.
 
     Output at step t is concat(forward h_t, backward h_t), so the feature
-    width is 2 * d_hidden. Each layer is one `bilstm_layer` node.
+    width is 2 * d_hidden. Each layer is one `bilstm_layer` node, run over
+    all T steps; callers that need some (time, sequence) rows index the
+    output.
     """
 
     def __init__(self, rng, d_in: int, d_hidden: int, n_layers: int = 2):
@@ -283,21 +250,10 @@ class BiLSTM(Module):
             d = 2 * d_hidden
 
     def __call__(self, inputs: Tensor) -> Tensor:
-        return self._layers(inputs, self.n_layers)
-
-    def pick(self, inputs: Tensor, *index) -> Tensor:
-        """`self(inputs)[index]`, with equal value and gradients, for one
-        integer array per leading axis of `inputs` (time, then each sequence
-        axis): the last layer runs only the steps that reach those rows."""
-        x = self._layers(inputs, self.n_layers - 1)
-        return bilstm_layer(x, self.fwd[-1], self.bwd[-1], pick=index)
-
-    def _layers(self, inputs: Tensor, n: int) -> Tensor:
-        """Output sequence of the first `n` layers."""
         if inputs.shape[0] == 0:
             raise ValueError("BiLSTM requires a non-empty sequence")
         x = inputs
-        for fcell, bcell in zip(self.fwd[:n], self.bwd[:n]):
+        for fcell, bcell in zip(self.fwd, self.bwd):
             x = bilstm_layer(x, fcell, bcell)
         return x
 

@@ -237,9 +237,9 @@ def _loss_checks(rng) -> list[CheckResult]:
 def _fused_checks(rng) -> list[CheckResult]:
     """Fused ops at the shapes and options the model does not reach in the
     entries above: `linear` on 1-D input and without bias, `layer_norm` over
-    a 3-D batch, one `bilstm_layer` over the whole sequence and at picks
-    that repeat a (time, sequence) pair, and `BiLSTM.pick` at the first, a
-    middle and the last row, and with one time per sequence."""
+    a 3-D batch, one `bilstm_layer` over two sequences, and the rows of a
+    2-layer `BiLSTM` gathered at (time, sequence) pairs that hold the first
+    and the last step and repeat one pair."""
     results = []
     w = dk.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = dk.Tensor(rng.standard_normal(3), requires_grad=True)
@@ -269,21 +269,16 @@ def _fused_checks(rng) -> list[CheckResult]:
     layer_params = {"seq": seq, **{f"{name}.{k}": p for name, cell in
                                    (("fwd", fwd), ("bwd", bwd))
                                    for k, p in cell.parameters().items()}}
+    probe = dk.Tensor(rng.standard_normal((3, 2, 4)))
+    results.append(_check(
+        "bilstm_layer", lambda: (dk.bilstm_layer(seq, fwd, bwd) * probe).sum(),
+        layer_params, ROUGH_TOL))
     # (time, sequence) pairs: the first and the last step, and one repeated
-    pick = (np.array([0, 1, 1, 2]), np.array([1, 0, 0, 1]))
-    for name, at in (("bilstm_layer", None), ("bilstm_layer_pick", pick)):
-        probe = dk.Tensor(rng.standard_normal(
-            (3, 2, 4) if at is None else (len(pick[0]), 4)))
-        results.append(_check(
-            name, lambda: (dk.bilstm_layer(seq, fwd, bwd, at) * probe).sum(),
-            layer_params, ROUGH_TOL))
-    row_probe = dk.Tensor(rng.standard_normal((2, 4)))
-    times = {f"bilstm_row_t{t}": np.array([t, t]) for t in (0, 1, 2)}
-    times["bilstm_row_per_row_times"] = np.array([2, 0])    # last, first
-    for name, t in times.items():
-        results.append(_check(
-            name, lambda: (lstm.pick(seq, t, np.arange(2)) * row_probe).sum(),
-            {"seq": seq, **lstm.parameters()}, ROUGH_TOL))
+    times, cols = np.array([0, 1, 1, 2]), np.array([1, 0, 0, 1])
+    row_probe = dk.Tensor(rng.standard_normal((len(times), 4)))
+    results.append(_check(
+        "bilstm_rows", lambda: (lstm(seq)[times, cols] * row_probe).sum(),
+        {"seq": seq, **lstm.parameters()}, ROUGH_TOL))
     return results
 
 

@@ -119,8 +119,9 @@ class Graph2SeqModel(dk.Module):
     def _lstm_rows(self, seqs: list[tuple[LocalEKG, np.ndarray]]
                    ) -> dk.Tensor | None:
         """The Bi-LSTM rows of the (T, n, d_f) sequences `seqs`, each
-        local's read at its chapter, from one `BiLSTM.pick` over their
-        distinct (T, d_f) columns side by side.
+        local's read at its chapter: one Bi-LSTM pass over their distinct
+        (T, d_f) columns side by side, then one gather of the (time, column)
+        pairs, which adds the gradients of a repeated pair.
 
         Locals that share an entity or an entity pair share its column.
         Columns are keyed by their bytes, not by id: two locals may give one
@@ -135,8 +136,8 @@ class Graph2SeqModel(dk.Module):
                 if picks[-1] == len(columns):
                     columns.append(col)
             times += [local.t - 1] * seq.shape[1]
-        return self.lstm.pick(dk.Tensor(np.stack(columns, axis=1)),
-                              np.array(times), np.array(picks))
+        return self.lstm(dk.Tensor(np.stack(columns, axis=1)))[
+            np.array(times), np.array(picks)]
 
     def graph_encode(self, *locals_: LocalEKG) -> dk.Tensor:
         """Vertex encodings of `locals_`, stacked in their order. Each GAT

@@ -35,7 +35,7 @@ def test_validation_rejects_bad_values():
                        ("beam", 0), ("embed_lr", -0.05), ("rn_lr", -0.01),
                        ("phase2_steps", -1), ("synth_chapters", 0),
                        ("synth_entities", 30), ("synth_passages", 2),
-                       ("synth_comments", 2)]:
+                       ("synth_comments", 2), ("seed", -1)]:
         cfg = PipelineConfig(**{key: value})
         with pytest.raises(ConfigError, match=key):
             cfg.validate()

@@ -75,7 +75,31 @@ def test_malformed_novel_names_field_and_type(tmp_path, raw, message):
     ([], "expected a JSON object"),
     ({"entities": 5}, "field 'entities' must be list, got 5"),
     ({}, "missing field 'entities'"),
-], ids=["array", "entities-number", "no-entities-field"])
+    ({"entities": [{"id": "x", "name": "a"}]},
+     "entity 0: field 'id' must be int, got 'x'"),
+    ({"entities": [{"id": True, "name": "a"}]},
+     "entity 0: field 'id' must be int, got True"),
+    ({"entities": [{"id": 0.9, "name": "a"}]},
+     "entity 0: field 'id' must be int, got 0.9"),
+    ({"entities": [{"id": 0, "name": 5}]},
+     "entity 0: field 'name' must be str, got 5"),
+    ({"entities": [{"id": 0}]}, "entity 0: missing field 'name'"),
+    ({"entities": [{"id": 0, "name": "a", "aliases": "BC"}]},
+     "entity 0: field 'aliases' must be list, got 'BC'"),
+    ({"entities": [{"id": 0, "name": "a", "aliases": [5]}]},
+     "entity 0: field 'aliases' must be a list of non-blank str, got [5]"),
+    ({"entities": [{"id": 0, "name": "a", "aliases": [""]}]},
+     "entity 0: field 'aliases' must be a list of non-blank str, got ['']"),
+    ({"entities": [{"id": 0, "name": "a", "aliases": [" "]}]},
+     "entity 0: field 'aliases' must be a list of non-blank str, got [' ']"),
+    ({"entities": [{"id": 0, "name": ""}]}, "entity 0: field 'name' is blank"),
+    ({"entities": [{"id": 0, "name": "a", "kind": 1}]},
+     "entity 0: field 'kind' must be str, got 1"),
+    ({"entities": ["a"]}, "entity 0: expected a JSON object"),
+], ids=["array", "entities-number", "no-entities-field", "id-str", "id-bool",
+        "id-float", "name-number", "no-name", "aliases-str",
+        "alias-number", "alias-empty", "alias-blank", "name-empty",
+        "kind-number", "entity-not-object"])
 def test_malformed_lexicon_is_a_parse_error(tmp_path, raw, message):
     bad = tmp_path / "lexicon.json"
     bad.write_text(json.dumps(raw), encoding="utf-8")

@@ -1,5 +1,5 @@
 """The fused ops (`linear`, `layer_norm`, the attention core and
-`bilstm_layer` with `BiLSTM.pick`) against the graphs of elementary ops they
+`bilstm_layer`) against the graphs of elementary ops they
 replace, kept here as references. Outputs and every gradient must be bitwise
 equal, not merely close: the desk overfit criterion moves under one-ulp
 changes. The array decode step, which runs the fused ops' forward kernels,
@@ -59,19 +59,18 @@ def reference_attention(q, k, v, n_heads, mask=None):
     return out.reshape(*out.shape[:-2], d)
 
 
-def reference_bilstm_layer(x, fwd, bwd, pick=None):
-    out = dk.concat([dk.lstm_sequence(x, fwd),
-                     dk.lstm_sequence(x, bwd, reverse=True)], axis=-1)
-    return out if pick is None else out[pick]
+def reference_bilstm_layer(x, fwd, bwd):
+    return dk.concat([dk.lstm_sequence(x, fwd),
+                      dk.lstm_sequence(x, bwd, reverse=True)], axis=-1)
 
 
-def reference_bilstm_row(self, inputs, *index):
-    """`BiLSTM.pick` as every layer's whole sequence, then an index of the
-    (time, sequence) pairs."""
+def reference_bilstm(self, inputs):
+    """`BiLSTM.__call__` with every layer as the concat of two
+    `lstm_sequence` directions."""
     x = inputs
     for fwd, bwd in zip(self.fwd, self.bwd):
         x = reference_bilstm_layer(x, fwd, bwd)
-    return x[index]
+    return x
 
 
 @contextlib.contextmanager
@@ -81,7 +80,7 @@ def references():
         mp.setattr(dk.Linear, "__call__", reference_linear)
         mp.setattr(dk_nn, "layer_norm", reference_layer_norm)
         mp.setattr(dk_nn, "multi_head_attention", reference_attention)
-        mp.setattr(dk.BiLSTM, "pick", reference_bilstm_row)
+        mp.setattr(dk_nn, "bilstm_layer", reference_bilstm_layer)
         yield
 
 
@@ -283,7 +282,7 @@ def test_attention_builds_one_node():
 
 
 # ---------------------------------------------------------------------------
-# BiLSTM layer and pick
+# BiLSTM layer and its gathered rows
 
 def _bilstm_results(run, data, probe, params, held):
     """Output, input gradient and each of `params`' gradients of one
@@ -323,12 +322,11 @@ def test_bilstm_layer_bitwise_concat_of_directions(layers, lead, T):
     for pick in (None, _picks(rng, T, lead, 7)):
         shape = (T, *lead) if pick is None else pick[0].shape
         probe = rng.standard_normal((*shape, D))
-        fused = ((lambda x: lstm(x)) if pick is None
-                 else (lambda x: lstm.pick(x, *pick)))
+        index = pick or (slice(None),)
         _assert_bitwise(*(
-            _bilstm_results(run, data, probe, lstm.parameters(), held)
-            for run in (fused, lambda x: reference_bilstm_row(lstm, x, *(
-                pick or (slice(None),))))))
+            _bilstm_results(lambda x: run(lstm, x)[index], data, probe,
+                            lstm.parameters(), held)
+            for run in (dk.BiLSTM.__call__, reference_bilstm)))
 
 
 def test_bilstm_layer_builds_no_graph_under_no_grad():
@@ -338,13 +336,11 @@ def test_bilstm_layer_builds_no_graph_under_no_grad():
     out = dk.bilstm_layer(x, fwd, bwd)
     assert out._parents == (x, *fwd.parameters().values(),
                             *bwd.parameters().values())
-    for pick in (None, (np.array([3, 0]), np.array([1, 1]))):
-        with dk.no_grad():
-            inference = dk.bilstm_layer(x, fwd, bwd, pick)
-        assert not inference.requires_grad and inference._backward is None
-        assert inference._parents == ()
-        want = out.numpy() if pick is None else out.numpy()[pick]
-        np.testing.assert_array_equal(inference.numpy(), want)
+    with dk.no_grad():
+        inference = dk.bilstm_layer(x, fwd, bwd)
+    assert not inference.requires_grad and inference._backward is None
+    assert inference._parents == ()
+    np.testing.assert_array_equal(inference.numpy(), out.numpy())
 
 
 @pytest.mark.parametrize("T,c_e", [(3, 5), (16, 5), (16, 1)],
@@ -368,32 +364,30 @@ def test_bilstm_row_bitwise_reference(T, c_e, layers):
     for pick in picks:
         probe = rng.standard_normal((len(pick[0]), D))
         _assert_bitwise(*(
-            _bilstm_results(lambda x: run(lstm, x, *pick), data, probe,
+            _bilstm_results(lambda x: run(lstm, x)[pick], data, probe,
                             lstm.parameters(), held)
-            for run in (dk.BiLSTM.pick, reference_bilstm_row)))
+            for run in (dk.BiLSTM.__call__, reference_bilstm)))
 
 
 def test_bilstm_row_takes_negative_index_and_rejects_out_of_range():
+    """The (time, sequence) gather `_lstm_rows` reads from the Bi-LSTM
+    output follows numpy's index rules, one time per sequence included."""
     rng = np.random.default_rng(13)
     lstm = dk.BiLSTM(rng, 3, 2)
-    x = dk.Tensor(rng.standard_normal((4, 3)))
-    np.testing.assert_array_equal(lstm.pick(x, -1).numpy(),
-                                  lstm(x)[-1].numpy())
+    out = lstm(dk.Tensor(rng.standard_normal((4, 3))))
+    np.testing.assert_array_equal(out[-1].numpy(), out[3].numpy())
     with pytest.raises(IndexError):
-        lstm.pick(x, 4)
-    # one time per sequence: the same rules for each, and for the sequences
-    xs = dk.Tensor(rng.standard_normal((4, 3, 3)))
+        out[4]
+    out = lstm(dk.Tensor(rng.standard_normal((4, 3, 3))))
     rows = np.arange(3)
     np.testing.assert_array_equal(
-        lstm.pick(xs, np.array([-1, 0, -4]), rows).numpy(),
-        lstm.pick(xs, np.array([3, 0, 0]), np.array([-3, 1, 2])).numpy())
+        out[np.array([-1, 0, -4]), rows].numpy(),
+        out[np.array([3, 0, 0]), np.array([-3, 1, 2])].numpy())
     for bad in ([0, 4, 1], [0, -5, 1]):
         with pytest.raises(IndexError):
-            lstm.pick(xs, np.array(bad), rows)
+            out[np.array(bad), rows]
     with pytest.raises(IndexError):
-        lstm.pick(xs, np.array([0, 1]), np.array([0, 3]))
-    with pytest.raises(IndexError):
-        lstm.pick(xs, np.array([0, 1]))
+        out[np.array([0, 1]), np.array([0, 3])]
 
 
 # ---------------------------------------------------------------------------

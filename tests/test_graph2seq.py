@@ -240,12 +240,23 @@ def test_other_timestep_perturbation_propagates_through_recurrence():
 
 
 def _spy_picks(monkeypatch):
-    """Record the input shape and the picked rows of every `BiLSTM.pick`."""
-    calls = []
-    pick = dk.BiLSTM.pick
-    monkeypatch.setattr(dk.BiLSTM, "pick", lambda self, x, *index: (
-        calls.append((x.shape, [np.asarray(i).tolist() for i in index])),
-        pick(self, x, *index))[1])
+    """Record the input shape of every `BiLSTM` pass and the (time, column)
+    pairs then gathered from its output."""
+    calls, shapes = [], {}             # id of a pass's output -> input shape
+    run, gather = dk.BiLSTM.__call__, dk.Tensor.__getitem__
+
+    def spy_run(self, x):
+        out = run(self, x)
+        shapes[id(out)] = x.shape
+        return out
+
+    def spy_gather(self, index):
+        if id(self) in shapes:
+            calls.append((shapes.pop(id(self)),
+                          [np.asarray(i).tolist() for i in index]))
+        return gather(self, index)
+    monkeypatch.setattr(dk.BiLSTM, "__call__", spy_run)
+    monkeypatch.setattr(dk.Tensor, "__getitem__", spy_gather)
     return calls
 
 

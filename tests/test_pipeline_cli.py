@@ -146,10 +146,11 @@ def test_cli_config_error_exit_code(tmp_path):
     (None, "synth_entities=30"),        # out of range
     (None, "synth_comments=2"),
     (None, "synth_chapters=0"),
+    (None, "seed=-1"),                  # numpy's generators refuse it later
 ], ids=["missing-file", "torn-json", "not-an-object", "string-for-int",
         "bool-for-float", "set-float-for-int", "set-bool-for-float",
         "set-nan", "set-synth-entities", "set-synth-comments",
-        "set-synth-chapters"])
+        "set-synth-chapters", "set-negative-seed"])
 def test_cli_config_error_is_one_line_exit_2(tmp_path, capsys, config_text,
                                              override):
     args = ["stats", "--workspace", str(tmp_path / "ws")]
@@ -260,9 +261,19 @@ def test_cli_malformed_novel_exit_code(tmp_path, capsys):
     ("novel.json", lambda raw: raw.pop("chapters")),
     ("lexicon.json", "[]"),
     ("lexicon.json", '{"entities": 5}'),
+    ("lexicon.json", lambda raw: raw["entities"][0].__setitem__("id", "x")),
+    ("lexicon.json", lambda raw: raw["entities"][0].__setitem__("id", 0.9)),
+    ("lexicon.json", lambda raw: raw["entities"][0].__setitem__("name", 5)),
+    ("lexicon.json",
+     lambda raw: raw["entities"][0].__setitem__("aliases", [5])),
+    ("lexicon.json",
+     lambda raw: raw["entities"][0].__setitem__("aliases", "BC")),
+    ("lexicon.json", lambda raw: raw["entities"][0].__setitem__("name", " ")),
 ], ids=["chapter-no-text", "chapter-empty", "lexicon-not-json",
         "entity-no-name", "alias-empty", "no-entities", "chapter-text-number",
-        "novel-no-chapters", "lexicon-array", "entities-number"])
+        "novel-no-chapters", "lexicon-array", "entities-number", "id-str",
+        "id-float", "name-number", "alias-number", "aliases-str",
+        "name-blank"])
 def test_cli_malformed_novel_or_lexicon_exit_code(tmp_path, capsys, name,
                                                   corrupt):
     """A synth input file changed by `corrupt`, or replaced by it when it is
