@@ -150,12 +150,35 @@ def load_corpus(novel_path, lexicon_path, passages_path,
     return novel, lexicon, passages
 
 
-def load_novel(path, mode: str = "char") -> Novel:
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of the file at `path`, its line ends read as `open`
+    reads them. A directory, or a byte that is not UTF-8, raises a
+    `CorpusParseError` naming the file, and the line and offset of that
+    byte."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+    except IsADirectoryError as e:
+        raise CorpusParseError(f"{path}: is a directory, not a file") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise CorpusParseError(
+            f"{path}:{line}: byte {e.start} is not UTF-8 ({e.reason})") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_json(path: Path):
+    """The JSON value in the file at `path`; see `_read_text`."""
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise CorpusParseError(f"{path}:{e.lineno}: {e.msg}") from e
+
+
+def load_novel(path, mode: str = "char") -> Novel:
+    path = Path(path)
+    raw = _read_json(path)
     where = str(path)
     chapters = sorted(
         ((_field(c, "index", int, f"{where}: chapter {i}"),
@@ -175,10 +198,7 @@ def load_novel(path, mode: str = "char") -> Novel:
 
 def load_lexicon(path) -> EntityLexicon:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise CorpusParseError(f"{path}:{e.lineno}: {e.msg}") from e
+    raw = _read_json(path)
     entries = []
     for i, ent in enumerate(_field(raw, "entities", list, str(path))):
         where = f"{path}: entity {i}"
@@ -220,44 +240,43 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
     `p<line>`, and no two passages share one."""
     path = Path(path)
     passages, line_of = [], {}         # passage id -> its line
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusParseError(f"{where}: {e.msg}") from e
-            ch_idx = _field(raw, "chapter", int, where)
-            if not 1 <= ch_idx <= novel.num_chapters:
-                raise ReferenceError_(
-                    f"{where}: chapter {ch_idx} out of range 1..{novel.num_chapters}")
-            n_tokens = len(novel.chapters[ch_idx - 1].tokens)
-            start, end = _field(raw, "start", int, where), _field(raw, "end", int, where)
-            if not (0 <= start < end <= n_tokens):
-                raise ReferenceError_(
-                    f"{where}: span [{start},{end}) outside chapter "
-                    f"{ch_idx} of {n_tokens} tokens")
-            raw_comments = raw.get("comments", [])
-            if not (isinstance(raw_comments, list)
-                    and all(isinstance(c, dict) for c in raw_comments)):
-                raise CorpusParseError(f"{where}: 'comments' must be a list of objects")
-            comments = [Comment(text=tokenize(_field(c, "text", str, where), mode),
-                                upvotes=_field(c, "upvotes", int, where))
-                        for c in raw_comments]
-            for c in comments:
-                if not c.text:
-                    raise CorpusParseError(f"{where}: empty comment text")
-                if c.upvotes < 0:
-                    raise CorpusParseError(f"{where}: negative upvotes")
-            pid = _field(raw, "id", str, where) if "id" in raw else f"p{lineno}"
-            if pid in line_of:
-                raise CorpusParseError(f"{where}: passage id {pid!r} is already "
-                                       f"that of line {line_of[pid]}")
-            line_of[pid] = lineno
-            passages.append(Passage(id=pid, chapter_index=ch_idx,
-                                    span=(start, end), comments=comments))
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusParseError(f"{where}: {e.msg}") from e
+        ch_idx = _field(raw, "chapter", int, where)
+        if not 1 <= ch_idx <= novel.num_chapters:
+            raise ReferenceError_(
+                f"{where}: chapter {ch_idx} out of range 1..{novel.num_chapters}")
+        n_tokens = len(novel.chapters[ch_idx - 1].tokens)
+        start, end = _field(raw, "start", int, where), _field(raw, "end", int, where)
+        if not (0 <= start < end <= n_tokens):
+            raise ReferenceError_(
+                f"{where}: span [{start},{end}) outside chapter "
+                f"{ch_idx} of {n_tokens} tokens")
+        raw_comments = raw.get("comments", [])
+        if not (isinstance(raw_comments, list)
+                and all(isinstance(c, dict) for c in raw_comments)):
+            raise CorpusParseError(f"{where}: 'comments' must be a list of objects")
+        comments = [Comment(text=tokenize(_field(c, "text", str, where), mode),
+                            upvotes=_field(c, "upvotes", int, where))
+                    for c in raw_comments]
+        for c in comments:
+            if not c.text:
+                raise CorpusParseError(f"{where}: empty comment text")
+            if c.upvotes < 0:
+                raise CorpusParseError(f"{where}: negative upvotes")
+        pid = _field(raw, "id", str, where) if "id" in raw else f"p{lineno}"
+        if pid in line_of:
+            raise CorpusParseError(f"{where}: passage id {pid!r} is already "
+                                   f"that of line {line_of[pid]}")
+        line_of[pid] = lineno
+        passages.append(Passage(id=pid, chapter_index=ch_idx,
+                                span=(start, end), comments=comments))
     return passages
 
 

@@ -128,17 +128,6 @@ def gelu_data(x: np.ndarray):
     return y.astype(x.dtype, copy=False), t
 
 
-def leaky_relu_data(x: np.ndarray, slope: float) -> np.ndarray:
-    """Forward kernel of `Tensor.leaky_relu`, in `x`'s dtype."""
-    return np.where(x > 0, x, slope * x)
-
-
-def leaky_relu_grad(g: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
-    """Backward of `Tensor.leaky_relu` at input `x`: the factor is float64
-    and the product is cast to `x`'s dtype."""
-    return (g * np.where(x > 0, 1.0, slope)).astype(x.dtype, copy=False)
-
-
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
@@ -350,10 +339,12 @@ class Tensor:
         return out
 
     def leaky_relu(self, slope: float) -> "Tensor":
-        out = _child(leaky_relu_data(self.data, slope), (self,))
+        x = self.data
+        out = _child(np.where(x > 0, x, slope * x), (self,))
         if out.requires_grad:
+            # the factor is float64; the product is cast to x's dtype
             out._backward = lambda: self._accum(
-                leaky_relu_grad(out.grad, self.data, slope))
+                (out.grad * np.where(x > 0, 1.0, slope)).astype(x.dtype, copy=False))
         return out
 
     def relu(self) -> "Tensor":
@@ -440,18 +431,13 @@ def cross_entropy_label_smoothed(logits: Tensor, target: int | np.ndarray,
 
     Target distribution mixes the one-hot target with the uniform
     distribution over all classes by weight `eps_ls`; `eps_ls=0` is plain
-    cross entropy. `logits` is (n,) with an integer target, or (..., n)
-    with integer targets of shape `logits.shape[:-1]`; the loss is the mean
+    cross entropy. `logits` is (..., n) with integer targets of shape
+    `logits.shape[:-1]` (one integer for (n,) logits); the loss is the mean
     over all of them.
     """
     logits = as_tensor(logits)
     logp = log_softmax(logits, axis=-1)
     n = logits.shape[-1]
-    if logp.ndim == 1:
-        picked = logp[int(target)]
-        if eps_ls == 0.0:
-            return -picked
-        return -((1.0 - eps_ls) * picked + (eps_ls / n) * logp.sum())
     idx = np.asarray(target, dtype=np.int64)
     picked = logp[(*np.indices(idx.shape, sparse=True), idx)]
     if eps_ls == 0.0:

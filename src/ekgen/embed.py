@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffkit as dk
-from .diffkit.tensor import _child, _const, leaky_relu_data, leaky_relu_grad
+from .diffkit.tensor import _child, _const
 from .config import PipelineConfig
 from .corpus import Mention, Novel
 from .ekg import GlobalEKG, LocalEKG
@@ -291,55 +291,24 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
                       margin: float) -> dk.Tensor | None:
     """Summed reconstruction loss with margin `margin` of every example that
     has a negative, against its sentence feature (the same row of
-    `features`), as one autodiff node; None when no example has a negative.
+    `features`); None when no example has a negative.
 
-    Rows are stacked as (example, positive then negative), and each layer is
-    one matrix product over all rows. The result equals the sum of the
-    per-example graphs up to float32 round-off: the products and sums add in
-    another order. The vertex table gets gradients only when it requires
-    them.
+    Rows are stacked as (example, positive then negative), so each layer of
+    `rn` is one matrix product over all rows. The result equals the sum of
+    the per-example graphs up to float32 round-off: the products and sums
+    add in another order.
     """
     keep = [n for n, ex in enumerate(examples) if ex.negative is not None]
     if not keep:
         return None
-    W = table.w.data
-    d = W.shape[-1]
     t = np.repeat([examples[n].t - 1 for n in keep], 2)
     i = np.repeat([examples[n].pair[0] for n in keep], 2)
     j = np.array([(examples[n].pair[1], examples[n].negative) for n in keep]).ravel()
-    f_c = np.repeat(np.asarray(features, dtype=W.dtype)[keep], 2, axis=0)
-    l1, l2, slope = rn.layer1, rn.layer2, rn.slope
-    x1 = np.concatenate([W[t, i], W[t, j]], axis=-1)
-    z1 = l1.apply(x1)
-    x2 = np.concatenate([W[t, i], leaky_relu_data(z1, slope), W[t, j]], axis=-1)
-    z2 = l2.apply(x2)
-    diff = leaky_relu_data(z2, slope) - f_c
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    gap = (dist[0::2] - dist[1::2]) + np.asarray(margin, dtype=W.dtype)
-    hinge = leaky_relu_data(gap, 0.0)
-    out = _child(hinge.sum(), (table.w, l1.w, l1.b, l2.w, l2.b))
-    if not out.requires_grad:
-        return out
-
-    def _bw():
-        g_gap = leaky_relu_grad(out.grad, gap, 0.0)
-        g_dist = np.stack([g_gap, -g_gap], axis=-1).ravel()
-        g_sq = (g_dist * 0.5 / np.maximum(dist, 1e-12))[:, None] * diff
-        g_z2 = leaky_relu_grad(g_sq + g_sq, z2, slope)
-        g_x2 = g_z2 @ l2.w.data.T
-        g_z1 = leaky_relu_grad(g_x2[:, d:2 * d], z1, slope)
-        l2.b._accum(g_z2.sum(axis=0))
-        l2.w._accum(x2.T @ g_z2)
-        l1.b._accum(g_z1.sum(axis=0))
-        l1.w._accum(x1.T @ g_z1)
-        if table.w.requires_grad:
-            g_x1 = g_z1 @ l1.w.data.T
-            g_w = np.zeros_like(W)
-            np.add.at(g_w, (t, i), g_x1[:, :d] + g_x2[:, :d])
-            np.add.at(g_w, (t, j), g_x1[:, d:] + g_x2[:, 2 * d:])
-            table.w._accum(g_w)
-    out._backward = _bw
-    return out
+    f_c = np.repeat(np.asarray(features)[keep], 2, axis=0)
+    v_i, v_j = table.w[t, i], table.w[t, j]
+    diff = rn.reconstruct(v_i, rn.edge_embedding(v_i, v_j), v_j) - f_c
+    d = (diff * diff).sum(-1).sqrt()
+    return ((d[0::2] - d[1::2]) + margin).relu().sum()
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +404,12 @@ def materialize_embeddings(artifact: EkgEmbeddings,
                            local: LocalEKG) -> LocalEKG:
     """Fill the local EKG with dense (T, c_e, d) and (T, c_r, d) sequences.
 
-    Every (chapter, edge) pair goes through the relation network in one
-    call, on plain arrays, with the expression of `edge_triplet_loss`; with
-    no edges the result is (T, 0, d)."""
-    W = artifact.table.w.data
-    local.vertex_seq = W[:, np.asarray(local.vertex_ids), :].copy()
+    Every (chapter, edge) pair goes through `rn.edge_embedding` in one
+    call, without a graph; with no edges the result is (T, 0, d)."""
+    w = artifact.table.w
+    local.vertex_seq = w.data[:, np.asarray(local.vertex_ids), :].copy()
     pairs = np.asarray(local.edges, dtype=int).reshape(-1, 2)
-    x = np.concatenate([W[:, pairs[:, 0]], W[:, pairs[:, 1]]], axis=-1)
-    local.edge_seq = leaky_relu_data(artifact.rn.layer1.apply(x), artifact.rn.slope)
+    with dk.no_grad():
+        local.edge_seq = artifact.rn.edge_embedding(
+            w[:, pairs[:, 0]], w[:, pairs[:, 1]]).data
     return local

@@ -55,13 +55,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _reason(e: Exception) -> str:
+    """`e` for an error line: its type and message. Unlike `repr`, which
+    quotes a `UnicodeDecodeError`'s whole input, it names only the offset of
+    the bad byte."""
+    return f"{type(e).__name__}: {e}"
+
+
 def _read_artifact(path: Path, parse):
     """`parse` of the JSON in `path`; a file that is not the JSON `parse`
     expects raises `CorruptArtifact` naming it."""
     try:
         return parse(json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError, IndexError) as e:
-        raise CorruptArtifact(f"{path}: unreadable artifact ({e!r}); "
+        raise CorruptArtifact(f"{path}: unreadable artifact ({_reason(e)}); "
                               "run the stage that writes it again") from e
 
 
@@ -464,10 +471,10 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
     gen_path = _require(ws / "generate" / "comments.jsonl", "generate")
     by_id = {p.id: p for p in corpus.passages}
     pairs, lineno = [], 0
-    with open(gen_path, encoding="utf-8") as fh:
+    with open(gen_path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 pid = rec["passage_id"]
                 texts = [c["text"] for c in rec["comments"]]
                 if not all(isinstance(t, str) for t in texts):
@@ -478,7 +485,7 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
                             for t in texts if t), None)
             except (ValueError, KeyError, TypeError) as e:
                 raise CorruptArtifact(f"{gen_path}:{lineno}: unreadable "
-                                      f"record ({e!r})") from e
+                                      f"record ({_reason(e)})") from e
             if not isinstance(pid, str) or pid not in by_id:
                 raise CorruptArtifact(f"{gen_path}:{lineno}: passage_id "
                                       f"{pid!r} is not in the ingested corpus")

@@ -184,6 +184,7 @@ def test_cli_stage_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("stage, setting, message, artifact", [
+    ("train-ekg", "embed_lr=1e38", "phase 1 loss became inf at step 1", "embed"),
     ("train-ekg", "rn_lr=1e30", "phase 2 loss became nan at step 1", "embed"),
     ("train-g2s", "lr_scale=1e30", "NLL became nan at step 2", "g2s"),
 ])
@@ -269,19 +270,31 @@ def test_cli_malformed_novel_exit_code(tmp_path, capsys):
     ("lexicon.json",
      lambda raw: raw["entities"][0].__setitem__("aliases", "BC")),
     ("lexicon.json", lambda raw: raw["entities"][0].__setitem__("name", " ")),
+    ("novel.json", b'{"id": "n",\n "title": "\xff", "chapters": []}'),
+    ("lexicon.json", b'{"entities": [{"id": 0, "name": "\xe4\xb8"}]}'),
+    ("novel.json", IsADirectoryError),
+    ("lexicon.json", IsADirectoryError),
+    ("passages.jsonl", IsADirectoryError),
 ], ids=["chapter-no-text", "chapter-empty", "lexicon-not-json",
         "entity-no-name", "alias-empty", "no-entities", "chapter-text-number",
         "novel-no-chapters", "lexicon-array", "entities-number", "id-str",
         "id-float", "name-number", "alias-number", "aliases-str",
-        "name-blank"])
+        "name-blank", "novel-not-utf8", "lexicon-not-utf8", "novel-dir",
+        "lexicon-dir", "passages-dir"])
 def test_cli_malformed_novel_or_lexicon_exit_code(tmp_path, capsys, name,
                                                   corrupt):
-    """A synth input file changed by `corrupt`, or replaced by it when it is
-    a string: ingest exits 3 with one error line naming the file."""
+    """A synth input file changed by `corrupt`, replaced by it when it is
+    text or bytes, or replaced by a directory: ingest exits 3 with one error
+    line naming the file."""
     ws = tmp_path / "ws"
     assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
     path = ws / "data" / name
-    if isinstance(corrupt, str):
+    if corrupt is IsADirectoryError:
+        path.unlink()
+        path.mkdir()
+    elif isinstance(corrupt, bytes):
+        path.write_bytes(corrupt)
+    elif isinstance(corrupt, str):
         path.write_text(corrupt, encoding="utf-8")
     else:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -363,25 +376,27 @@ def _set_in_comment(key, value):
     lambda raw: raw["comments"][0].pop("upvotes"),
     _set_in_comment("text", " "), _set_in_comment("upvotes", -1),
     _set("id", 0), _set("id", "p1"),          # line 1's id
-    '{"chapter": 1,', "[1, 2]",
+    '{"chapter": 1,', "[1, 2]", b'{"chapter": 1, "id": "\xff"}',
 ], ids=["no-chapter", "no-start", "no-end", "chapter-str", "start-float",
         "end-null", "comments-str", "upvotes-str", "text-int", "no-text",
         "no-upvotes", "text-blank", "upvotes-negative", "id-int",
-        "id-duplicate", "not-json", "json-array"])
+        "id-duplicate", "not-json", "json-array", "not-utf8"])
 def test_cli_malformed_passage_field_exit_code(tmp_path, capsys, corrupt):
     """Line 2 of passages.jsonl changed by `corrupt`, or replaced by it when
-    it is a string."""
+    it is text or bytes."""
     ws = tmp_path / "ws"
     assert cli.main(["synth", "--workspace", str(ws)] + _small_args()) == 0
     path = ws / "data" / "passages.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if isinstance(corrupt, str):
+    lines = path.read_bytes().splitlines()
+    if isinstance(corrupt, bytes):
         lines[1] = corrupt
+    elif isinstance(corrupt, str):
+        lines[1] = corrupt.encode()
     else:
         raw = json.loads(lines[1])
         corrupt(raw)
-        lines[1] = json.dumps(raw)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines[1] = json.dumps(raw).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
     capsys.readouterr()
     code = cli.main(["ingest", "--workspace", str(ws)] + _small_args())
     assert code == 3
@@ -448,22 +463,40 @@ def generated_ws(trained_ws):
     return ws, args
 
 
-@pytest.mark.parametrize("artifact, stage", [
-    ("corpus/corpus.json", "stats"),
-    ("ekg/global.json", "train-ekg"),
-    ("generate/comments.jsonl", "evaluate"),
-])
-def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage):
+ARTIFACT_READERS = [("corpus/corpus.json", "stats"),
+                    ("ekg/global.json", "train-ekg"),
+                    ("generate/comments.jsonl", "evaluate"),
+                    ("manifest.json", "stats")]
+
+
+@pytest.mark.parametrize("artifact, stage, torn", [
+    pytest.param(artifact, stage, torn,
+                 id=f"{artifact}-{stage}" + ("" if torn else "-not-utf8"))
+    for torn in (True, False) for artifact, stage in ARTIFACT_READERS])
+def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
+                                     torn):
+    """A crash halfway through writing the last line, or a byte that is not
+    UTF-8 halfway along it: the stage exits 3 with one error line that names
+    the file and, for the byte, its position, but quotes none of the
+    file."""
     ws, args = generated_ws
     path = ws / artifact
-    text = path.read_text(encoding="utf-8").rstrip("\n")
-    last = text.split("\n")[-1]
-    # a crash halfway through writing the last line
-    path.write_text(text[:len(text) - len(last) // 2], encoding="utf-8")
+    data = path.read_bytes().rstrip(b"\n")
+    start = data.rfind(b"\n") + 1                 # of the last line
+    half = (len(data) + start) // 2
+    if torn:
+        path.write_bytes(data[:half])
+    else:
+        path.write_bytes(data[:half] + b"\xff" + data[half + 1:] + b"\n")
     capsys.readouterr()
     assert cli.main([stage, "--workspace", str(ws)] + args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert len(err) < len(f"error: {path}") + 200, err
+    if not torn:
+        # lines of a .jsonl file are read one at a time
+        at = half - start if artifact.endswith(".jsonl") else half
+        assert f"byte 0xff in position {at}:" in err, err
 
 
 def test_cli_evaluate_unknown_passage_exit_code(generated_ws, capsys):
