@@ -468,7 +468,8 @@ def linear_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """`x @ w + b` as one graph node; without `b` it is `x @ w`."""
+    """`x @ w + b` for a 2-D `w` as one graph node; without `b` it is
+    `x @ w`."""
     x = as_tensor(x)
     if b is None:
         return x @ w
@@ -476,11 +477,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = _child(linear_data(x.data, w.data, b.data), (x, w, b))
     if out.requires_grad:
         def _bw():
-            g = out.grad
-            b._accum(g)
-            gx, gw = _matmul_grads(x.data, w.data, _node_grad(g, out.data))
-            x._accum(gx)
-            w._accum(gw)
+            b._accum(out.grad)
+            g = _node_grad(out.grad, out.data)
+            w._accum(x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
+            if x.requires_grad:       # not, e.g., rows of a frozen table
+                x._accum(g @ w.data.T)
         out._backward = _bw
     return out
 

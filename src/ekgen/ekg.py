@@ -7,8 +7,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .corpus import Mention, Novel, Passage
 
 
@@ -44,17 +42,13 @@ class GlobalEKG:
 
 @dataclass
 class LocalEKG:
-    """Topology of the K-entity sub-graph around one passage.
-
-    Embedding sequences are filled later from the trained tables:
-    vertex_seq is (T, c_e, d), edge_seq is (T, c_r, d).
-    """
+    """Topology of the K-entity sub-graph around one passage. Its vertices
+    and edges name rows of tables shared by every passage: entity ids and
+    entity pairs (`embed.EmbeddingTables`)."""
     passage_id: str
     t: int
     vertex_ids: list[int]                 # sorted ascending
     edges: list[tuple[int, int]]          # (i, j) with i < j, sorted
-    vertex_seq: np.ndarray | None = None
-    edge_seq: np.ndarray | None = None
 
     @property
     def c_r(self) -> int:

@@ -400,16 +400,22 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
     return EkgEmbeddings(table=table, rn=rn, history=history)
 
 
-def materialize_embeddings(artifact: EkgEmbeddings,
-                           local: LocalEKG) -> LocalEKG:
-    """Fill the local EKG with dense (T, c_e, d) and (T, c_r, d) sequences.
+@dataclass
+class EmbeddingTables:
+    """The rows that local EKGs name: the (T, n_e, d_f) vertex table by
+    entity id, and (T, pairs, d_f) edge rows by the column of a pair."""
+    vertex: np.ndarray
+    edge: np.ndarray
+    column: dict[tuple[int, int], int]
 
-    Every (chapter, edge) pair goes through `rn.edge_embedding` in one
-    call, without a graph; with no edges the result is (T, 0, d)."""
-    w = artifact.table.w
-    local.vertex_seq = w.data[:, np.asarray(local.vertex_ids), :].copy()
-    pairs = np.asarray(local.edges, dtype=int).reshape(-1, 2)
+
+def materialize_embeddings(artifact: EkgEmbeddings,
+                           locals_: list[LocalEKG]) -> EmbeddingTables:
+    """The vertex table, not a copy, and the edge rows of the pairs that
+    `locals_` join, in order of first use, from one `rn.edge_embedding` call
+    without a graph; with no pairs they are (T, 0, d_f)."""
+    pairs = dict.fromkeys(pair for local in locals_ for pair in local.edges)
+    w, ends = artifact.table.w, np.asarray(list(pairs), dtype=int).reshape(-1, 2)
     with dk.no_grad():
-        local.edge_seq = artifact.rn.edge_embedding(
-            w[:, pairs[:, 0]], w[:, pairs[:, 1]]).data
-    return local
+        edge = artifact.rn.edge_embedding(w[:, ends[:, 0]], w[:, ends[:, 1]])
+    return EmbeddingTables(w.data, edge.data, {p: i for i, p in enumerate(pairs)})

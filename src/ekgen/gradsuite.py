@@ -14,9 +14,9 @@ import numpy as np
 from . import diffkit as dk
 from .config import PipelineConfig
 from .ekg import LocalEKG
-from .embed import (MASK_TOKEN, EdgeExample, RelationNetwork,
-                    VertexEmbeddingTable, VertexExample, edge_triplet_loss,
-                    ngram_features, vertex_loss_total)
+from .embed import (MASK_TOKEN, EdgeExample, EmbeddingTables,
+                    RelationNetwork, VertexEmbeddingTable, VertexExample,
+                    edge_triplet_loss, ngram_features, vertex_loss_total)
 from .graph2seq import G2SExample, GATLayer, Graph2SeqModel, gat_layer
 
 SMOOTH_TOL = 1e-6
@@ -211,10 +211,11 @@ def _loss_checks(rng) -> list[CheckResult]:
                          mode="GAT_VE", max_len=10,
                          seed=int(rng.integers(1 << 30)))
     model = Graph2SeqModel(cfg, 9)
+    model.tables = EmbeddingTables(vertex=rng.standard_normal((3, 3, 4)),
+                                   edge=rng.standard_normal((3, 2, 4)),
+                                   column={(0, 1): 0, (1, 2): 1})
     local = LocalEKG(passage_id="p", t=2, vertex_ids=[0, 1, 2],
-                     edges=[(0, 1), (1, 2)],
-                     vertex_seq=rng.standard_normal((3, 3, 4)),
-                     edge_seq=rng.standard_normal((3, 2, 4)))
+                     edges=[(0, 1), (1, 2)])
     passage = [6, 7, 8, 6]
     comment = [7, 8]
     params = model.parameters()
@@ -224,8 +225,7 @@ def _loss_checks(rng) -> list[CheckResult]:
     # three examples: two of one shape share `local`, so their graph rows
     # repeat in one stacked gather; the third is a shape of its own, at
     # another chapter and without edges; one GAT union holds both locals
-    other = LocalEKG(passage_id="q", t=3, vertex_ids=[0, 1], edges=[],
-                     vertex_seq=local.vertex_seq[::-1, 1:])
+    other = LocalEKG(passage_id="q", t=3, vertex_ids=[0, 1], edges=[])
     batch = [G2SExample(passage, local, comment),
              G2SExample([8, 6, 7, 7], local, [8, 6]),
              G2SExample([8, 6], other, [6])]

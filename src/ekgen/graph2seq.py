@@ -17,7 +17,7 @@ from . import diffkit as dk
 from .config import PipelineConfig
 from .corpus import BOS, EOS, PAD
 from .ekg import LocalEKG
-from .embed import TrainingDiverged
+from .embed import EmbeddingTables, TrainingDiverged
 
 class GATLayer(dk.Module):
     """Single-head graph attention with edge-feature terms.
@@ -96,6 +96,7 @@ class Graph2SeqModel(dk.Module):
         self.lstm = dk.BiLSTM(rng, cfg.d_f, d // 2, cfg.bilstm_layers)
         self.gat = [GATLayer(rng, d) for _ in range(cfg.gat_layers)]
         self.pos = dk.sinusoidal_positions(max(cfg.max_passage, cfg.max_len) + 2, d)
+        self.tables: EmbeddingTables | None = None   # set by the caller; not saved
 
     # -- encoding ------------------------------------------------------------
 
@@ -103,41 +104,32 @@ class Graph2SeqModel(dk.Module):
                         ) -> tuple[dk.Tensor, dk.Tensor | None]:
         """The Bi-LSTM rows of the vertices of `locals_`, then of their
         edges, each stacked in the order of `locals_` and each row read at its
-        local's chapter: one pass over all vertex sequences side by side and,
-        in GAT_VE mode, the one mode that reads them, one over all edge
-        sequences. Elsewhere, and when no local has an edge, the edge output
-        is None. The two outputs are separate graphs."""
-        if any(l.vertex_seq is None for l in locals_):
-            raise ValueError("local EKG has no materialized embeddings")
-        v = self._lstm_rows([(l, l.vertex_seq) for l in locals_])
+        local's chapter: one pass over their entities' columns of the vertex
+        table and, in GAT_VE mode, the one mode that reads them, one over their
+        pairs' columns of the edge table. Elsewhere, and when no local has an
+        edge, the edge output is None. The two outputs are separate graphs."""
+        tables = self.tables
+        v = self._lstm_rows(tables.vertex, [(l.t, l.vertex_ids) for l in locals_])
         if self.config.mode != "GAT_VE":
             return v, None
-        if any(l.edges and l.edge_seq is None for l in locals_):
-            raise ValueError("local EKG has no materialized edge embeddings")
-        return v, self._lstm_rows([(l, l.edge_seq) for l in locals_ if l.edges])
+        return v, self._lstm_rows(tables.edge, [
+            (l.t, [tables.column[p] for p in l.edges]) for l in locals_ if l.edges])
 
-    def _lstm_rows(self, seqs: list[tuple[LocalEKG, np.ndarray]]
+    def _lstm_rows(self, table: np.ndarray, picks: list[tuple[int, list[int]]]
                    ) -> dk.Tensor | None:
-        """The Bi-LSTM rows of the (T, n, d_f) sequences `seqs`, each
-        local's read at its chapter: one Bi-LSTM pass over their distinct
-        (T, d_f) columns side by side, then one gather of the (time, column)
-        pairs, which adds the gradients of a repeated pair.
-
-        Locals that share an entity or an entity pair share its column.
-        Columns are keyed by their bytes, not by id: two locals may give one
-        id different sequences."""
-        if not seqs:
+        """For each (t, cols) of `picks`, the Bi-LSTM rows at chapter t of the
+        columns `cols` of the (T, n, d_f) `table`, stacked: one Bi-LSTM pass
+        over the distinct columns side by side, then one gather of the
+        (time, column) pairs, which adds the gradients of a repeated pair."""
+        if not picks:
             return None
-        index: dict[bytes, int] = {}
-        columns, picks, times = [], [], []
-        for local, seq in seqs:
-            for col in np.swapaxes(seq, 0, 1):
-                picks.append(index.setdefault(col.tobytes(), len(index)))
-                if picks[-1] == len(columns):
-                    columns.append(col)
-            times += [local.t - 1] * seq.shape[1]
-        return self.lstm(dk.Tensor(np.stack(columns, axis=1)))[
-            np.array(times), np.array(picks)]
+        index: dict[int, int] = {}
+        times, at = [], []
+        for t, cols in picks:
+            at += [index.setdefault(c, len(index)) for c in cols]
+            times += [t - 1] * len(cols)
+        return self.lstm(dk.Tensor(table[:, list(index)]))[
+            np.array(times), np.array(at)]
 
     def graph_encode(self, *locals_: LocalEKG) -> dk.Tensor:
         """Vertex encodings of `locals_`, stacked in their order. Each GAT

@@ -25,7 +25,7 @@ from . import corpus as cp
 from . import diffkit as dk
 from .config import PipelineConfig
 from .ekg import GlobalEKG, LocalEKG, TemporalKG, build_global_ekg, extract_local_ekg
-from .embed import EkgEmbeddings, materialize_embeddings, train_ekg
+from .embed import EkgEmbeddings, EmbeddingTables, materialize_embeddings, train_ekg
 from .graph2seq import G2SExample, Graph2SeqModel, beam_decode, train_g2s
 from .metrics import EvalPair, bleu_corpus, rouge_l
 from .synth import generate as synth_generate
@@ -235,11 +235,17 @@ def _save_ekg(path: Path, ekg: GlobalEKG):
     _write_text(path, json.dumps(payload, sort_keys=True))
 
 
-def _parse_ekg(raw: dict) -> GlobalEKG:
+def _parse_ekg(raw: dict, n_e: int) -> GlobalEKG:
+    """The global EKG in `raw`, whose entity ids must be integers in
+    [0, `n_e`): they index the embedding tables."""
     graphs = [TemporalKG(t=g["t"], vertices=set(g["vertices"]),
                          edges={tuple(e["pair"]): [tuple(s) for s in e["evidence"]]
                                 for e in g["edges"]})
               for g in raw["graphs"]]
+    ids = {i for g in graphs for i in g.vertices.union(*g.edges)}
+    bad = sorted((i for i in ids if type(i) is not int or not 0 <= i < n_e), key=repr)
+    if bad:
+        raise ValueError(f"entity ids {bad} are not the corpus's 0..{n_e - 1}")
     freq = Counter({int(k): v for k, v in raw["frequency"].items()})
     return GlobalEKG(novel_id=raw["novel_id"], graphs=graphs,
                      entity_frequency=freq)
@@ -269,7 +275,7 @@ class Workspace:
     @cached_property
     def ekg(self) -> GlobalEKG:
         path = _require(self.root / "ekg" / "global.json", "build-ekg")
-        return _read_artifact(path, _parse_ekg)
+        return _read_artifact(path, lambda raw: _parse_ekg(raw, self.corpus.n_e))
 
     @cached_property
     def embeddings(self) -> EkgEmbeddings:
@@ -309,19 +315,26 @@ class Workspace:
                 f"{path} was trained as another model: {'; '.join(differ)}; "
                 "run with the settings it was trained with, or run train-g2s "
                 "again")
+        model.tables = self.tables   # after the checks, which name model.bin first
         return model
 
-    def local_ekg(self, passage: cp.Passage) -> LocalEKG:
-        """The passage's local EKG, filled with the trained embeddings."""
-        local = extract_local_ekg(self.ekg, passage, self.cfg.K)
-        return materialize_embeddings(self.embeddings, local)
+    @cached_property
+    def locals(self) -> dict[str, LocalEKG]:
+        """Each passage's local EKG, by passage id."""
+        return {p.id: extract_local_ekg(self.ekg, p, self.cfg.K)
+                for p in self.corpus.passages}
+
+    @cached_property
+    def tables(self) -> EmbeddingTables:
+        """The trained rows that the passages' local EKGs name."""
+        return materialize_embeddings(self.embeddings, list(self.locals.values()))
 
     def examples(self) -> list[G2SExample]:
         """One training example per comment, sharing its passage's local EKG."""
         corpus, encode = self.corpus, self.corpus.vocab.encode
         examples = []
         for p in corpus.passages:
-            local, pids = self.local_ekg(p), encode(corpus.tokens(p))
+            local, pids = self.locals[p.id], encode(corpus.tokens(p))
             examples += [G2SExample(passage_ids=pids, local=local,
                                     comment_ids=encode(c.text))
                          for c in p.comments]
@@ -428,6 +441,7 @@ def run_train_g2s(ws: Path, cfg: PipelineConfig) -> Path:
     w = Workspace(ws, cfg)
     examples, vocab = w.examples(), w.corpus.vocab
     model = Graph2SeqModel(cfg, len(vocab))
+    model.tables = w.tables
     history = train_g2s(examples, model, cfg)
     out = ws / "g2s" / "model.bin"
     dk.save_arrays(out, model.state(), extra=_model_record(cfg, vocab))
@@ -442,7 +456,7 @@ def teacher_forced_accuracy(ws: Path, cfg: PipelineConfig) -> float:
     training example per passage, the one of its last comment."""
     w = Workspace(ws, cfg)
     c, encode = w.corpus, w.corpus.vocab.encode
-    return float(np.mean([w.model.token_accuracy(encode(c.tokens(p)), w.local_ekg(p),
+    return float(np.mean([w.model.token_accuracy(encode(c.tokens(p)), w.locals[p.id],
                                                  encode(p.comments[-1].text))
                           for p in c.passages]))
 
@@ -453,7 +467,7 @@ def run_generate(ws: Path, cfg: PipelineConfig, limit: int | None = None) -> Pat
     sep = "" if c.token_mode == "char" else " "
     lines = []
     for p in c.passages[:limit]:
-        beams = beam_decode(c.vocab.encode(c.tokens(p)), w.local_ekg(p), model,
+        beams = beam_decode(c.vocab.encode(c.tokens(p)), w.locals[p.id], model,
                             beam=cfg.beam, max_len=cfg.max_len)
         record = {"passage_id": p.id,
                   "comments": [{"text": sep.join(c.vocab.decode(toks)),

@@ -3,6 +3,7 @@ single pass/fail line. Criteria 7-9 share one trained desk-scale pipeline
 run (session fixture); everything is seeded and single-threaded."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -16,7 +17,6 @@ from ekgen import corpus as cp
 from ekgen import diffkit as dk
 from ekgen import pipeline
 from ekgen.config import PipelineConfig, load_config
-from ekgen.ekg import LocalEKG
 from ekgen.embed import (MASK_TOKEN, EdgeExample, RelationNetwork,
                          VertexEmbeddingTable, VertexExample, edge_triplet_loss,
                          ngram_features, train_ekg, vertex_loss_smoothed)
@@ -275,12 +275,12 @@ def test_criterion_09_ablation_harness(capsys, desk_run, tmp_path_factory):
         model, examples = _load_trained(desk_run)
         local = examples[0].local
         ve_base = model.graph_encode(local).numpy().copy()
-        perturbed = LocalEKG(passage_id=local.passage_id, t=local.t,
-                             vertex_ids=local.vertex_ids, edges=local.edges,
-                             vertex_seq=local.vertex_seq,
-                             edge_seq=local.edge_seq + 1.0)
-        assert np.abs(model.graph_encode(perturbed).numpy()
-                      - ve_base).max() > 1e-9, "edge-aware mode ignored edges"
+        tables = model.tables
+        model.tables = dataclasses.replace(tables, edge=tables.edge + 1.0)
+        shifted = model.graph_encode(local).numpy()
+        model.tables = tables
+        assert np.abs(shifted - ve_base).max() > 1e-9, \
+            "edge-aware mode ignored edges"
         # vertex-only contract checked on the trained attention parameters
         layer = model.gat[0]
         vfeats, efeats = model.temporal_encode(local)

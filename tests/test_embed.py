@@ -1,4 +1,6 @@
+import dataclasses
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ import pytest
 from ekgen import diffkit as dk
 from ekgen import embed
 from ekgen.config import PipelineConfig
-from ekgen.corpus import Mention, Novel, _make_chapter
-from ekgen.ekg import GlobalEKG, LocalEKG, TemporalKG, build_global_ekg
+from ekgen.corpus import Mention, Novel, Passage, _make_chapter
+from ekgen.ekg import (GlobalEKG, LocalEKG, TemporalKG, build_global_ekg,
+                       extract_local_ekg)
 from ekgen.embed import (EdgeExample, EkgEmbeddings, RelationNetwork,
                          VertexExample, VertexEmbeddingTable, edge_triplet_loss,
                          make_edge_examples, make_vertex_examples,
@@ -372,27 +375,21 @@ def test_materialize_shapes_and_determinism():
     artifact = EkgEmbeddings(table=table, rn=RelationNetwork(d_f=d, seed=2))
     local = LocalEKG(passage_id="p", t=2, vertex_ids=[0, 2, 4, 6, 8],
                      edges=[(0, 2), (2, 4), (4, 6), (6, 8)])
-    materialize_embeddings(artifact, local)
-    assert local.vertex_seq.shape == (3, 5, 8)
-    assert local.edge_seq.shape == (3, 4, 8)
-    # dense over every chapter even if an entity is absent from some
-    assert np.isfinite(local.vertex_seq).all()
-    second = LocalEKG(passage_id="p", t=2, vertex_ids=[0, 2, 4, 6, 8],
-                      edges=[(0, 2), (2, 4), (4, 6), (6, 8)])
-    materialize_embeddings(artifact, second)
-    np.testing.assert_array_equal(local.edge_seq, second.edge_seq)
+    tables = materialize_embeddings(artifact, [local])
+    assert tables.vertex is table.w.data          # the table, not a copy
+    assert tables.edge.shape == (3, 4, 8)
+    assert np.isfinite(tables.edge).all()
+    second = materialize_embeddings(artifact, [local])
+    np.testing.assert_array_equal(tables.edge, second.edge)
 
 
-def _edge_seq_per_pair(artifact, local):
-    """Relation-network edge embeddings one (chapter, edge) pair at a time."""
+def _edge_rows_per_pair(artifact, pair):
+    """Relation-network edge embeddings of `pair`, one chapter at a time."""
     W = artifact.table.w.data
-    T, _, d_f = W.shape
-    out = np.zeros((T, len(local.edges), d_f), dtype=W.dtype)
-    for t in range(T):
-        for e, (i, j) in enumerate(local.edges):
-            r = artifact.rn.edge_embedding(dk.Tensor(W[t, i]), dk.Tensor(W[t, j]))
-            out[t, e] = r.numpy()
-    return out
+    i, j = pair
+    return np.stack([artifact.rn.edge_embedding(dk.Tensor(w[i]),
+                                                dk.Tensor(w[j])).numpy()
+                     for w in W])
 
 
 @pytest.mark.parametrize("vertex_ids, edges", [
@@ -401,19 +398,38 @@ def _edge_seq_per_pair(artifact, local):
     ([3], []),
 ])
 def test_materialize_matches_per_pair_reference(vertex_ids, edges):
+    """The local of `vertex_ids` and `edges`, beside a local that falls back
+    to the complete graph over entities that never co-occur and one that
+    shares its pair (1, 5) with that fallback."""
     T, d = 4, 16
     table = VertexEmbeddingTable(T=T, n_e=9, d_f=d, seed=3)
     table.w.data *= 20.0       # outputs of a few units, as after training
     artifact = EkgEmbeddings(table=table, rn=RelationNetwork(d_f=d, seed=4))
-    local = materialize_embeddings(
-        artifact, LocalEKG(passage_id="p", t=1, vertex_ids=vertex_ids,
-                           edges=edges))
-    expected = _edge_seq_per_pair(artifact, local)
-    assert local.edge_seq.shape == (T, len(edges), d)
-    assert local.edge_seq.dtype == table.w.data.dtype
-    np.testing.assert_allclose(local.edge_seq, expected, rtol=1e-5, atol=1e-5)
-    np.testing.assert_array_equal(local.vertex_seq,
-                                  table.w.data[:, vertex_ids, :])
+    never = GlobalEKG("n", [TemporalKG(t=1, vertices=set(), edges={})],
+                      Counter())
+    fallback = extract_local_ekg(never, Passage(
+        id="f", chapter_index=2, span=(0, 1), entity_ids={1, 5, 7},
+        comments=[]))
+    assert fallback.edges == [(1, 5), (1, 7), (5, 7)]
+    locals_ = [LocalEKG(passage_id="p", t=1, vertex_ids=vertex_ids,
+                        edges=edges), fallback,
+               LocalEKG(passage_id="s", t=3, vertex_ids=[0, 1, 5],
+                        edges=[(0, 1), (1, 5)])]
+    tables = materialize_embeddings(artifact, locals_)
+    pairs = list(dict.fromkeys(pair for l in locals_ for pair in l.edges))
+    assert list(tables.column.items()) == [(p, i) for i, p in enumerate(pairs)]
+    # (1, 5), named by two locals, has one column
+    assert len(pairs) < sum(l.c_r for l in locals_)
+    assert tables.edge.shape == (T, len(pairs), d)
+    assert tables.edge.dtype == table.w.data.dtype
+    for pair, col in tables.column.items():
+        np.testing.assert_allclose(tables.edge[:, col],
+                                   _edge_rows_per_pair(artifact, pair),
+                                   rtol=1e-5, atol=1e-5)
+    assert tables.vertex is table.w.data
+    for local in locals_:
+        assert not any(isinstance(getattr(local, f.name), np.ndarray)
+                       for f in dataclasses.fields(local))
 
 
 def test_hashed_encoder_deterministic_and_normalized():

@@ -395,7 +395,8 @@ def test_bilstm_row_takes_negative_index_and_rejects_out_of_range():
 
 @pytest.fixture(scope="module")
 def desk_setup(tmp_path_factory):
-    """Desk-preset examples after a short embedding run."""
+    """Desk-preset examples after a short embedding run, and the tables
+    their locals name."""
     ws = tmp_path_factory.mktemp("fused") / "ws"
     cfg = load_config(preset="desk", seed=0, overrides=[
         "phase1_steps=20", "phase2_steps=6"])
@@ -403,21 +404,22 @@ def desk_setup(tmp_path_factory):
                   pipeline.run_build_ekg, pipeline.run_train_ekg):
         stage(ws, cfg)
     w = pipeline.Workspace(ws, cfg)
-    return cfg, w.corpus.vocab, w.examples()
+    return cfg, w.corpus.vocab, w.examples(), w.tables
 
 
-def _train(cfg, vocab, examples, steps=5):
+def _train(cfg, vocab, examples, tables, steps=5):
     model = Graph2SeqModel(cfg, len(vocab))
+    model.tables = tables
     history = train_g2s(examples, model,
                         replace(cfg, g2s_steps=steps, lr_scale=1.0))
     return history["loss"], {k: v.copy() for k, v in model.state().items()}
 
 
 def test_train_g2s_parameters_bitwise_reference(desk_setup):
-    cfg, vocab, examples = desk_setup
-    loss, state = _train(cfg, vocab, examples)
+    cfg, vocab, examples, tables = desk_setup
+    loss, state = _train(cfg, vocab, examples, tables)
     with references():
-        ref_loss, ref_state = _train(cfg, vocab, examples)
+        ref_loss, ref_state = _train(cfg, vocab, examples, tables)
     assert loss == ref_loss
     assert state.keys() == ref_state.keys()
     for name in state:
@@ -477,8 +479,9 @@ def _schedule(ex, steps=4):
 def test_decode_step_probabilities_bitwise_reference(desk_setup):
     """The array decode step, with its joined query, key and value
     projection, against the reference graph."""
-    cfg, vocab, examples = desk_setup
+    cfg, vocab, examples, tables = desk_setup
     model = Graph2SeqModel(cfg, len(vocab))
+    model.tables = tables
     # off their initial values, so no layer norm gain is 1 and no bias 0
     rng = np.random.default_rng(16)
     for p in model.parameters().values():

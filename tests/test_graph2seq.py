@@ -6,7 +6,7 @@ from ekgen import embed, pipeline
 from ekgen.config import PipelineConfig, load_config
 from ekgen.corpus import BOS, EOS
 from ekgen.ekg import LocalEKG
-from ekgen.embed import train_ekg
+from ekgen.embed import EmbeddingTables, train_ekg
 from ekgen.graph2seq import (G2SExample, GATLayer, Graph2SeqModel, Hypothesis,
                              beam_decode, gat_layer, greedy_decode, train_g2s)
 
@@ -21,16 +21,26 @@ def _tiny_config(**kw):
     return PipelineConfig(**base).validate()
 
 
-def _tiny_model(vocab_size=13, **kw):
-    return Graph2SeqModel(_tiny_config(**kw), vocab_size)
+def _tables(rng, T, d_f, n_e=8):
+    """Standard-normal tables of `n_e` entities over `T` chapters, with an
+    edge column for every pair of them."""
+    pairs = [(a, b) for a in range(n_e) for b in range(a + 1, n_e)]
+    return EmbeddingTables(vertex=rng.standard_normal((T, n_e, d_f)),
+                           edge=rng.standard_normal((T, len(pairs), d_f)),
+                           column={pair: i for i, pair in enumerate(pairs)})
 
 
-def _tiny_local(rng, T=3, c_e=3, d_f=4, t=2):
-    edges = [(i, i + 1) for i in range(c_e - 1)]
+def _tiny_model(vocab_size=13, T=3, **kw):
+    """A tiny generator over `_tables` of `T` chapters drawn from its seed."""
+    model = Graph2SeqModel(_tiny_config(**kw), vocab_size)
+    model.tables = _tables(np.random.default_rng(model.config.seed), T,
+                           model.config.d_f)
+    return model
+
+
+def _tiny_local(c_e=3, t=2):
     return LocalEKG(passage_id="p", t=t, vertex_ids=list(range(c_e)),
-                    edges=edges,
-                    vertex_seq=rng.standard_normal((T, c_e, d_f)),
-                    edge_seq=rng.standard_normal((T, len(edges), d_f)))
+                    edges=[(i, i + 1) for i in range(c_e - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +188,17 @@ def test_gat_rejects_repeated_pair_and_self_loop(edges):
 
 @pytest.mark.parametrize("mode", ["EKG", "GAT_V"])
 def test_edge_sequence_unused_outside_gat_ve(mode):
-    rng = np.random.default_rng(19)
     model = _tiny_model(mode=mode)
-    local = _tiny_local(rng)
+    local = _tiny_local()
     assert model.temporal_encode(local)[1] is None
-    without = LocalEKG(passage_id=local.passage_id, t=local.t,
-                       vertex_ids=local.vertex_ids, edges=local.edges,
-                       vertex_seq=local.vertex_seq, edge_seq=None)
-    np.testing.assert_array_equal(model.graph_encode(local).numpy(),
-                                  model.graph_encode(without).numpy())
+    before = model.graph_encode(local).numpy().copy()
+    model.tables.edge[:] = np.nan
+    np.testing.assert_array_equal(model.graph_encode(local).numpy(), before)
 
 
 def test_ekg_mode_bypasses_gat_parameters():
-    rng = np.random.default_rng(4)
     model = _tiny_model(mode="EKG")
-    local = _tiny_local(rng)
+    local = _tiny_local()
     before = model.graph_encode(local).numpy().copy()
     for layer in model.gat:
         for p in layer.parameters().values():
@@ -205,36 +211,18 @@ def test_ekg_mode_bypasses_gat_parameters():
 # temporal encoding
 
 def test_temporal_encode_t1_single_step():
-    rng = np.random.default_rng(5)
-    model = _tiny_model()
-    local = _tiny_local(rng, T=1, t=1)
+    model = _tiny_model(T=1)
+    local = _tiny_local(t=1)
     v, e = model.temporal_encode(local)
     assert v.shape == (3, 8)
     assert e.shape == (2, 8)
 
 
-def test_temporal_encode_requires_materialized_sequences():
-    model = _tiny_model()
-    local = LocalEKG(passage_id="p", t=1, vertex_ids=[0], edges=[])
-    with pytest.raises(ValueError):
-        model.temporal_encode(local)
-    # also beside a materialized local in one pass
-    with pytest.raises(ValueError, match="materialized"):
-        model.temporal_encode(_tiny_local(np.random.default_rng(22)), local)
-    # GAT_VE reads the edge sequences of every local that has edges
-    edged = _tiny_local(np.random.default_rng(24))
-    edged.edge_seq = None
-    with pytest.raises(ValueError, match="edge embeddings"):
-        model.temporal_encode(edged)
-
-
 def test_other_timestep_perturbation_propagates_through_recurrence():
-    rng = np.random.default_rng(6)
-    model = _tiny_model()
-    local = _tiny_local(rng, T=3, t=2)
+    model = _tiny_model(T=3)
+    local = _tiny_local(t=2)
     base = model.temporal_encode(local)[0].numpy().copy()
-    local.vertex_seq = local.vertex_seq.copy()
-    local.vertex_seq[0] += 1.0  # perturb a step != t
+    model.tables.vertex[0] += 1.0  # perturb a step != t
     perturbed = model.temporal_encode(local)[0].numpy()
     assert np.abs(base - perturbed).max() > 1e-6
 
@@ -260,31 +248,41 @@ def _spy_picks(monkeypatch):
     return calls
 
 
-def test_equal_sequences_share_one_lstm_column(monkeypatch):
-    rng = np.random.default_rng(25)
-    model = _tiny_model(mode="GAT_V")
-    a = _tiny_local(rng, c_e=2, t=2)
-    # the same vertex ids with another sequence, then a local that holds
-    # `a`'s second sequence under another id at another chapter
-    b = _tiny_local(rng, c_e=2, t=2)
-    c = LocalEKG(passage_id="c", t=3, vertex_ids=[7], edges=[],
-                 vertex_seq=a.vertex_seq[:, 1:].copy())
+def test_one_lstm_column_per_entity_id_and_pair(monkeypatch):
+    """Locals that name one entity, or one entity pair, read one Bi-LSTM
+    column of it, each at its own chapter."""
+    model = _tiny_model()
+    a = LocalEKG(passage_id="a", t=2, vertex_ids=[0, 1, 2],
+                 edges=[(0, 1), (1, 2)])
+    b = LocalEKG(passage_id="b", t=3, vertex_ids=[1, 2, 4],
+                 edges=[(1, 2), (2, 4)])
+    c = LocalEKG(passage_id="c", t=1, vertex_ids=[2], edges=[])
     calls = _spy_picks(monkeypatch)
-    rows = model.temporal_encode(a, b, c)[0].numpy()
-    (shape, (times, cols)), = calls
-    assert shape == (3, 4, 4)           # a's two columns, then b's two
-    assert cols == [0, 1, 2, 3, 1] and times == [1, 1, 1, 1, 2]
-    for at, local in ((0, a), (2, b), (4, c)):
-        own = model.temporal_encode(local)[0].numpy()
-        np.testing.assert_allclose(rows[at:at + len(own)], own, rtol=1e-5,
-                                   atol=1e-6)
+    v, e = model.temporal_encode(a, b, c)
+    (v_shape, (v_times, v_cols)), (e_shape, (e_times, e_cols)) = calls
+    assert v_shape == (3, 4, 4)         # entities 0, 1, 2 and 4
+    assert v_cols == [0, 1, 2, 1, 2, 3, 2]
+    assert v_times == [1, 1, 1, 2, 2, 2, 0]
+    assert e_shape == (3, 3, 4)         # pairs (0, 1), (1, 2) and (2, 4)
+    assert e_cols == [0, 1, 1, 2] and e_times == [1, 1, 2, 2]
+    v_at = e_at = 0
+    for local in (a, b, c):
+        own_v, own_e = model.temporal_encode(local)
+        np.testing.assert_allclose(v.numpy()[v_at:v_at + len(own_v.data)],
+                                   own_v.numpy(), rtol=1e-5, atol=1e-6)
+        v_at += len(own_v.data)
+        if own_e is not None:
+            np.testing.assert_allclose(e.numpy()[e_at:e_at + local.c_r],
+                                       own_e.numpy(), rtol=1e-5, atol=1e-6)
+            e_at += local.c_r
+    assert (v_at, e_at) == (7, 4)
 
 
 def test_temporal_outputs_backpropagate_one_after_the_other():
     """Each output of `temporal_encode(local)` is its own graph, so each
     backpropagates once, in turn, into the Bi-LSTM parameters."""
     model = _tiny_model()
-    v, e = model.temporal_encode(_tiny_local(np.random.default_rng(26)))
+    v, e = model.temporal_encode(_tiny_local())
     v.backward(np.ones_like(v.data))
     first = model.lstm.fwd[0].w_ih.grad.copy()
     e.backward(np.ones_like(e.data))
@@ -309,17 +307,15 @@ def test_passage_truncated_to_max_length():
 
 
 def test_memory_is_graph_slots_plus_passage():
-    rng = np.random.default_rng(7)
     model = _tiny_model()
-    local = _tiny_local(rng, c_e=3)
+    local = _tiny_local(c_e=3)
     memory = model.fuse_memory([6, 7, 8, 9], local)
     assert memory.shape == (3 + 4, 8)
 
 
 def test_next_token_distribution_sums_to_one():
-    rng = np.random.default_rng(8)
     model = _tiny_model()
-    local = _tiny_local(rng)
+    local = _tiny_local()
     state = model.start_decode(model.fuse_memory([6, 7], local))
     model.fuse_and_decode_step(state, [BOS])
     probs = model.fuse_and_decode_step(state, [6])
@@ -328,17 +324,15 @@ def test_next_token_distribution_sums_to_one():
 
 
 def test_prefix_must_start_with_bos():
-    rng = np.random.default_rng(9)
     model = _tiny_model()
-    state = model.start_decode(model.fuse_memory([6], _tiny_local(rng)))
+    state = model.start_decode(model.fuse_memory([6], _tiny_local()))
     with pytest.raises(ValueError):
         model.fuse_and_decode_step(state, [6])
 
 
 def test_overlong_prefix_rejected():
-    rng = np.random.default_rng(10)
     model = _tiny_model(max_len=4)
-    state = model.start_decode(model.fuse_memory([6], _tiny_local(rng)))
+    state = model.start_decode(model.fuse_memory([6], _tiny_local()))
     for tok in [BOS] + [6] * 4:     # a prefix of max_len + 1 tokens is allowed
         model.fuse_and_decode_step(state, [tok])
     with pytest.raises(ValueError):
@@ -346,9 +340,8 @@ def test_overlong_prefix_rejected():
 
 
 def test_decoder_is_causal():
-    rng = np.random.default_rng(11)
     model = _tiny_model()
-    memory = model.fuse_memory([6, 7], _tiny_local(rng))
+    memory = model.fuse_memory([6, 7], _tiny_local())
     a = model._decode(memory, [BOS, 6, 7, 8]).numpy()
     b = model._decode(memory, [BOS, 6, 7, 12]).numpy()
     # changing the last input token must not change earlier positions
@@ -357,9 +350,8 @@ def test_decoder_is_causal():
 
 
 def test_masking_graph_slot_changes_distribution():
-    rng = np.random.default_rng(12)
     model = _tiny_model()
-    local = _tiny_local(rng)
+    local = _tiny_local()
     memory = model.fuse_memory([6, 7], local)
     baseline = model.fuse_and_decode_step(model.start_decode(memory), [BOS])
     blanked = dk.Tensor(memory.numpy().copy())
@@ -372,7 +364,7 @@ def test_token_accuracy_builds_no_graph(monkeypatch):
     """`token_accuracy` decodes without a graph, to the logits the graph
     holds."""
     model = _tiny_model()
-    local = _tiny_local(np.random.default_rng(4))
+    local = _tiny_local()
     passage, comment = [6, 7, 8, 9], [10, 11, 12]
     decode, logits = model._decode, []
 
@@ -392,7 +384,7 @@ def test_token_accuracy_builds_no_graph(monkeypatch):
 def test_initial_nll_close_to_log_vocab():
     rng = np.random.default_rng(13)
     model = _tiny_model(vocab_size=100, seed=3)
-    local = _tiny_local(rng)
+    local = _tiny_local()
     losses = [model.nll([G2SExample(
         [6, 7, 8], local, [int(rng.integers(6, 100)) for _ in range(8)])]).item()
               for _ in range(4)]
@@ -402,18 +394,13 @@ def test_initial_nll_close_to_log_vocab():
 # ---------------------------------------------------------------------------
 # training and decoding
 
-def _toy_examples(rng, model, n=4):
-    out = []
-    for _ in range(n):
-        local = _tiny_local(rng)
-        out.append(G2SExample(passage_ids=[6, 7, 8], local=local,
-                              comment_ids=[9, 10, 11]))
-    return out
+def _toy_examples(n=4):
+    return [G2SExample(passage_ids=[6, 7, 8], local=_tiny_local(t=1 + i % 3),
+                       comment_ids=[9, 10, 11]) for i in range(n)]
 
 
 def test_train_g2s_runs_and_is_deterministic():
-    rng = np.random.default_rng(14)
-    examples = _toy_examples(rng, None)
+    examples = _toy_examples()
     histories = []
     finals = []
     for _ in range(2):
@@ -464,26 +451,25 @@ def test_pipeline_config_fields_reach_components(monkeypatch):
     assert len(artifact.history["phase2"]) == cfg.phase2_steps
     assert margins == [cfg.alpha] * cfg.phase2_steps
 
-    rng = np.random.default_rng(3)
-    examples = [G2SExample(passage_ids=[6, 7, 8], local=_tiny_local(rng, d_f=6),
+    model.tables = _tables(np.random.default_rng(3), 3, cfg.d_f)
+    examples = [G2SExample(passage_ids=[6, 7, 8], local=_tiny_local(),
                            comment_ids=[9, 10]) for _ in range(3)]
     assert len(train_g2s(examples, model, cfg)["loss"]) == cfg.g2s_steps
 
 
-def _stack_batch(rng, T=6, d_f=16):
-    """A batch of locals that read different chapters: a one-vertex local
-    without edges, a one-edge local, one with `edge_seq` None and one shared
-    by two comments, as a passage's comments share its local."""
-    def local(c_e, n_edges, t, edge_seq=True):
-        return LocalEKG(
-            passage_id="p", t=t, vertex_ids=list(range(c_e)),
-            edges=[(i, i + 1) for i in range(n_edges)],
-            vertex_seq=rng.standard_normal((T, c_e, d_f)).astype(np.float32),
-            edge_seq=(rng.standard_normal((T, n_edges, d_f)).astype(np.float32)
-                      if edge_seq else None))
-    shared = local(4, 3, 2)
-    locals_ = [shared, local(1, 0, T), local(2, 1, 1), shared,
-               local(3, 0, 4, edge_seq=False), local(5, 4, 3)]
+def _stack_batch(T=6):
+    """A batch of locals that read different chapters of a `T`-chapter
+    table: a one-vertex local without edges, a one-edge local whose entities
+    and pair another local also names, one of three vertices without edges
+    and one shared by two comments, as a passage's comments share its
+    local."""
+    def local(vertex_ids, n_edges, t):
+        return LocalEKG(passage_id="p", t=t, vertex_ids=vertex_ids,
+                        edges=[(vertex_ids[i], vertex_ids[i + 1])
+                               for i in range(n_edges)])
+    shared = local([0, 1, 2, 3], 3, 2)
+    locals_ = [shared, local([5], 0, T), local([2, 3], 1, 1), shared,
+               local([5, 6, 7], 0, 4), local([3, 4, 5, 6, 7], 4, 3)]
     return [G2SExample(passage_ids=[6, 7, 8, 9][:2 + i % 3], local=l,
                        comment_ids=[9 + i % 3, 10, 11][:1 + i % 3])
             for i, l in enumerate(locals_)]
@@ -508,17 +494,15 @@ def _batch_step(model, batch, stacked):
 
 @pytest.mark.parametrize("mode", ["EKG", "GAT_V", "GAT_VE"])
 def test_stacked_step_matches_per_example_step(mode, monkeypatch):
-    rng = np.random.default_rng(21)
     model = _tiny_model(mode=mode, d_f=16, d_model=16, bilstm_layers=2,
-                        seed=7)
-    batch = _stack_batch(rng)
+                        seed=7, T=6)
+    batch = _stack_batch()
     calls = _spy_picks(monkeypatch)
     loss, grads = _batch_step(model, batch, stacked=True)
-    # one pass over the five distinct locals' 15 distinct vertex sequences,
-    # and in GAT_VE one over their 8 distinct edge sequences: the ids repeat
-    # across locals, but no two sequences are equal
+    # one pass over the 8 entities of the five distinct locals' 15 vertices,
+    # and in GAT_VE one over the 7 pairs of their 8 edges
     assert [shape for shape, _ in calls] == (
-        [(6, 15, 16)] + [(6, 8, 16)] * (mode == "GAT_VE"))
+        [(6, 8, 16)] + [(6, 7, 16)] * (mode == "GAT_VE"))
     ref_loss, ref_grads = _batch_step(model, batch, stacked=False)
     np.testing.assert_allclose(loss, ref_loss, rtol=1e-6)
     assert grads.keys() == ref_grads.keys()
@@ -560,10 +544,10 @@ def test_stacked_step_matches_per_example_step(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["GAT_V", "GAT_VE"])
 def test_gat_over_union_normalizes_per_vertex_and_matches_each_local(mode):
-    rng = np.random.default_rng(23)
-    model = _tiny_model(mode=mode, d_f=16, d_model=16, gat_layers=2, seed=8)
+    model = _tiny_model(mode=mode, d_f=16, d_model=16, gat_layers=2, seed=8,
+                        T=6)
     locals_ = list({id(ex.local): ex.local
-                    for ex in _stack_batch(rng)}.values())
+                    for ex in _stack_batch()}.values())
     union = model.graph_encode(*locals_).numpy()
     coefs = [layer.last_coefficients for layer in model.gat]
     assert [len(c) for c in coefs] == [union.shape[0]] * len(model.gat)
@@ -583,17 +567,15 @@ def test_gat_over_union_normalizes_per_vertex_and_matches_each_local(mode):
 
 
 def test_beam_one_equals_greedy():
-    rng = np.random.default_rng(15)
     model = _tiny_model(seed=6)
-    local = _tiny_local(rng)
+    local = _tiny_local()
     beams = beam_decode([6, 7], local, model, beam=1, max_len=8)
     assert beams[0][0] == greedy_decode([6, 7], local, model, max_len=8)
 
 
 def test_beam_outputs_bounded_and_sorted():
-    rng = np.random.default_rng(16)
     model = _tiny_model(seed=7)
-    local = _tiny_local(rng)
+    local = _tiny_local()
     beams = beam_decode([6, 7, 8], local, model, beam=4, max_len=6)
     assert 1 <= len(beams) <= 4
     scores = [s for _, s in beams]
@@ -620,7 +602,7 @@ def desk_trained(tmp_path_factory):
         stage(ws, cfg)
     w = pipeline.Workspace(ws, cfg)
     c, encode = w.corpus, w.corpus.vocab.encode
-    examples = [G2SExample(passage_ids=encode(c.tokens(p)), local=w.local_ekg(p),
+    examples = [G2SExample(passage_ids=encode(c.tokens(p)), local=w.locals[p.id],
                            comment_ids=encode(p.comments[-1].text))
                 for p in c.passages[:4]]
     return w.model, examples, cfg.max_len
@@ -648,8 +630,8 @@ def test_desk_batch_runs_encoder_and_decoder_once_per_shape(desk_trained,
 
 def test_desk_batch_feeds_at_most_one_lstm_column_per_entity(desk_trained,
                                                            monkeypatch):
-    """Desk's locals read one global EKG, so a vertex sequence is an
-    entity's: the step's vertex rows need at most one column per entity."""
+    """A step's vertex rows read one Bi-LSTM column per entity, however
+    many of its locals name it."""
     model, examples, _ = desk_trained
     calls = _spy_picks(monkeypatch)
     model.nll(examples)

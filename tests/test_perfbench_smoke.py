@@ -2,8 +2,9 @@
 entry points by name (`nll`, `temporal_encode`, `graph_encode`,
 `encode_passage`, `fuse_memory`, `gat_layer`, `_decode`) and the
 embedding trainer's (`train_ekg`, `vertex_loss_total`, `edge_triplet_loss`,
-`materialize_embeddings`), so a change to their call shapes shows here
-rather than only when the benchmark runs."""
+`materialize_embeddings`, which runs once per stage over all the passages'
+local EKGs), so a change to their call shapes shows here rather than only
+when the benchmark runs."""
 
 import json
 import subprocess

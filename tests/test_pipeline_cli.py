@@ -469,31 +469,42 @@ ARTIFACT_READERS = [("corpus/corpus.json", "stats"),
                     ("manifest.json", "stats")]
 
 
-@pytest.mark.parametrize("artifact, stage, torn", [
-    pytest.param(artifact, stage, torn,
-                 id=f"{artifact}-{stage}" + ("" if torn else "-not-utf8"))
-    for torn in (True, False) for artifact, stage in ARTIFACT_READERS])
+@pytest.mark.parametrize("artifact, stage, damage", [
+    pytest.param(artifact, stage, damage, id=f"{artifact}-{stage}"
+                 + ("" if damage == "torn" else "-not-utf8"))
+    for damage in ("torn", "not-utf8") for artifact, stage in ARTIFACT_READERS
+] + [pytest.param("ekg/global.json", "train-g2s", entity_id,
+                  id=f"ekg/global.json-train-g2s-entity{entity_id}")
+     for entity_id in (99, -1, 1.5)])
 def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
-                                     torn):
-    """A crash halfway through writing the last line, or a byte that is not
-    UTF-8 halfway along it: the stage exits 3 with one error line that names
-    the file and, for the byte, its position, but quotes none of the
-    file."""
+                                     damage):
+    """A crash halfway through writing the last line, a byte that is not
+    UTF-8 halfway along it, or an edge to an entity id that is not an
+    integer in the corpus's [0, n_e): the stage exits 3 with one error line
+    that names the file and, for the byte, its position, but quotes none of
+    the file."""
     ws, args = generated_ws
     path = ws / artifact
     data = path.read_bytes().rstrip(b"\n")
     start = data.rfind(b"\n") + 1                 # of the last line
     half = (len(data) + start) // 2
-    if torn:
+    if damage == "torn":
         path.write_bytes(data[:half])
-    else:
+    elif damage == "not-utf8":
         path.write_bytes(data[:half] + b"\xff" + data[half + 1:] + b"\n")
+    else:
+        raw = json.loads(data)
+        graph = next(g for g in raw["graphs"] if g["edges"])
+        graph["edges"][0]["pair"][1] = damage
+        path.write_text(json.dumps(raw), encoding="utf-8")
     capsys.readouterr()
     assert cli.main([stage, "--workspace", str(ws)] + args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert len(err) < len(f"error: {path}") + 200, err
-    if not torn:
+    if isinstance(damage, (int, float)):
+        assert f"entity ids [{damage}] are not the corpus's 0..3" in err, err
+    elif damage == "not-utf8":
         # lines of a .jsonl file are read one at a time
         at = half - start if artifact.endswith(".jsonl") else half
         assert f"byte 0xff in position {at}:" in err, err
