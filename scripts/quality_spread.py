@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Model quality over program seeds, as a median and interquartile range.
 
-Runs the full desk-preset pipeline once per seed 0..N-1, each in its own
+Runs the full desk-scale pipeline once per seed 0..N-1, each in its own
 workspace `<workspace>/seed_<n>`. For each seed it prints criterion 7's
 teacher-forced accuracy (one example per passage), the BLEU and ROUGE-L of
 the generated comments and the final train-g2s loss; then the median and
@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     root = Path(args.workspace)
     rows = []
     for seed in range(args.seeds):
-        cfg = load_config(preset="desk", overrides=args.overrides, seed=seed)
+        cfg = load_config(overrides=args.overrides, seed=seed)
         rows.append(run_seed(root / f"seed_{seed}", cfg))
         print(_line(f"seed {seed}", rows[-1]), flush=True)
     quartiles = {name: np.percentile([r[name] for r in rows], [25, 50, 75])

@@ -32,7 +32,7 @@ def main() -> int:
 
     root = Path(args.workspace)
     base = root / "base"
-    cfg = load_config(preset="desk", overrides=args.overrides, seed=args.seed)
+    cfg = load_config(overrides=args.overrides, seed=args.seed)
     with pipeline.workspace_lock(base):
         pipeline.run_synth(base, cfg)
         pipeline.run_ingest(base, cfg)
@@ -48,8 +48,7 @@ def main() -> int:
         for sub in ("data", "corpus", "ekg", "embed"):
             shutil.copytree(base / sub, ws / sub)
         shutil.copy(base / "manifest.json", ws / "manifest.json")
-        mode_cfg = load_config(preset="desk",
-                               overrides=args.overrides + [f"mode={mode}"],
+        mode_cfg = load_config(overrides=args.overrides + [f"mode={mode}"],
                                seed=args.seed)
         with pipeline.workspace_lock(ws):
             pipeline.run_train_g2s(ws, mode_cfg)

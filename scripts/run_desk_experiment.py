@@ -33,7 +33,7 @@ def main() -> int:
     args = ap.parse_args()
 
     ws = Path(args.workspace)
-    cfg = load_config(preset="desk", overrides=args.overrides, seed=args.seed)
+    cfg = load_config(overrides=args.overrides, seed=args.seed)
 
     start = time.monotonic()
     with pipeline.workspace_lock(ws):

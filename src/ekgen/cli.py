@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from . import pipeline
-from .config import PRESETS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .corpus import CorpusParseError, ReferenceError_
 from .diffkit import CheckpointError
 from .gradsuite import run_gradient_suite
@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workspace", default="workspace",
                         help="run directory (default: ./workspace)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--preset", choices=sorted(PRESETS), default="desk")
     parser.add_argument("--novel", help="novel JSON (ingest)")
     parser.add_argument("--lexicon", help="lexicon JSON (ingest)")
     parser.add_argument("--passages", help="passages JSONL (ingest)")
@@ -60,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, preset=args.preset,
-                          overrides=args.overrides, seed=args.seed)
+        cfg = load_config(args.config, overrides=args.overrides,
+                          seed=args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

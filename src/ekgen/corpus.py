@@ -280,7 +280,7 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
     return passages
 
 
-def cluster_chapters(novel: Novel, min_chapter_tokens: int = 1000) -> Novel:
+def cluster_chapters(novel: Novel, min_chapter_tokens: int) -> Novel:
     """Greedy left-to-right merge of short chapters.
 
     Consecutive chapters are merged until each group reaches the minimum

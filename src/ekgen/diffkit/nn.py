@@ -201,11 +201,11 @@ def bilstm_layer(x: Tensor, fwd: LSTMCell, bwd: LSTMCell) -> Tensor:
     n = fwd.d_hidden
     T = x.shape[0]
     m = int(np.prod(x.shape[1:-1], dtype=np.int64))
-    # each direction's input projection over all steps, as lstm_sequence's
-    xw = [x.data @ cell.w_ih.data + cell.b.data for cell in cells]
-    # step order: [k, 0] is forward time k, [k, 1] backward time T - 1 - k
-    xs = np.stack([xw[0].reshape(T, m, 4 * n),
-                   xw[1].reshape(T, m, 4 * n)[::-1]], axis=1)
+    # each direction's input projection over all steps, as lstm_sequence's,
+    # in step order: [k, 0] is forward time k, [k, 1] backward time T - 1 - k
+    xs = np.stack([(x.data @ fwd.w_ih.data + fwd.b.data).reshape(T, m, 4 * n),
+                   (x.data @ bwd.w_ih.data + bwd.b.data)
+                   .reshape(T, m, 4 * n)[::-1]], axis=1)
     w_hh = np.stack([fwd.w_hh.data, bwd.w_hh.data])
     hs, caches = _recur(xs, w_hh, n, track)
     y = np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
@@ -224,7 +224,8 @@ def bilstm_layer(x: Tensor, fwd: LSTMCell, bwd: LSTMCell) -> Tensor:
             dz_d = dz[run, d]
             _accum_cell_grads(cell, x.data, h_prev[run, d], dz_d)
             if x.requires_grad:
-                x._accum(dz_d.reshape(xw[d].shape) @ cell.w_ih.data.T)
+                dz_x = dz_d.reshape(x.shape[:-1] + (4 * n,))
+                x._accum(dz_x @ cell.w_ih.data.T)
     out._backward = _bw
     return out
 

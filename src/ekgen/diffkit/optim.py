@@ -42,8 +42,7 @@ class Adam:
             p.zero_grad()
 
 
-def lr_schedule(step: int, d_model: int, warmup: int = 5000,
-                scale: float = 1.0) -> float:
+def lr_schedule(step: int, d_model: int, warmup: int, scale: float) -> float:
     """Linear warmup then inverse-sqrt decay (crossover at `warmup`)."""
     if step < 1:
         raise ValueError("lr_schedule requires step >= 1")

@@ -202,6 +202,14 @@ class Corpus:
         return self.novel.chapters[p.chapter_index - 1].tokens[slice(*p.span)]
 
 
+def _check_entity_ids(ids: set, n_e: int):
+    """Refuse entity ids that are not integers in [0, `n_e`): they index
+    the embedding tables."""
+    bad = sorted((i for i in ids if type(i) is not int or not 0 <= i < n_e), key=repr)
+    if bad:
+        raise ValueError(f"entity ids {bad} are not the corpus's 0..{n_e - 1}")
+
+
 def _parse_corpus(raw: dict) -> Corpus:
     novel = cp.Novel(
         id=raw["novel"]["id"], title=raw["novel"]["title"],
@@ -218,6 +226,8 @@ def _parse_corpus(raw: dict) -> Corpus:
                 for p in raw["passages"]]
     mentions = [cp.Mention(entity_id=m[0], chapter_index=m[1], span=(m[2], m[3]))
                 for m in raw["mentions"]]
+    _check_entity_ids({i for p in passages for i in p.entity_ids}
+                      | {m.entity_id for m in mentions}, raw["n_e"])
     vocab = cp.Vocabulary(token_to_id={t: i for i, t in enumerate(raw["vocab"])},
                           id_to_token=raw["vocab"])
     return Corpus(novel, passages, mentions, vocab, raw["n_e"], raw["token_mode"])
@@ -237,15 +247,12 @@ def _save_ekg(path: Path, ekg: GlobalEKG):
 
 def _parse_ekg(raw: dict, n_e: int) -> GlobalEKG:
     """The global EKG in `raw`, whose entity ids must be integers in
-    [0, `n_e`): they index the embedding tables."""
+    [0, `n_e`)."""
     graphs = [TemporalKG(t=g["t"], vertices=set(g["vertices"]),
                          edges={tuple(e["pair"]): [tuple(s) for s in e["evidence"]]
                                 for e in g["edges"]})
               for g in raw["graphs"]]
-    ids = {i for g in graphs for i in g.vertices.union(*g.edges)}
-    bad = sorted((i for i in ids if type(i) is not int or not 0 <= i < n_e), key=repr)
-    if bad:
-        raise ValueError(f"entity ids {bad} are not the corpus's 0..{n_e - 1}")
+    _check_entity_ids({i for g in graphs for i in g.vertices.union(*g.edges)}, n_e)
     freq = Counter({int(k): v for k, v in raw["frequency"].items()})
     return GlobalEKG(novel_id=raw["novel_id"], graphs=graphs,
                      entity_frequency=freq)

@@ -41,12 +41,12 @@ def criterion(capsys, n, description):
 
 
 # ---------------------------------------------------------------------------
-# shared trained pipeline (desk preset, defaults)
+# shared trained pipeline (the default, desk-scale config)
 
 @pytest.fixture(scope="session")
 def desk_run(tmp_path_factory):
     ws = tmp_path_factory.mktemp("desk") / "ws"
-    cfg = load_config(preset="desk", seed=0)
+    cfg = load_config(seed=0)
     start = time.monotonic()
     report = pipeline.run_full_pipeline(ws, cfg)
     elapsed = time.monotonic() - start
@@ -262,7 +262,7 @@ def test_criterion_09_ablation_harness(capsys, desk_run, tmp_path_factory):
             for sub in ("data", "corpus", "ekg", "embed"):
                 shutil.copytree(desk_run["ws"] / sub, ws / sub)
             shutil.copy(desk_run["ws"] / "manifest.json", ws / "manifest.json")
-            cfg = load_config(preset="desk", seed=0,
+            cfg = load_config(seed=0,
                               overrides=[f"mode={mode}", "g2s_steps=150"])
             pipeline.run_train_g2s(ws, cfg)
             gen = pipeline.run_generate(ws, cfg)
@@ -336,7 +336,7 @@ def test_criterion_11_determinism(capsys, tmp_path_factory):
 
         def run(tag):
             ws = tmp_path_factory.mktemp(tag) / "ws"
-            cfg = load_config(preset="desk", seed=123, overrides=overrides)
+            cfg = load_config(seed=123, overrides=overrides)
             pipeline.run_full_pipeline(ws, cfg, generate_limit=4)
             out = {}
             for path in sorted(ws.rglob("*")):

@@ -1,9 +1,12 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from ekgen.config import PRESETS, ConfigError, PipelineConfig, load_config
+from ekgen.config import ConfigError, PipelineConfig, load_config
+
+PAPER = Path(__file__).resolve().parent.parent / "configs" / "paper.json"
 
 
 def test_defaults_follow_published_hyperparameters():
@@ -13,20 +16,35 @@ def test_defaults_follow_published_hyperparameters():
     assert cfg.alpha == 0.0
     assert cfg.lambda_r == 1.0
     assert cfg.K == 5
-    assert cfg.encoder_layers == 6
     assert cfg.bilstm_layers == 2
     assert cfg.gat_layers == 2
-    assert cfg.d_model == 768
     assert cfg.beam == 4
     assert cfg.max_len == 50
-    assert cfg.warmup == 5000
+    # desk sizes: every test, script and benchmark runs these
+    assert (cfg.d_f, cfg.d_model, cfg.encoder_layers, cfg.decoder_layers) \
+        == (64, 64, 2, 2)
+    assert (cfg.min_chapter_tokens, cfg.phase1_steps, cfg.phase2_steps) \
+        == (50, 150, 40)
+    assert (cfg.warmup, cfg.g2s_steps, cfg.batch_size, cfg.lr_scale) \
+        == (50, 400, 8, 0.5)
 
 
-def test_desk_preset_shrinks_dims():
-    cfg = load_config(preset="desk")
-    assert cfg.d_model == 64
-    assert cfg.encoder_layers == 2
-    assert cfg.decoder_layers == 2
+def test_paper_config_file_loads_and_peaks_within_its_run():
+    raw = json.loads(PAPER.read_text(encoding="utf-8"))
+    assert set(raw) <= {f.name for f in fields(PipelineConfig)}
+    cfg = load_config(PAPER)
+    assert (cfg.d_f, cfg.d_model, cfg.encoder_layers, cfg.decoder_layers) \
+        == (768, 768, 6, 6)
+    assert cfg.warmup <= cfg.g2s_steps
+    # keys the file leaves out keep their defaults
+    assert cfg.beam == PipelineConfig().beam
+
+
+def test_desk_preset_names_the_defaults():
+    # perfbench calls load_config(preset="desk", ...)
+    assert load_config(preset="desk") == load_config() == PipelineConfig()
+    with pytest.raises(ConfigError, match="preset"):
+        load_config(preset="paper")
 
 
 def test_validation_rejects_bad_values():
@@ -41,14 +59,6 @@ def test_validation_rejects_bad_values():
             cfg.validate()
 
 
-def test_preset_keys_are_config_fields():
-    # load_config applies a preset with setattr, so a misspelled key would
-    # set a stray attribute that no component reads and to_json drops
-    names = {f.name for f in fields(PipelineConfig)}
-    for preset, overrides in PRESETS.items():
-        assert set(overrides) <= names, preset
-
-
 def test_validation_rejects_head_indivisible_dim():
     with pytest.raises(ConfigError):
         PipelineConfig(d_model=100, n_heads=3).validate()
@@ -60,10 +70,9 @@ def test_unknown_key_lists_valid_keys():
 
 
 def test_override_parsing_and_casting():
-    cfg = load_config(preset="desk",
-                      overrides=["d_model=32", "lr_scale=0.5", "mode=GAT_V"])
+    cfg = load_config(overrides=["d_model=32", "lr_scale=0.25", "mode=GAT_V"])
     assert cfg.d_model == 32
-    assert cfg.lr_scale == 0.5
+    assert cfg.lr_scale == 0.25
     assert cfg.mode == "GAT_V"
 
 
@@ -88,18 +97,8 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 def test_seed_argument_wins():
-    cfg = load_config(preset="desk", seed=42)
+    cfg = load_config(seed=42)
     assert cfg.seed == 42
-
-
-def test_explicit_file_value_survives_preset(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"d_model": 128, "warmup": 77}))
-    cfg = load_config(path, preset="desk")
-    assert cfg.d_model == 128
-    assert cfg.warmup == 77
-    # untouched keys still get the preset values
-    assert cfg.encoder_layers == 2
 
 
 def test_config_accepts_integer_for_number(tmp_path):

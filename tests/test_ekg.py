@@ -189,7 +189,7 @@ def _rebuilding_local_ekg(global_ekg, passage, K):
 def test_local_ekgs_match_per_passage_rebuild(tmp_path):
     from ekgen import pipeline
     from ekgen.config import load_config
-    cfg = load_config(preset="desk", seed=0)
+    cfg = load_config(seed=0)
     pipeline.run_synth(tmp_path, cfg)
     pipeline.run_ingest(tmp_path, cfg)
     c = pipeline.Workspace(tmp_path, cfg).corpus

@@ -196,7 +196,7 @@ def desk_corpus(tmp_path_factory):
     from ekgen import pipeline
     from ekgen.config import load_config
     ws = tmp_path_factory.mktemp("desk")
-    cfg = load_config(preset="desk", seed=0)
+    cfg = load_config(seed=0)
     pipeline.run_synth(ws, cfg)
     pipeline.run_ingest(ws, cfg)
     c = pipeline.Workspace(ws, cfg).corpus

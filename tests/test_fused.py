@@ -395,10 +395,10 @@ def test_bilstm_row_takes_negative_index_and_rejects_out_of_range():
 
 @pytest.fixture(scope="module")
 def desk_setup(tmp_path_factory):
-    """Desk-preset examples after a short embedding run, and the tables
+    """Desk-scale examples after a short embedding run, and the tables
     their locals name."""
     ws = tmp_path_factory.mktemp("fused") / "ws"
-    cfg = load_config(preset="desk", seed=0, overrides=[
+    cfg = load_config(seed=0, overrides=[
         "phase1_steps=20", "phase2_steps=6"])
     for stage in (pipeline.run_synth, pipeline.run_ingest,
                   pipeline.run_build_ekg, pipeline.run_train_ekg):

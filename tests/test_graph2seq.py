@@ -591,10 +591,10 @@ def test_beam_outputs_bounded_and_sorted():
 
 @pytest.fixture(scope="module")
 def desk_trained(tmp_path_factory):
-    """Desk-preset model after a few training steps, one example per passage
+    """Desk-scale model after a few training steps, one example per passage
     of the first four."""
     ws = tmp_path_factory.mktemp("desk") / "ws"
-    cfg = load_config(preset="desk", seed=0, overrides=[
+    cfg = load_config(seed=0, overrides=[
         "phase1_steps=20", "phase2_steps=6", "g2s_steps=20"])
     for stage in (pipeline.run_synth, pipeline.run_ingest,
                   pipeline.run_build_ekg, pipeline.run_train_ekg,
@@ -639,7 +639,7 @@ def test_desk_batch_feeds_at_most_one_lstm_column_per_entity(desk_trained,
     locals_ = {id(ex.local): ex.local for ex in examples}.values()
     n_rows = sum(len(local.vertex_ids) for local in locals_)
     assert len(cols) == n_rows
-    assert shape[1] <= load_config(preset="desk").synth_entities < n_rows
+    assert shape[1] <= load_config().synth_entities < n_rows
 
 
 def _uncached_beam(passage_ids, local, model, beam, max_len,

@@ -40,7 +40,7 @@ def test_adam_step_counter_increments():
 
 def test_lr_schedule_branches_equal_at_warmup():
     warmup = 5000
-    at = dk.lr_schedule(warmup, 64, warmup)
+    at = dk.lr_schedule(warmup, 64, warmup, 1.0)
     linear = 64 ** -0.5 * warmup * warmup ** -1.5
     decay = 64 ** -0.5 * warmup ** -0.5
     assert at == pytest.approx(linear, rel=1e-12)
@@ -48,20 +48,21 @@ def test_lr_schedule_branches_equal_at_warmup():
 
 
 def test_lr_schedule_linear_region_ratio():
-    assert (dk.lr_schedule(2500, 64, 5000)
-            / dk.lr_schedule(5000, 64, 5000)) == pytest.approx(0.5, rel=1e-12)
+    ratio = (dk.lr_schedule(2500, 64, 5000, 1.0)
+             / dk.lr_schedule(5000, 64, 5000, 1.0))
+    assert ratio == pytest.approx(0.5, rel=1e-12)
 
 
 def test_lr_schedule_monotone_decay_after_warmup():
-    vals = [dk.lr_schedule(s, 64, 100) for s in range(100, 1000, 17)]
+    vals = [dk.lr_schedule(s, 64, 100, 1.0) for s in range(100, 1000, 17)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_lr_schedule_rejects_step_zero():
     with pytest.raises(ValueError):
-        dk.lr_schedule(0, 64)
+        dk.lr_schedule(0, 64, 100, 1.0)
 
 
 def test_lr_schedule_scale_is_linear():
     assert dk.lr_schedule(10, 64, 100, scale=2.0) == pytest.approx(
-        2.0 * dk.lr_schedule(10, 64, 100), rel=1e-12)
+        2.0 * dk.lr_schedule(10, 64, 100, scale=1.0), rel=1e-12)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ekgen import cli, pipeline
-from ekgen.config import PRESETS, load_config
+from ekgen.config import load_config
 from ekgen.corpus import Comment, Passage
 from ekgen.ekg import GlobalEKG, build_global_ekg
 from ekgen.embed import TrainingDiverged
@@ -24,7 +24,7 @@ SMALL = ["synth_passages=6", "synth_entities=4", "synth_chapters=2",
 
 
 def _cfg(seed=0):
-    return load_config(preset="desk", overrides=SMALL, seed=seed)
+    return load_config(overrides=SMALL, seed=seed)
 
 
 def test_missing_artifact_names_prerequisite_stage(tmp_path):
@@ -117,15 +117,6 @@ def test_report_stats_empty_corpus_no_division_error():
 def test_cli_prerequisite_error_exit_code(tmp_path):
     code = cli.main(["train-g2s", "--workspace", str(tmp_path / "ws")])
     assert code == 3
-
-
-def test_cli_accepts_every_preset(monkeypatch):
-    """`--preset` takes its choices from `PRESETS`, so a preset added there
-    alone parses too."""
-    monkeypatch.setitem(PRESETS, "extra", {})
-    for name in PRESETS:
-        args = cli.build_parser().parse_args(["stats", "--preset", name])
-        assert args.preset == name
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -468,21 +459,31 @@ ARTIFACT_READERS = [("corpus/corpus.json", "stats"),
                     ("generate/comments.jsonl", "evaluate"),
                     ("manifest.json", "stats")]
 
+# (artifact, stage that reads it, where the entity id goes, the id)
+BAD_ENTITY_IDS = (
+    [("ekg/global.json", "train-g2s", "edge", i) for i in (99, -1, 1.5)]
+    + [("corpus/corpus.json", "train-g2s", "passage", 99)]
+    + [("corpus/corpus.json", stage, where, -1)
+       for stage in ("train-ekg", "train-g2s")
+       for where in ("passage", "mention")])
+
 
 @pytest.mark.parametrize("artifact, stage, damage", [
     pytest.param(artifact, stage, damage, id=f"{artifact}-{stage}"
                  + ("" if damage == "torn" else "-not-utf8"))
     for damage in ("torn", "not-utf8") for artifact, stage in ARTIFACT_READERS
-] + [pytest.param("ekg/global.json", "train-g2s", entity_id,
-                  id=f"ekg/global.json-train-g2s-entity{entity_id}")
-     for entity_id in (99, -1, 1.5)])
+] + [pytest.param(artifact, stage, (where, entity_id),
+                  id=f"{artifact}-{stage}-"
+                  + ("" if where == "edge" else f"{where}-")
+                  + f"entity{entity_id}")
+     for artifact, stage, where, entity_id in BAD_ENTITY_IDS])
 def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
                                      damage):
     """A crash halfway through writing the last line, a byte that is not
-    UTF-8 halfway along it, or an edge to an entity id that is not an
-    integer in the corpus's [0, n_e): the stage exits 3 with one error line
-    that names the file and, for the byte, its position, but quotes none of
-    the file."""
+    UTF-8 halfway along it, or an entity id in an edge, a passage or a
+    mention that is not an integer in the corpus's [0, n_e): the stage exits
+    3 with one error line that names the file and, for the byte, its
+    position, but quotes none of the file."""
     ws, args = generated_ws
     path = ws / artifact
     data = path.read_bytes().rstrip(b"\n")
@@ -493,17 +494,23 @@ def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
     elif damage == "not-utf8":
         path.write_bytes(data[:half] + b"\xff" + data[half + 1:] + b"\n")
     else:
+        where, entity_id = damage
         raw = json.loads(data)
-        graph = next(g for g in raw["graphs"] if g["edges"])
-        graph["edges"][0]["pair"][1] = damage
+        if where == "edge":
+            graph = next(g for g in raw["graphs"] if g["edges"])
+            graph["edges"][0]["pair"][1] = entity_id
+        elif where == "passage":
+            raw["passages"][0]["entity_ids"].append(entity_id)
+        else:
+            raw["mentions"][0][0] = entity_id
         path.write_text(json.dumps(raw), encoding="utf-8")
     capsys.readouterr()
     assert cli.main([stage, "--workspace", str(ws)] + args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert len(err) < len(f"error: {path}") + 200, err
-    if isinstance(damage, (int, float)):
-        assert f"entity ids [{damage}] are not the corpus's 0..3" in err, err
+    if isinstance(damage, tuple):
+        assert f"entity ids [{damage[1]}] are not the corpus's 0..3" in err, err
     elif damage == "not-utf8":
         # lines of a .jsonl file are read one at a time
         at = half - start if artifact.endswith(".jsonl") else half
@@ -666,7 +673,7 @@ def test_write_failing_midway_keeps_previous_artifacts(tmp_path, monkeypatch):
     import builtins
     import io
     ws = tmp_path / "ws"
-    cfg = load_config(preset="desk", overrides=SMALL + ["g2s_steps=1"], seed=0)
+    cfg = load_config(overrides=SMALL + ["g2s_steps=1"], seed=0)
     pipeline.run_full_pipeline(ws, cfg, generate_limit=1)
     pipeline.run_stats(ws, cfg)
     stages = {

@@ -38,7 +38,7 @@ def test_quality_spread_reports_each_seed_and_the_spread(tmp_path):
     for row in summary["seeds"]:
         assert set(row) == {"seed", *FIELDS}
         ws = tmp_path / f"seed_{row['seed']}"
-        cfg = load_config(preset="desk", overrides=TINY, seed=row["seed"])
+        cfg = load_config(overrides=TINY, seed=row["seed"])
         assert row["accuracy"] == pipeline.teacher_forced_accuracy(ws, cfg)
         assert 0.0 <= row["accuracy"] <= 1.0
         report = json.loads((ws / "evaluate" / "report.json").read_text())
