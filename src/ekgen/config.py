@@ -26,8 +26,6 @@ class PipelineConfig:
     seed: int = 0
     token_mode: str = "char"          # char | word
     min_chapter_tokens: int = 50
-    min_freq: int = 1
-    overlap_threshold: float = 0.5
     K: int = 5
     # embedding training
     d_f: int = 64
@@ -68,14 +66,13 @@ class PipelineConfig:
         if self.lambda1 <= 0:
             raise ConfigError("lambda1 must be positive")
         for name in ("lambda0", "lambda2", "lambda_r", "alpha", "eps_ls",
-                     "overlap_threshold", "lr_scale", "embed_lr", "rn_lr",
-                     "phase2_steps", "seed"):
+                     "lr_scale", "embed_lr", "rn_lr", "phase2_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         for name in ("K", "d_f", "d_model", "n_heads", "encoder_layers",
                      "decoder_layers", "bilstm_layers", "gat_layers", "beam",
                      "max_len", "max_passage", "warmup", "phase1_steps",
-                     "g2s_steps", "batch_size", "min_chapter_tokens", "min_freq"):
+                     "g2s_steps", "batch_size", "min_chapter_tokens"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.eps_ls >= 1.0:

@@ -187,8 +187,11 @@ def load_novel(path, mode: str = "char") -> Novel:
         key=lambda c: c[0])
     if "id" not in raw:
         raise CorpusParseError(f"{where}: missing field 'id'")
-    built = [_make_chapter(i + 1, text, mode, [index])
-             for i, (index, text) in enumerate(chapters)]
+    indices = [index for index, _ in chapters]
+    if indices != list(range(1, len(indices) + 1)):
+        raise ReferenceError_(f"{where}: chapter indices must be "
+                              f"1..{len(indices)} in any order, got {indices}")
+    built = [_make_chapter(index, text, mode, [index]) for index, text in chapters]
     novel = Novel(id=str(raw["id"]), title=raw.get("title", ""), chapters=built)
     for ch in novel.chapters:
         if not ch.tokens:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffkit as dk
-from .diffkit.tensor import _child, _const
 from .config import PipelineConfig
 from .corpus import Mention, Novel
 from .ekg import GlobalEKG, LocalEKG
@@ -227,63 +226,34 @@ def vertex_loss_smoothed(example: VertexExample, table: VertexEmbeddingTable,
 def vertex_loss_total(examples: list[VertexExample], table: VertexEmbeddingTable,
                       lambdas: tuple[float, float, float], eps_ls: float,
                       features: np.ndarray) -> dk.Tensor | None:
-    """Sum of smoothed losses over all examples, batched per chapter, as one
-    autodiff node; None when no term applies.
-
-    `features` holds the masked-sentence feature of each example, one row
-    per example; `vertex_loss_smoothed` is the per-example reference. Each
-    (chapter, smoothing term) is one `rows @ W[tt - 1].T` and one batched
-    `cross_entropy_label_smoothed`, the terms added in order of chapter and
-    then of λ. The node matches that graph of elementary ops bit for bit:
-    the forward repeats its expressions, and the backward adds each term's
-    gradient into the table in the same order as that graph.
-    """
-    by_t: dict[int, list[int]] = {}
-    for idx, ex in enumerate(examples):
-        by_t.setdefault(ex.t, []).append(idx)
-    W = table.w.data
-    feats = _const(features)
-    c_pick, c_smooth = _const(1.0 - eps_ls), _const(eps_ls / W.shape[1])
-    terms, total = [], None
-    for t, idxs in sorted(by_t.items()):
-        rows = feats[np.asarray(idxs)]
-        at = np.arange(len(idxs))
-        targets = np.asarray([examples[i].entity_id for i in idxs])
-        inv_m = _const(1.0 / len(idxs))
-        for lam, tt in ((lambdas[0], t - 1), (lambdas[1], t), (lambdas[2], t + 1)):
-            if lam == 0.0 or not 1 <= tt <= len(W):
-                continue
-            logits = rows @ W[tt - 1].T
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-            ce = logp[at, targets].sum() * inv_m
-            if eps_ls != 0.0:
-                ce = ce * c_pick + logp.sum(axis=-1).sum() * inv_m * c_smooth
-            scale = _const(lam * len(idxs))      # CE reduces by mean
-            term = -ce * scale
-            total = term if total is None else total + term
-            terms.append((tt, rows, at, targets, inv_m, logp, scale))
-    if total is None:
+    """Sum over all examples of λ times the label-smoothed cross entropy of
+    each smoothing term that applies; None when none does. `features` holds
+    each example's masked-sentence feature, one row per example, and
+    `vertex_loss_smoothed` is the per-example reference. The rows scored
+    against chapter tt's table fill row block tt of one zero-padded array,
+    so all logits are one batched product with the table."""
+    T, n_e, d_f = table.w.shape
+    t, y = np.array([(ex.t, ex.entity_id) for ex in examples],
+                    dtype=np.int64).reshape(-1, 2).T
+    # (example, term) pairs: the term's 0-based chapter and its λ
+    n = np.tile(np.arange(len(t)), 3)
+    tt = np.concatenate([t - 2, t - 1, t])
+    lam = np.repeat(lambdas, len(t))
+    keep = np.flatnonzero((lam != 0.0) & (tt >= 0) & (tt < T))
+    if not len(keep):
         return None
-    out = _child(total, (table.w,))
-    if not out.requires_grad:
-        return out
-
-    def _bw():
-        if table.w.grad is None:
-            table.w.grad = np.zeros_like(W)
-        for tt, rows, at, targets, inv_m, logp, scale in terms:
-            g_ce = -(out.grad * scale)
-            g_logp = np.zeros_like(logp)
-            if eps_ls == 0.0:
-                g_logp[at, targets] += g_ce * inv_m
-            else:
-                g_logp[at, targets] += g_ce * c_pick * inv_m
-                g_logp += g_ce * c_smooth * inv_m
-            g_logits = g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
-            table.w.grad[tt - 1] += (rows.T @ g_logits).T
-    out._backward = _bw
-    return out
+    keep = keep[np.argsort(tt[keep], kind="stable")]       # grouped by chapter
+    n, tt, lam = n[keep], tt[keep], lam[keep]
+    counts = np.bincount(tt, minlength=T)
+    at = (tt, np.arange(len(tt)) - (np.cumsum(counts) - counts)[tt])   # block, row
+    F = np.zeros((T, counts.max(), d_f), dtype=table.w.data.dtype)
+    F[at] = features[n]
+    # λ times each pair's smoothed target distribution over the entities
+    q = np.zeros((T, counts.max(), n_e), dtype=F.dtype)
+    q[at] = (lam * eps_ls / n_e)[:, None]
+    q[(*at, y[n])] += lam * (1.0 - eps_ls)
+    logp = dk.log_softmax(dk.Tensor(F) @ table.w.transpose(0, 2, 1))
+    return -(logp * q).sum()
 
 
 def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,

@@ -245,13 +245,16 @@ def _save_ekg(path: Path, ekg: GlobalEKG):
     _write_text(path, json.dumps(payload, sort_keys=True))
 
 
-def _parse_ekg(raw: dict, n_e: int) -> GlobalEKG:
+def _parse_ekg(raw: dict, n_e: int, T: int) -> GlobalEKG:
     """The global EKG in `raw`, whose entity ids must be integers in
-    [0, `n_e`)."""
+    [0, `n_e`) and whose graphs the chapters 1..`T` in order."""
     graphs = [TemporalKG(t=g["t"], vertices=set(g["vertices"]),
                          edges={tuple(e["pair"]): [tuple(s) for s in e["evidence"]]
                                 for e in g["edges"]})
               for g in raw["graphs"]]
+    ts = [g.t for g in graphs]
+    if ts != list(range(1, T + 1)) or any(type(t) is not int for t in ts):
+        raise ValueError(f"graph chapters {ts} are not the corpus's 1..{T} in order")
     _check_entity_ids({i for g in graphs for i in g.vertices.union(*g.edges)}, n_e)
     freq = Counter({int(k): v for k, v in raw["frequency"].items()})
     return GlobalEKG(novel_id=raw["novel_id"], graphs=graphs,
@@ -282,7 +285,8 @@ class Workspace:
     @cached_property
     def ekg(self) -> GlobalEKG:
         path = _require(self.root / "ekg" / "global.json", "build-ekg")
-        return _read_artifact(path, lambda raw: _parse_ekg(raw, self.corpus.n_e))
+        return _read_artifact(path, lambda raw: _parse_ekg(
+            raw, self.corpus.n_e, self.corpus.novel.num_chapters))
 
     @cached_property
     def embeddings(self) -> EkgEmbeddings:
@@ -372,7 +376,7 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     if not mentions:
         raise cp.CorpusParseError(f"{lexicon_path}: no entity name or alias "
                                   f"occurs in {novel_path}")
-    passages = cp.merge_passages(passages, cfg.overlap_threshold)
+    passages = cp.merge_passages(passages)
     cp.attach_entities(passages, mentions)
     passages = cp.filter_passages(passages)
     if not passages:
@@ -381,7 +385,7 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
             "entities and has at least 3 comments")
     streams = [ch.tokens for ch in clustered.chapters]
     streams += [c.text for p in passages for c in p.comments]
-    vocab = cp.build_vocab(streams, cfg.min_freq)
+    vocab = cp.build_vocab(streams)
     out = ws / "corpus" / "corpus.json"
     _save_corpus(out, clustered, passages, mentions, vocab,
                  lexicon.num_entities, cfg.token_mode)

@@ -117,6 +117,34 @@ def test_non_dense_entity_ids_rejected(tmp_path):
         cp.load_lexicon(lex)
 
 
+@pytest.mark.parametrize("indices", [[0, 1, 2], [10, 20, 30], [1, 1, 2],
+                                     [1, 2, 4], [2, 3]])
+def test_chapter_indices_other_than_one_to_n_rejected(tmp_path, indices):
+    """Chapter indices are the ordinals 1..n: passages name chapters by
+    them, and remapping looks a chapter up by its index."""
+    files = write_corpus_files(tmp_path, ["aaaaaa", "bbbbbbbb", "cc"][:len(indices)],
+                               [(0, "a", [])])
+    raw = json.loads(files[0].read_text(encoding="utf-8"))
+    for chapter, index in zip(raw["chapters"], indices):
+        chapter["index"] = index
+    files[0].write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(cp.ReferenceError_, match=re.escape(
+            f"{files[0]}: chapter indices must be 1..{len(indices)} in any "
+            f"order, got {sorted(indices)}")):
+        cp.load_novel(files[0])
+
+
+def test_chapter_indices_load_in_index_order(tmp_path):
+    files = write_corpus_files(tmp_path, ["aa", "bbb", "c"], [(0, "a", [])])
+    raw = json.loads(files[0].read_text(encoding="utf-8"))
+    for chapter, index in zip(raw["chapters"], [3, 1, 2]):
+        chapter["index"] = index
+    files[0].write_text(json.dumps(raw), encoding="utf-8")
+    novel = cp.load_novel(files[0])
+    assert [ch.tokens for ch in novel.chapters] == [list("bbb"), ["c"], list("aa")]
+    assert [ch.source_indices for ch in novel.chapters] == [[1], [2], [3]]
+
+
 def test_tokenize_char_drops_whitespace_keeps_cjk():
     assert cp.tokenize("萧炎 来了") == ["萧", "炎", "来", "了"]
     assert cp.tokenize("a b c", mode="word") == ["a", "b", "c"]

@@ -459,12 +459,13 @@ def test_encode_many_rows_equal_one_sentence_bags():
 
 
 # ---------------------------------------------------------------------------
-# phase 1 as one node: bitwise the graph of elementary ops
+# phase 1 as one batched graph: the per-(chapter, term) graph of elementary ops
 
 def _elementary_vertex_loss_total(examples, table, lambdas, eps_ls, features):
     """Sum of smoothed losses batched per chapter, built from elementary
-    engine ops; `vertex_loss_total` must match it bit for bit, value and
-    table gradient."""
+    engine ops, one `rows @ W[tt - 1].T` and one cross entropy per (chapter,
+    smoothing term); `vertex_loss_total` must match it, value and table
+    gradient, up to the round-off of adding in another order."""
     by_t = {}
     for idx, ex in enumerate(examples):
         by_t.setdefault(ex.t, []).append(idx)
@@ -525,6 +526,11 @@ def _vertex_cases(desk):
     }
 
 
+# (dtype, rtol) within which the batched graph matches the elementary one:
+# both add the same terms, in another order
+ROUND_OFF = [(np.float64, 1e-12), (np.float32, 1e-5)]
+
+
 @pytest.mark.parametrize("held_grad", [False, True])
 @pytest.mark.parametrize("case", ["desk", "desk-float64-features",
                                   "novel-shaped", "one-example-chapter", "T=1",
@@ -532,40 +538,51 @@ def _vertex_cases(desk):
                                   "no-smoothing"])
 def test_vertex_loss_total_is_bitwise_the_elementary_graph(desk_vertex_batch,
                                                            case, held_grad):
+    """Loss and table gradient equal the elementary graph's up to round-off,
+    in float64 and in float32; table gradients are held relative to their
+    largest entry."""
     examples, T, n_e, d_f, features, lambdas, eps = \
         _vertex_cases(desk_vertex_batch)[case]
-    tables = [VertexEmbeddingTable(T, n_e, d_f, seed=3) for _ in range(2)]
-    if held_grad:
-        held = np.random.default_rng(4).standard_normal((T, n_e, d_f))
-        for tb in tables:
-            tb.w.grad = held.astype(np.float32)
-    want = _elementary_vertex_loss_total(examples, tables[0], lambdas, eps,
-                                         features)
-    got = vertex_loss_total(examples, tables[1], lambdas, eps, features)
-    assert got.data.dtype == want.data.dtype == np.float32
-    assert np.array_equal(got.data, want.data)
-    (0.7 * want).backward()
-    (0.7 * got).backward()
-    assert tables[1].w.grad.dtype == np.float32
-    assert np.array_equal(tables[1].w.grad, tables[0].w.grad)
+    for dtype, rtol in ROUND_OFF:
+        with dk.use_dtype(dtype):
+            tables = [VertexEmbeddingTable(T, n_e, d_f, seed=3) for _ in range(2)]
+            if held_grad:
+                held = np.random.default_rng(4).standard_normal((T, n_e, d_f))
+                for tb in tables:
+                    tb.w.grad = held.astype(dtype)
+            want = _elementary_vertex_loss_total(examples, tables[0], lambdas,
+                                                 eps, features)
+            got = vertex_loss_total(examples, tables[1], lambdas, eps, features)
+            assert got.data.dtype == want.data.dtype == dtype
+            np.testing.assert_allclose(got.data, want.data, rtol=rtol / 10)
+            (0.7 * want).backward()
+            (0.7 * got).backward()
+        expected = tables[0].w.grad
+        assert tables[1].w.grad.dtype == dtype
+        np.testing.assert_allclose(tables[1].w.grad, expected, rtol=rtol,
+                                   atol=rtol / 10 * np.abs(expected).max())
 
 
 def test_vertex_loss_total_adam_steps_match_elementary_graph(desk_vertex_batch):
     examples, T, n_e, d_f, features = desk_vertex_batch
-    runs = []
-    for loss_fn in (_elementary_vertex_loss_total, vertex_loss_total):
-        table = VertexEmbeddingTable(T, n_e, d_f, seed=0)
-        opt = dk.Adam({"table.w": table.w})
-        losses = []
-        for _ in range(5):
-            opt.zero_grad()
-            loss = loss_fn(examples, table, (0.5, 1.0, 0.3), 0.1, features)
-            losses.append(loss.item())
-            loss.backward()
-            opt.step(0.05)
-        runs.append((losses, table.w.data))
-    assert runs[0][0] == runs[1][0]
-    assert np.array_equal(runs[0][1], runs[1][1])
+    for dtype, rtol in ROUND_OFF:
+        runs = []
+        for loss_fn in (_elementary_vertex_loss_total, vertex_loss_total):
+            with dk.use_dtype(dtype):
+                table = VertexEmbeddingTable(T, n_e, d_f, seed=0)
+                opt = dk.Adam({"table.w": table.w})
+                losses = []
+                for _ in range(60):
+                    opt.zero_grad()
+                    loss = loss_fn(examples, table, (0.5, 1.0, 0.3), 0.1,
+                                   features)
+                    losses.append(loss.item())
+                    loss.backward()
+                    opt.step(0.05)
+            runs.append((losses, table.w.data))
+        np.testing.assert_allclose(runs[1][0], runs[0][0], rtol=rtol)
+        np.testing.assert_allclose(runs[1][1], runs[0][1], rtol=rtol,
+                                   atol=rtol * np.abs(runs[0][1]).max())
 
 
 def test_vertex_loss_total_without_terms_is_none():

@@ -266,12 +266,14 @@ def test_cli_malformed_novel_exit_code(tmp_path, capsys):
     ("novel.json", IsADirectoryError),
     ("lexicon.json", IsADirectoryError),
     ("passages.jsonl", IsADirectoryError),
+    ("novel.json", lambda raw: [c.__setitem__("index", c["index"] - 1)
+                                for c in raw["chapters"]]),
 ], ids=["chapter-no-text", "chapter-empty", "lexicon-not-json",
         "entity-no-name", "alias-empty", "no-entities", "chapter-text-number",
         "novel-no-chapters", "lexicon-array", "entities-number", "id-str",
         "id-float", "name-number", "alias-number", "aliases-str",
         "name-blank", "novel-not-utf8", "lexicon-not-utf8", "novel-dir",
-        "lexicon-dir", "passages-dir"])
+        "lexicon-dir", "passages-dir", "chapter-indices-from-0"])
 def test_cli_malformed_novel_or_lexicon_exit_code(tmp_path, capsys, name,
                                                   corrupt):
     """A synth input file changed by `corrupt`, replaced by it when it is
@@ -459,31 +461,38 @@ ARTIFACT_READERS = [("corpus/corpus.json", "stats"),
                     ("generate/comments.jsonl", "evaluate"),
                     ("manifest.json", "stats")]
 
-# (artifact, stage that reads it, where the entity id goes, the id)
-BAD_ENTITY_IDS = (
+# (artifact, stage that reads it, where the bad value goes, the value):
+# entity ids, and the chapter `t` of a graph (None deletes the graph)
+BAD_VALUES = (
     [("ekg/global.json", "train-g2s", "edge", i) for i in (99, -1, 1.5)]
     + [("corpus/corpus.json", "train-g2s", "passage", 99)]
     + [("corpus/corpus.json", stage, where, -1)
        for stage in ("train-ekg", "train-g2s")
-       for where in ("passage", "mention")])
+       for where in ("passage", "mention")]
+    + [("ekg/global.json", "train-ekg", "chapter", t) for t in (99, 0, None)])
+
+
+def _bad_value_id(where, value):
+    if where == "chapter":
+        return "chapter-deleted" if value is None else f"chapter{value}"
+    return ("" if where == "edge" else f"{where}-") + f"entity{value}"
 
 
 @pytest.mark.parametrize("artifact, stage, damage", [
     pytest.param(artifact, stage, damage, id=f"{artifact}-{stage}"
                  + ("" if damage == "torn" else "-not-utf8"))
     for damage in ("torn", "not-utf8") for artifact, stage in ARTIFACT_READERS
-] + [pytest.param(artifact, stage, (where, entity_id),
-                  id=f"{artifact}-{stage}-"
-                  + ("" if where == "edge" else f"{where}-")
-                  + f"entity{entity_id}")
-     for artifact, stage, where, entity_id in BAD_ENTITY_IDS])
+] + [pytest.param(artifact, stage, (where, value),
+                  id=f"{artifact}-{stage}-{_bad_value_id(where, value)}")
+     for artifact, stage, where, value in BAD_VALUES])
 def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
                                      damage):
     """A crash halfway through writing the last line, a byte that is not
-    UTF-8 halfway along it, or an entity id in an edge, a passage or a
-    mention that is not an integer in the corpus's [0, n_e): the stage exits
-    3 with one error line that names the file and, for the byte, its
-    position, but quotes none of the file."""
+    UTF-8 halfway along it, an entity id in an edge, a passage or a mention
+    that is not an integer in the corpus's [0, n_e), or graphs whose chapters
+    are not the corpus's 1..T in order: the stage exits 3 with one error line
+    that names the file and, for the byte, its position, but quotes none of
+    the file."""
     ws, args = generated_ws
     path = ws / artifact
     data = path.read_bytes().rstrip(b"\n")
@@ -494,22 +503,28 @@ def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
     elif damage == "not-utf8":
         path.write_bytes(data[:half] + b"\xff" + data[half + 1:] + b"\n")
     else:
-        where, entity_id = damage
+        where, value = damage
         raw = json.loads(data)
         if where == "edge":
             graph = next(g for g in raw["graphs"] if g["edges"])
-            graph["edges"][0]["pair"][1] = entity_id
+            graph["edges"][0]["pair"][1] = value
+        elif where == "chapter" and value is None:
+            del raw["graphs"][1]
+        elif where == "chapter":
+            raw["graphs"][1]["t"] = value
         elif where == "passage":
-            raw["passages"][0]["entity_ids"].append(entity_id)
+            raw["passages"][0]["entity_ids"].append(value)
         else:
-            raw["mentions"][0][0] = entity_id
+            raw["mentions"][0][0] = value
         path.write_text(json.dumps(raw), encoding="utf-8")
     capsys.readouterr()
     assert cli.main([stage, "--workspace", str(ws)] + args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert len(err) < len(f"error: {path}") + 200, err
-    if isinstance(damage, tuple):
+    if isinstance(damage, tuple) and damage[0] == "chapter":
+        assert "] are not the corpus's 1..2 in order" in err, err
+    elif isinstance(damage, tuple):
         assert f"entity ids [{damage[1]}] are not the corpus's 0..3" in err, err
     elif damage == "not-utf8":
         # lines of a .jsonl file are read one at a time
