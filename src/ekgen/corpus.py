@@ -122,7 +122,6 @@ class Vocabulary:
 
 
 def _make_chapter(index: int, text: str, mode: str,
-                  source_indices: list[int] | None = None,
                   fallback_window: int = 100) -> Chapter:
     """Tokenize a chapter; blank lines separate its paragraphs."""
     tokens: list[str] = []
@@ -137,7 +136,7 @@ def _make_chapter(index: int, text: str, mode: str,
         spans = [(s, min(s + fallback_window, len(tokens)))
                  for s in range(0, len(tokens), fallback_window)]
     return Chapter(index=index, tokens=tokens, paragraphs=spans,
-                   source_indices=source_indices or [index])
+                   source_indices=[index])
 
 
 def load_corpus(novel_path, lexicon_path, passages_path,
@@ -191,7 +190,7 @@ def load_novel(path, mode: str = "char") -> Novel:
     if indices != list(range(1, len(indices) + 1)):
         raise ReferenceError_(f"{where}: chapter indices must be "
                               f"1..{len(indices)} in any order, got {indices}")
-    built = [_make_chapter(index, text, mode, [index]) for index, text in chapters]
+    built = [_make_chapter(index, text, mode) for index, text in chapters]
     novel = Novel(id=str(raw["id"]), title=raw.get("title", ""), chapters=built)
     for ch in novel.chapters:
         if not ch.tokens:
@@ -329,8 +328,7 @@ def remap_passages(passages: list[Passage], original: Novel,
             offset += len(original.chapters[src - 1].tokens)
     out = []
     for p in passages:
-        src = original.chapters[p.chapter_index - 1].source_indices[0]
-        new_idx, offset = where[src]
+        new_idx, offset = where[p.chapter_index]
         out.append(Passage(id=p.id, chapter_index=new_idx,
                            span=(p.span[0] + offset, p.span[1] + offset),
                            entity_ids=set(p.entity_ids), comments=p.comments))

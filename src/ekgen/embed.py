@@ -285,29 +285,26 @@ def edge_triplet_loss(examples: list[EdgeExample], table: VertexEmbeddingTable,
 # training driver and artifacts
 
 @dataclass
-class EkgEmbeddings:
+class EkgEmbeddings(dk.Module):
     """Trained artifact: the vertex table, of shape (T, n_e, d_f), and the
-    relation network. Its file holds their arrays and nothing else."""
+    relation network. Its file holds their arrays (`table.w`, `rn.*`) and
+    nothing else."""
     table: VertexEmbeddingTable
     rn: RelationNetwork
     history: dict = field(default_factory=dict)
 
     def save(self, path):
-        arrays = {"table.w": self.table.w.data}
-        for name, p in self.rn.parameters().items():
-            arrays[f"rn.{name}"] = p.data
-        dk.save_arrays(path, arrays, magic=dk.EMBED_MAGIC)
+        dk.save_arrays(path, self.state(), magic=dk.EMBED_MAGIC)
 
     @classmethod
     def load(cls, path) -> "EkgEmbeddings":
-        """The artifact saved at `path`, its dims read from the table's shape."""
+        """The artifact saved at `path`, its dims read from the table's
+        shape; arrays missing or beside its own raise ValueError."""
         arrays, _ = dk.load_arrays(path, magic=dk.EMBED_MAGIC)
         T, n_e, d_f = arrays["table.w"].shape
-        table = VertexEmbeddingTable(T, n_e, d_f)
-        table.load_state({"w": arrays["table.w"]})
-        rn = RelationNetwork(d_f)
-        rn.load_state({k[3:]: v for k, v in arrays.items() if k.startswith("rn.")})
-        return cls(table=table, rn=rn)
+        artifact = cls(VertexEmbeddingTable(T, n_e, d_f), RelationNetwork(d_f))
+        artifact.load_state(arrays)
+        return artifact
 
 
 def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,

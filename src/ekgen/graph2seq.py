@@ -22,10 +22,10 @@ from .embed import EmbeddingTables, TrainingDiverged
 class GATLayer(dk.Module):
     """Single-head graph attention with edge-feature terms.
 
-    Attention logits for vertex i cover itself, every neighbor j and (in
-    GAT_VE mode) every incident edge feature; one joint softmax per vertex
-    normalizes them together. All vertices share one dense masked softmax
-    over the columns [vertices | edges].
+    Vertex i's logits cover itself, every neighbour j and (in GAT_VE mode)
+    every incident edge; one joint softmax per vertex normalizes them. All
+    vertices share one dense softmax over the columns [vertices | edges],
+    masked by an identity block, the edge pairs' cells and an incidence block.
     """
 
     slope = 0.2                  # of the leaky ReLU on the logits
@@ -34,8 +34,8 @@ class GATLayer(dk.Module):
         self.w = dk.Linear(rng, d, d, bias=False)
         self.a_g = dk.parameter(rng, 2 * d)
         self.a_h = dk.parameter(rng, 2 * d)
-        # per vertex, post-softmax: self, neighbors and then incident edges,
-        # each in edge order
+        # per vertex, post-softmax, in column order: the vertex itself and
+        # its neighbours by position, then its incident edges by edge index
         self.last_coefficients: list[np.ndarray] = []
 
     def _logits(self, a: dk.Tensor, rows: dk.Tensor, cols: dk.Tensor) -> dk.Tensor:
@@ -48,31 +48,29 @@ class GATLayer(dk.Module):
     def __call__(self, vfeats: dk.Tensor, efeats: dk.Tensor | None,
                  edges: list[tuple[int, int]], use_edges: bool) -> dk.Tensor:
         c_e = vfeats.shape[0]
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        low, high = np.sort(pairs, axis=1).T
+        first = np.zeros(len(pairs), dtype=bool)     # the first on its vertex pair
+        first[np.unique(low * c_e + high, return_index=True)[1]] = True
+        bad = ~first | (low == high) | (low < 0) | (high >= c_e)
+        if bad.any():
+            raise ValueError(f"edges {np.flatnonzero(bad).tolist()} are self-loops, "
+                             f"repeat a vertex pair or leave vertices 0..{c_e - 1}")
+        allowed = np.eye(c_e, c_e + len(pairs), dtype=bool)
+        allowed[pairs, pairs[:, ::-1]] = True                     # neighbours
+        allowed[pairs, c_e + np.arange(len(pairs))[:, None]] = True   # edges
         wv = self.w(vfeats)
         wr = self.w(efeats) if (use_edges and efeats is not None
                                 and efeats.shape[0]) else None
-        cols = [[i] for i in range(c_e)]
-        incident: list[list[int]] = [[] for _ in range(c_e)]
-        for e_idx, (a, b) in enumerate(edges):
-            if b in cols[a]:
-                raise ValueError(f"edge {e_idx} ({a}, {b}) is a self-loop or "
-                                 "repeats a vertex pair")
-            cols[a].append(b)
-            cols[b].append(a)
-            incident[a].append(c_e + e_idx)
-            incident[b].append(c_e + e_idx)
         logits = self._logits(self.a_g, wv, wv)
         values = wv
         if wr is not None:
             logits = dk.concat([logits, self._logits(self.a_h, wv, wr)], axis=1)
             values = dk.concat([wv, wr])
-            cols = [c + e for c, e in zip(cols, incident)]
-        mask = np.full(logits.shape, -1e9)
-        for i, c in enumerate(cols):
-            mask[i, c] = 0.0
-        coefs = dk.softmax(logits + dk.Tensor(mask), axis=-1)
-        p = coefs.numpy()
-        self.last_coefficients = [p[i, c] for i, c in enumerate(cols)]
+        allowed = allowed[:, :logits.shape[1]]
+        coefs = dk.softmax(logits + dk.Tensor(np.where(allowed, 0.0, -1e9)), axis=-1)
+        self.last_coefficients = np.split(coefs.numpy()[allowed],
+                                          np.cumsum(allowed.sum(1))[:-1])
         return coefs @ values
 
 
@@ -94,7 +92,8 @@ class Graph2SeqModel(dk.Module):
         # the two directions' concat is d_model wide, so one projection per
         # GAT layer applies to vertex and edge features alike
         self.lstm = dk.BiLSTM(rng, cfg.d_f, d // 2, cfg.bilstm_layers)
-        self.gat = [GATLayer(rng, d) for _ in range(cfg.gat_layers)]
+        self.gat = [GATLayer(rng, d) for _ in range(cfg.gat_layers)
+                    if cfg.mode != "EKG"]     # the last draws from rng; EKG has none
         self.pos = dk.sinusoidal_positions(max(cfg.max_passage, cfg.max_len) + 2, d)
         self.tables: EmbeddingTables | None = None   # set by the caller; not saved
 
@@ -136,7 +135,7 @@ class Graph2SeqModel(dk.Module):
         layer runs once over the disjoint union of their graphs, so its
         mask is block-diagonal and no vertex attends across locals."""
         vfeats, efeats = self.temporal_encode(*locals_)
-        if self.config.mode == "EKG":
+        if not self.gat:
             return vfeats
         edges, base = [], 0
         for local in locals_:

@@ -210,6 +210,19 @@ def _check_entity_ids(ids: set, n_e: int):
         raise ValueError(f"entity ids {bad} are not the corpus's 0..{n_e - 1}")
 
 
+def _check_places(what: str, places, novel: cp.Novel):
+    """Refuse the (chapter, span) of the k-th `what` when its chapter is not
+    one of the novel's 1..T or its span not 0 <= start < end <= its tokens."""
+    T = novel.num_chapters
+    for k, (chapter, (start, end)) in enumerate(places):
+        if type(chapter) is not int or not 1 <= chapter <= T:
+            raise ValueError(f"{what} {k} chapter {chapter!r} is not the corpus's 1..{T}")
+        n = len(novel.chapters[chapter - 1].tokens)
+        if type(start) is not int or type(end) is not int or not 0 <= start < end <= n:
+            raise ValueError(f"{what} {k} span [{start!r}, {end!r}] is not within "
+                             f"chapter {chapter}'s {n} tokens")
+
+
 def _parse_corpus(raw: dict) -> Corpus:
     novel = cp.Novel(
         id=raw["novel"]["id"], title=raw["novel"]["title"],
@@ -228,6 +241,8 @@ def _parse_corpus(raw: dict) -> Corpus:
                 for m in raw["mentions"]]
     _check_entity_ids({i for p in passages for i in p.entity_ids}
                       | {m.entity_id for m in mentions}, raw["n_e"])
+    _check_places("passage", [(p.chapter_index, p.span) for p in passages], novel)
+    _check_places("mention", [(m.chapter_index, m.span) for m in mentions], novel)
     vocab = cp.Vocabulary(token_to_id={t: i for i, t in enumerate(raw["vocab"])},
                           id_to_token=raw["vocab"])
     return Corpus(novel, passages, mentions, vocab, raw["n_e"], raw["token_mode"])

@@ -19,7 +19,8 @@ from ekgen import pipeline
 from ekgen.config import PipelineConfig, load_config
 from ekgen.embed import (MASK_TOKEN, EdgeExample, RelationNetwork,
                          VertexEmbeddingTable, VertexExample, edge_triplet_loss,
-                         ngram_features, train_ekg, vertex_loss_smoothed)
+                         ngram_features, train_ekg, vertex_loss_smoothed,
+                         vertex_loss_total)
 from ekgen.gradsuite import run_gradient_suite
 from ekgen.graph2seq import GATLayer, beam_decode, gat_layer, greedy_decode
 from ekgen.metrics import EvalPair, bleu_corpus, rouge_l
@@ -76,7 +77,8 @@ def test_criterion_01_gradient_suite(capsys):
 def test_criterion_02_smoothed_loss_reduction_identity(capsys):
     with criterion(capsys, 2, "smoothed vertex loss with weights (0,1,0) and "
                                "no label smoothing equals the plain masked-"
-                               "entity loss within 1e-12 on 50 fixtures"):
+                               "entity loss within 1e-12 on 50 fixtures, per "
+                               "example and as the training loss"):
         with dk.use_dtype(np.float64):
             rng = np.random.default_rng(0)
             for k in range(50):
@@ -93,10 +95,13 @@ def test_criterion_02_smoothed_loss_reduction_identity(capsys):
                 (f,) = ngram_features([ex.tokens], d_f, k)
                 got = vertex_loss_smoothed(ex, table, (0.0, 1.0, 0.0), 0.0,
                                            f).item()
+                trained = vertex_loss_total([ex], table, (0.0, 1.0, 0.0), 0.0,
+                                            f[None]).item()
                 logits = table.w.data[ex.t - 1] @ f
                 shifted = logits - logits.max()
                 logp = shifted - np.log(np.exp(shifted).sum())
                 assert abs(got - (-logp[ex.entity_id])) <= 1e-12
+                assert abs(trained - (-logp[ex.entity_id])) <= 1e-12
 
 
 def test_criterion_03_hinge_contract(capsys):

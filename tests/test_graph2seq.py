@@ -96,7 +96,9 @@ def test_gat_ve_mode_sensitive_to_edge_features():
 
 def _reference_gat(layer, vfeats, efeats, edges, use_edges):
     """Per-vertex, per-neighbor loop of tiny ops: the reference for the dense
-    masked softmax of `GATLayer`. Returns the output and the coefficients."""
+    masked softmax of `GATLayer`. Returns the output and each vertex's
+    coefficients, reordered from the loop's (self, neighbours, edges) into
+    the dense layer's column order: vertices by position, then edges."""
     c_e = vfeats.shape[0]
     wv = layer.w(vfeats)
     wr = layer.w(efeats) if (use_edges and efeats is not None
@@ -110,18 +112,19 @@ def _reference_gat(layer, vfeats, efeats, edges, use_edges):
         incident[b].append(e_idx)
     rows, coefficients = [], []
     for i in range(c_e):
-        logits, values = [], []
-        for j in [i] + neighbors[i]:
+        logits, values, columns = [], [], [i] + neighbors[i]
+        for j in columns:
             logits.append((layer.a_g @ dk.concat([wv[i], wv[j]])
                            ).leaky_relu(layer.slope))
             values.append(wv[j])
         if wr is not None:
+            columns += [c_e + e_idx for e_idx in incident[i]]
             for e_idx in incident[i]:
                 logits.append((layer.a_h @ dk.concat([wv[i], wr[e_idx]])
                                ).leaky_relu(layer.slope))
                 values.append(wr[e_idx])
         coefs = dk.softmax(dk.stack(logits))
-        coefficients.append(coefs.numpy().copy())
+        coefficients.append(coefs.numpy()[np.argsort(columns)])
         rows.append(dk.stack(values).T @ coefs)
     return dk.stack(rows), coefficients
 
@@ -176,7 +179,9 @@ def test_gat_matches_per_vertex_reference(c_e, edges, mode):
 
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 1)],
                                    [(0, 1), (2, 1), (1, 2)],
-                                   [(0, 1), (2, 2)]])
+                                   [(0, 1), (2, 2)],
+                                   [(0, 1), (0, -1)],      # no negative wrap
+                                   [(1, 2), (0, 3)]])      # of 3 vertices
 def test_gat_rejects_repeated_pair_and_self_loop(edges):
     rng = np.random.default_rng(18)
     layer = GATLayer(rng, 4)
@@ -197,14 +202,14 @@ def test_edge_sequence_unused_outside_gat_ve(mode):
 
 
 def test_ekg_mode_bypasses_gat_parameters():
+    """An EKG model builds no graph attention; its graph encoding is the
+    vertices' Bi-LSTM rows."""
     model = _tiny_model(mode="EKG")
+    assert model.gat == []
+    assert not [name for name in model.parameters() if name.startswith("gat.")]
     local = _tiny_local()
-    before = model.graph_encode(local).numpy().copy()
-    for layer in model.gat:
-        for p in layer.parameters().values():
-            p.data += 1.0
-    after = model.graph_encode(local).numpy()
-    np.testing.assert_array_equal(before, after)
+    np.testing.assert_array_equal(model.graph_encode(local).numpy(),
+                                  model.temporal_encode(local)[0].numpy())
 
 
 # ---------------------------------------------------------------------------

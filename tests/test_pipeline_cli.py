@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ekgen import cli, pipeline
+from ekgen import diffkit as dk
 from ekgen.config import load_config
 from ekgen.corpus import Comment, Passage
 from ekgen.ekg import GlobalEKG, build_global_ekg
@@ -324,6 +325,23 @@ def test_cli_truncated_checkpoint_exit_code(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("name", ["foo", "rnx.bar"])
+def test_cli_refuses_embeddings_with_another_array(tmp_path, capsys, name):
+    """An embedding file that holds an array beside the vertex table's and
+    the relation network's exits 3 with one line naming the file and it."""
+    ws = tmp_path / "ws"
+    for stage in ("synth", "ingest", "build-ekg", "train-ekg"):
+        assert cli.main([stage, "--workspace", str(ws)] + _small_args()) == 0
+    path = ws / "embed" / "ekg_embed.bin"
+    arrays, _ = dk.load_arrays(path, magic=dk.EMBED_MAGIC)
+    dk.save_arrays(path, {**arrays, name: np.zeros(2)}, magic=dk.EMBED_MAGIC)
+    capsys.readouterr()
+    assert cli.main(["train-g2s", "--workspace", str(ws)] + _small_args()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert repr(name) in err, err
+
+
 @pytest.mark.parametrize("change, stages", [
     (["d_f=4"], ()),
     (["synth_chapters=3"], ("synth", "ingest", "build-ekg")),
@@ -425,6 +443,26 @@ def test_cli_generate_refuses_other_model_settings(trained_ws, capsys, override)
     assert cli.main(["generate", "--workspace", str(ws)] + args) == 0
 
 
+def test_cli_generate_refuses_ekg_model_with_gat_arrays(trained_ws, capsys):
+    """An EKG generator checkpoint that holds GAT arrays, as EKG models did
+    while they built graph attention that they never ran, exits 3 naming
+    them."""
+    ws, args = trained_ws
+    ekg = args + ["--set", "mode=EKG"]
+    path = ws / "g2s" / "model.bin"
+    gat = {k: v for k, v in dk.load_arrays(path)[0].items() if k.startswith("gat.")}
+    assert gat and cli.main(["train-g2s", "--workspace", str(ws)] + ekg) == 0
+    arrays, extra = dk.load_arrays(path)
+    assert not [k for k in arrays if k.startswith("gat.")]
+    dk.save_arrays(path, {**arrays, **gat}, extra=extra)
+    capsys.readouterr()
+    assert cli.main(["generate", "--workspace", str(ws)] + ekg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} was trained as another model: ") \
+        and err.count("\n") == 1, err
+    assert "'gat.0.a_g'" in err, err
+
+
 def test_cli_generate_takes_length_limits_from_the_run(trained_ws):
     ws, args = trained_ws
     limits = ["--set", "max_len=20", "--set", "max_passage=16"]
@@ -469,12 +507,18 @@ BAD_VALUES = (
     + [("corpus/corpus.json", stage, where, -1)
        for stage in ("train-ekg", "train-g2s")
        for where in ("passage", "mention")]
-    + [("ekg/global.json", "train-ekg", "chapter", t) for t in (99, 0, None)])
+    + [("ekg/global.json", "train-ekg", "chapter", t) for t in (99, 0, None)]
+    + [("corpus/corpus.json", "train-g2s", "passage-chapter", t) for t in (99, 0, -1)]
+    + [("corpus/corpus.json", "train-ekg", "mention-chapter", t) for t in (99, 0)]
+    + [("corpus/corpus.json", "train-g2s", "passage-span", "-past-end"),
+       ("corpus/corpus.json", "train-ekg", "mention-span", "-past-end")])
 
 
 def _bad_value_id(where, value):
     if where == "chapter":
         return "chapter-deleted" if value is None else f"chapter{value}"
+    if "-" in where:
+        return f"{where}{value}"
     return ("" if where == "edge" else f"{where}-") + f"entity{value}"
 
 
@@ -489,10 +533,11 @@ def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
                                      damage):
     """A crash halfway through writing the last line, a byte that is not
     UTF-8 halfway along it, an entity id in an edge, a passage or a mention
-    that is not an integer in the corpus's [0, n_e), or graphs whose chapters
-    are not the corpus's 1..T in order: the stage exits 3 with one error line
-    that names the file and, for the byte, its position, but quotes none of
-    the file."""
+    that is not an integer in the corpus's [0, n_e), graphs whose chapters
+    are not the corpus's 1..T in order, or a passage or mention whose chapter
+    is not one of 1..T or whose span leaves its chapter's tokens: the stage
+    exits 3 with one error line that names the file and, for the byte, its
+    position, but quotes none of the file."""
     ws, args = generated_ws
     path = ws / artifact
     data = path.read_bytes().rstrip(b"\n")
@@ -514,8 +559,20 @@ def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
             raw["graphs"][1]["t"] = value
         elif where == "passage":
             raw["passages"][0]["entity_ids"].append(value)
-        else:
+        elif where == "mention":
             raw["mentions"][0][0] = value
+        elif where == "passage-chapter":
+            raw["passages"][0]["chapter"] = value
+        elif where == "mention-chapter":
+            raw["mentions"][0][1] = value
+        elif where == "passage-span":       # a span past its chapter's end
+            passage = raw["passages"][0]
+            n = len(raw["novel"]["chapters"][passage["chapter"] - 1]["tokens"])
+            passage["span"] = [n, n + 5]
+        else:
+            mention = raw["mentions"][0]
+            n = len(raw["novel"]["chapters"][mention[1] - 1]["tokens"])
+            mention[2:] = [n, n + 3]
         path.write_text(json.dumps(raw), encoding="utf-8")
     capsys.readouterr()
     assert cli.main([stage, "--workspace", str(ws)] + args) == 3
@@ -524,6 +581,11 @@ def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
     assert len(err) < len(f"error: {path}") + 200, err
     if isinstance(damage, tuple) and damage[0] == "chapter":
         assert "] are not the corpus's 1..2 in order" in err, err
+    elif isinstance(damage, tuple) and damage[0].endswith("-chapter"):
+        assert f"chapter {damage[1]} is not the corpus's 1..2" in err, err
+    elif isinstance(damage, tuple) and damage[0].endswith("-span"):
+        assert f"{damage[0][:-5]} 0 span [" in err, err
+        assert "is not within chapter" in err, err
     elif isinstance(damage, tuple):
         assert f"entity ids [{damage[1]}] are not the corpus's 0..3" in err, err
     elif damage == "not-utf8":
