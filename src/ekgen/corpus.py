@@ -34,10 +34,9 @@ def tokenize(text: str, mode: str = "char") -> list[str]:
 
 @dataclass
 class Chapter:
-    index: int                       # 1-based ordinal after clustering
+    """Chapter t of a novel is `novel.chapters[t - 1]`."""
     tokens: list[str]
     paragraphs: list[tuple[int, int]]  # token spans of paragraphs
-    source_indices: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -121,8 +120,7 @@ class Vocabulary:
         return hashlib.sha256("\x00".join(self.id_to_token).encode()).hexdigest()[:16]
 
 
-def _make_chapter(index: int, text: str, mode: str,
-                  fallback_window: int = 100) -> Chapter:
+def _make_chapter(text: str, mode: str, fallback_window: int = 100) -> Chapter:
     """Tokenize a chapter; blank lines separate its paragraphs."""
     tokens: list[str] = []
     spans: list[tuple[int, int]] = []
@@ -135,8 +133,7 @@ def _make_chapter(index: int, text: str, mode: str,
         # no separators in source: fall back to fixed token windows
         spans = [(s, min(s + fallback_window, len(tokens)))
                  for s in range(0, len(tokens), fallback_window)]
-    return Chapter(index=index, tokens=tokens, paragraphs=spans,
-                   source_indices=[index])
+    return Chapter(tokens=tokens, paragraphs=spans)
 
 
 def load_corpus(novel_path, lexicon_path, passages_path,
@@ -190,12 +187,11 @@ def load_novel(path, mode: str = "char") -> Novel:
     if indices != list(range(1, len(indices) + 1)):
         raise ReferenceError_(f"{where}: chapter indices must be "
                               f"1..{len(indices)} in any order, got {indices}")
-    built = [_make_chapter(index, text, mode) for index, text in chapters]
-    novel = Novel(id=str(raw["id"]), title=raw.get("title", ""), chapters=built)
-    for ch in novel.chapters:
+    built = [_make_chapter(text, mode) for _, text in chapters]
+    for t, ch in enumerate(built, 1):
         if not ch.tokens:
-            raise CorpusParseError(f"{path}: chapter {ch.index} is empty")
-    return novel
+            raise CorpusParseError(f"{path}: chapter {t} is empty")
+    return Novel(id=str(raw["id"]), title=raw.get("title", ""), chapters=built)
 
 
 def load_lexicon(path) -> EntityLexicon:
@@ -282,20 +278,21 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
     return passages
 
 
-def cluster_chapters(novel: Novel, min_chapter_tokens: int) -> Novel:
-    """Greedy left-to-right merge of short chapters.
+def cluster_chapters(novel: Novel, passages: list[Passage],
+                     min_chapter_tokens: int) -> tuple[Novel, list[Passage]]:
+    """Greedy left-to-right merge of short chapters, and the passages moved
+    into the merged chapters.
 
     Consecutive chapters are merged until each group reaches the minimum
     token count; a short trailing group is absorbed backward into the
     previous one. A group's tokens are its chapters' tokens joined, and its
-    paragraphs are theirs, shifted to the joined coordinates. Indices are
-    renumbered 1..T; source_indices record the original ordinals.
+    paragraphs and passages are theirs, shifted to the joined coordinates.
     """
-    groups: list[list[Chapter]] = []
-    current: list[Chapter] = []
+    groups: list[list[tuple[int, Chapter]]] = []   # of (t, chapter t)
+    current: list[tuple[int, Chapter]] = []
     count = 0
-    for ch in novel.chapters:
-        current.append(ch)
+    for t, ch in enumerate(novel.chapters, 1):
+        current.append((t, ch))
         count += len(ch.tokens)
         if count >= min_chapter_tokens:
             groups.append(current)
@@ -306,33 +303,20 @@ def cluster_chapters(novel: Novel, min_chapter_tokens: int) -> Novel:
         else:
             groups.append(current)
     merged = []
-    for i, grp in enumerate(groups):
+    place = {}         # original chapter -> (merged chapter, token offset)
+    for g, grp in enumerate(groups, 1):
         tokens, paragraphs = [], []
-        for ch in grp:
+        for t, ch in grp:
+            place[t] = (g, len(tokens))
             paragraphs += [(s + len(tokens), e + len(tokens)) for s, e in ch.paragraphs]
             tokens += ch.tokens
-        merged.append(Chapter(index=i + 1, tokens=tokens, paragraphs=paragraphs,
-                              source_indices=[s for ch in grp for s in ch.source_indices]))
-    return Novel(id=novel.id, title=novel.title, chapters=merged)
-
-
-def remap_passages(passages: list[Passage], original: Novel,
-                   clustered: Novel) -> list[Passage]:
-    """Translate passage coordinates from original chapters to clustered ones."""
-    # original ordinal -> (new chapter index, token offset)
-    where: dict[int, tuple[int, int]] = {}
-    for ch in clustered.chapters:
-        offset = 0
-        for src in ch.source_indices:
-            where[src] = (ch.index, offset)
-            offset += len(original.chapters[src - 1].tokens)
-    out = []
+        merged.append(Chapter(tokens=tokens, paragraphs=paragraphs))
+    moved = []
     for p in passages:
-        new_idx, offset = where[p.chapter_index]
-        out.append(Passage(id=p.id, chapter_index=new_idx,
-                           span=(p.span[0] + offset, p.span[1] + offset),
-                           entity_ids=set(p.entity_ids), comments=p.comments))
-    return out
+        g, offset = place[p.chapter_index]
+        moved.append(replace(p, chapter_index=g,
+                             span=(p.span[0] + offset, p.span[1] + offset)))
+    return Novel(id=novel.id, title=novel.title, chapters=merged), moved
 
 
 def match_mentions(novel: Novel, lexicon: EntityLexicon,
@@ -343,7 +327,7 @@ def match_mentions(novel: Novel, lexicon: EntityLexicon,
         return []
     by_len = sorted({len(k) for k in amap}, reverse=True)
     mentions = []
-    for ch in novel.chapters:
+    for t, ch in enumerate(novel.chapters, 1):
         toks = ch.tokens
         i = 0
         n = len(toks)
@@ -357,7 +341,7 @@ def match_mentions(novel: Novel, lexicon: EntityLexicon,
                         break
             if hit:
                 eid, L = hit
-                mentions.append(Mention(entity_id=eid, chapter_index=ch.index,
+                mentions.append(Mention(entity_id=eid, chapter_index=t,
                                         span=(i, i + L)))
                 i += L
             else:

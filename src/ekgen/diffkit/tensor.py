@@ -95,18 +95,23 @@ def _check_matmul(a: np.ndarray, b: np.ndarray):
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
 
 
-def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
-    """Gradients of `a @ b` with respect to `a` and to `b`, given `g`."""
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray,
+                  want_a: bool = True, want_b: bool = True):
+    """Gradients of `a @ b` with respect to `a` and to `b`, given `g`; None
+    in place of one not wanted, which is then not computed."""
     if b.ndim == 1:
-        return ((np.outer(g, b) if a.ndim == 2 else g * b),
-                (a.T @ g if a.ndim == 2 else a * g))
-    if a.ndim == 1:
-        return g @ b.T, np.outer(a, g)
-    if a.ndim > 2 and b.ndim == 2:
+        ga = lambda: np.outer(g, b) if a.ndim == 2 else g * b
+        gb = lambda: a.T @ g if a.ndim == 2 else a * g
+    elif a.ndim == 1:
+        ga, gb = lambda: g @ b.T, lambda: np.outer(a, g)
+    elif a.ndim > 2 and b.ndim == 2:
         # a batch of row blocks times one matrix: one gemm over all rows
-        return (g @ b.T, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-    return (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
-            _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+        ga = lambda: g @ b.T
+        gb = lambda: a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    else:
+        ga = lambda: _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+        gb = lambda: _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    return (ga() if want_a else None), (gb() if want_b else None)
 
 
 def softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
@@ -260,7 +265,10 @@ class Tensor:
         out = _child(a @ b, (self, other))
         if out.requires_grad:
             def _bw():
-                ga, gb = _matmul_grads(a, b, out.grad)
+                # an operand that needs no gradient, such as a constant
+                # feature block, has none computed
+                ga, gb = _matmul_grads(a, b, out.grad, self.requires_grad,
+                                       other.requires_grad)
                 self._accum(ga)
                 other._accum(gb)
             out._backward = _bw

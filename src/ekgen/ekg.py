@@ -25,7 +25,7 @@ class GlobalEKG:
     entity_frequency: Counter
 
     # Both are computed on first use and kept: a GlobalEKG is not changed
-    # after it is built or loaded.
+    # after it is built.
     @cached_property
     def union_adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {}
@@ -45,7 +45,6 @@ class LocalEKG:
     """Topology of the K-entity sub-graph around one passage. Its vertices
     and edges name rows of tables shared by every passage: entity ids and
     entity pairs (`embed.EmbeddingTables`)."""
-    passage_id: str
     t: int
     vertex_ids: list[int]                 # sorted ascending
     edges: list[tuple[int, int]]          # (i, j) with i < j, sorted
@@ -64,8 +63,8 @@ def build_global_ekg(novel: Novel, mentions: list[Mention]) -> GlobalEKG:
         by_chapter.setdefault(m.chapter_index, []).append(m)
         freq[m.entity_id] += 1
     graphs = []
-    for ch in novel.chapters:
-        ms = by_chapter.get(ch.index, [])
+    for t, ch in enumerate(novel.chapters, 1):
+        ms = by_chapter.get(t, [])
         vertices = {m.entity_id for m in ms}
         edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for (ps, pe) in ch.paragraphs:
@@ -74,7 +73,7 @@ def build_global_ekg(novel: Novel, mentions: list[Mention]) -> GlobalEKG:
             for a in range(len(here)):
                 for b in range(a + 1, len(here)):
                     edges.setdefault((here[a], here[b]), []).append((ps, pe))
-        graphs.append(TemporalKG(t=ch.index, vertices=vertices, edges=edges))
+        graphs.append(TemporalKG(t=t, vertices=vertices, edges=edges))
     return GlobalEKG(novel_id=novel.id, graphs=graphs, entity_frequency=freq)
 
 
@@ -114,5 +113,4 @@ def extract_local_ekg(global_ekg: GlobalEKG, passage: Passage,
     if not edges and len(vertex_ids) > 1:
         edges = [(a, b) for ai, a in enumerate(vertex_ids)
                  for b in vertex_ids[ai + 1:]]
-    return LocalEKG(passage_id=passage.id, t=passage.chapter_index,
-                    vertex_ids=vertex_ids, edges=edges)
+    return LocalEKG(t=passage.chapter_index, vertex_ids=vertex_ids, edges=edges)

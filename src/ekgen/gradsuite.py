@@ -214,8 +214,7 @@ def _loss_checks(rng) -> list[CheckResult]:
     model.tables = EmbeddingTables(vertex=rng.standard_normal((3, 3, 4)),
                                    edge=rng.standard_normal((3, 2, 4)),
                                    column={(0, 1): 0, (1, 2): 1})
-    local = LocalEKG(passage_id="p", t=2, vertex_ids=[0, 1, 2],
-                     edges=[(0, 1), (1, 2)])
+    local = LocalEKG(t=2, vertex_ids=[0, 1, 2], edges=[(0, 1), (1, 2)])
     passage = [6, 7, 8, 6]
     comment = [7, 8]
     params = model.parameters()
@@ -225,7 +224,7 @@ def _loss_checks(rng) -> list[CheckResult]:
     # three examples: two of one shape share `local`, so their graph rows
     # repeat in one stacked gather; the third is a shape of its own, at
     # another chapter and without edges; one GAT union holds both locals
-    other = LocalEKG(passage_id="q", t=3, vertex_ids=[0, 1], edges=[])
+    other = LocalEKG(t=3, vertex_ids=[0, 1], edges=[])
     batch = [G2SExample(passage, local, comment),
              G2SExample([8, 6, 7, 7], local, [8, 6]),
              G2SExample([8, 6], other, [6])]

@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 from . import corpus as cp
 from . import diffkit as dk
 from .config import PipelineConfig
-from .ekg import GlobalEKG, LocalEKG, TemporalKG, build_global_ekg, extract_local_ekg
+from .ekg import GlobalEKG, LocalEKG, build_global_ekg, extract_local_ekg
 from .embed import EkgEmbeddings, EmbeddingTables, materialize_embeddings, train_ekg
 from .graph2seq import G2SExample, Graph2SeqModel, beam_decode, train_g2s
 from .metrics import EvalPair, bleu_corpus, rouge_l
@@ -169,9 +168,8 @@ def _save_corpus(path: Path, novel: cp.Novel, passages, mentions, vocab, n_e,
         "n_e": n_e,
         "novel": {
             "id": novel.id, "title": novel.title,
-            "chapters": [{"index": ch.index, "tokens": ch.tokens,
-                          "paragraphs": [list(s) for s in ch.paragraphs],
-                          "source_indices": ch.source_indices}
+            "chapters": [{"tokens": ch.tokens,
+                          "paragraphs": [list(s) for s in ch.paragraphs]}
                          for ch in novel.chapters],
         },
         "passages": [{"id": p.id, "chapter": p.chapter_index,
@@ -223,12 +221,24 @@ def _check_places(what: str, places, novel: cp.Novel):
                              f"chapter {chapter}'s {n} tokens")
 
 
+def _check_paragraphs(novel: cp.Novel):
+    """Refuse a chapter whose paragraphs are not integer spans, ascending
+    and disjoint, within its tokens: the EKG draws its edges per paragraph."""
+    for t, ch in enumerate(novel.chapters, 1):
+        n, end = len(ch.tokens), 0
+        for k, span in enumerate(ch.paragraphs):
+            if (len(span) != 2 or any(type(i) is not int for i in span)
+                    or not end <= span[0] < span[1] <= n):
+                raise ValueError(f"chapter {t} paragraph {k} span {list(span)!r} "
+                                 f"is not within tokens [{end}, {n}]")
+            end = span[1]
+
+
 def _parse_corpus(raw: dict) -> Corpus:
     novel = cp.Novel(
         id=raw["novel"]["id"], title=raw["novel"]["title"],
-        chapters=[cp.Chapter(index=c["index"], tokens=c["tokens"],
-                             paragraphs=[tuple(s) for s in c["paragraphs"]],
-                             source_indices=c["source_indices"])
+        chapters=[cp.Chapter(tokens=c["tokens"],
+                             paragraphs=[tuple(s) for s in c["paragraphs"]])
                   for c in raw["novel"]["chapters"]])
     passages = [cp.Passage(id=p["id"], chapter_index=p["chapter"],
                            span=tuple(p["span"]),
@@ -243,6 +253,7 @@ def _parse_corpus(raw: dict) -> Corpus:
                       | {m.entity_id for m in mentions}, raw["n_e"])
     _check_places("passage", [(p.chapter_index, p.span) for p in passages], novel)
     _check_places("mention", [(m.chapter_index, m.span) for m in mentions], novel)
+    _check_paragraphs(novel)
     vocab = cp.Vocabulary(token_to_id={t: i for i, t in enumerate(raw["vocab"])},
                           id_to_token=raw["vocab"])
     return Corpus(novel, passages, mentions, vocab, raw["n_e"], raw["token_mode"])
@@ -258,22 +269,6 @@ def _save_ekg(path: Path, ekg: GlobalEKG):
                    for g in ekg.graphs],
     }
     _write_text(path, json.dumps(payload, sort_keys=True))
-
-
-def _parse_ekg(raw: dict, n_e: int, T: int) -> GlobalEKG:
-    """The global EKG in `raw`, whose entity ids must be integers in
-    [0, `n_e`) and whose graphs the chapters 1..`T` in order."""
-    graphs = [TemporalKG(t=g["t"], vertices=set(g["vertices"]),
-                         edges={tuple(e["pair"]): [tuple(s) for s in e["evidence"]]
-                                for e in g["edges"]})
-              for g in raw["graphs"]]
-    ts = [g.t for g in graphs]
-    if ts != list(range(1, T + 1)) or any(type(t) is not int for t in ts):
-        raise ValueError(f"graph chapters {ts} are not the corpus's 1..{T} in order")
-    _check_entity_ids({i for g in graphs for i in g.vertices.union(*g.edges)}, n_e)
-    freq = Counter({int(k): v for k, v in raw["frequency"].items()})
-    return GlobalEKG(novel_id=raw["novel_id"], graphs=graphs,
-                     entity_frequency=freq)
 
 
 def _model_record(cfg: PipelineConfig, vocab: cp.Vocabulary) -> dict:
@@ -299,9 +294,10 @@ class Workspace:
 
     @cached_property
     def ekg(self) -> GlobalEKG:
-        path = _require(self.root / "ekg" / "global.json", "build-ekg")
-        return _read_artifact(path, lambda raw: _parse_ekg(
-            raw, self.corpus.n_e, self.corpus.novel.num_chapters))
+        """The global EKG, built from the corpus, the one stored record of
+        the novel's structure. `build-ekg` writes it to `ekg/global.json`
+        for reading; no stage reads that file."""
+        return build_global_ekg(self.corpus.novel, self.corpus.mentions)
 
     @cached_property
     def embeddings(self) -> EkgEmbeddings:
@@ -385,8 +381,8 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     passages_path = Path(passages_path) if passages_path else data / "passages.jsonl"
     novel, lexicon, passages = cp.load_corpus(novel_path, lexicon_path,
                                               passages_path, cfg.token_mode)
-    clustered = cp.cluster_chapters(novel, cfg.min_chapter_tokens)
-    passages = cp.remap_passages(passages, novel, clustered)
+    clustered, passages = cp.cluster_chapters(novel, passages,
+                                              cfg.min_chapter_tokens)
     mentions = cp.match_mentions(clustered, lexicon, cfg.token_mode)
     if not mentions:
         raise cp.CorpusParseError(f"{lexicon_path}: no entity name or alias "
@@ -435,8 +431,8 @@ def report_stats(passages, ekg: GlobalEKG) -> str:
 
 
 def run_stats(ws: Path, cfg: PipelineConfig) -> str:
-    c = Workspace(ws, cfg).corpus
-    text = report_stats(c.passages, build_global_ekg(c.novel, c.mentions))
+    w = Workspace(ws, cfg)
+    text = report_stats(w.corpus.passages, w.ekg)
     out = ws / "corpus" / "stats.txt"
     _write_text(out, text + "\n")
     _record(ws, "stats", cfg, [out])
@@ -444,9 +440,8 @@ def run_stats(ws: Path, cfg: PipelineConfig) -> str:
 
 
 def run_build_ekg(ws: Path, cfg: PipelineConfig) -> Path:
-    c = Workspace(ws, cfg).corpus
     out = ws / "ekg" / "global.json"
-    _save_ekg(out, build_global_ekg(c.novel, c.mentions))
+    _save_ekg(out, Workspace(ws, cfg).ekg)
     _record(ws, "build-ekg", cfg, [out])
     return out
 

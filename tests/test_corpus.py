@@ -121,7 +121,7 @@ def test_non_dense_entity_ids_rejected(tmp_path):
                                      [1, 2, 4], [2, 3]])
 def test_chapter_indices_other_than_one_to_n_rejected(tmp_path, indices):
     """Chapter indices are the ordinals 1..n: passages name chapters by
-    them, and remapping looks a chapter up by its index."""
+    them, and a chapter is its position in the novel."""
     files = write_corpus_files(tmp_path, ["aaaaaa", "bbbbbbbb", "cc"][:len(indices)],
                                [(0, "a", [])])
     raw = json.loads(files[0].read_text(encoding="utf-8"))
@@ -142,7 +142,6 @@ def test_chapter_indices_load_in_index_order(tmp_path):
     files[0].write_text(json.dumps(raw), encoding="utf-8")
     novel = cp.load_novel(files[0])
     assert [ch.tokens for ch in novel.chapters] == [list("bbb"), ["c"], list("aa")]
-    assert [ch.source_indices for ch in novel.chapters] == [[1], [2], [3]]
 
 
 def test_tokenize_char_drops_whitespace_keeps_cjk():
@@ -154,26 +153,51 @@ def test_tokenize_char_drops_whitespace_keeps_cjk():
 # chapter clustering
 
 def _novel_of_sizes(sizes):
-    chapters = [cp._make_chapter(i + 1, "a" * n, "char") for i, n in enumerate(sizes)]
+    """Chapters of `sizes` tokens, no two tokens alike."""
+    chapters, used = [], 0
+    for n in sizes:
+        chapters.append(cp._make_chapter(
+            "".join(chr(0x4E00 + used + k) for k in range(n)), "char"))
+        used += n
     return cp.Novel(id="n", title="", chapters=chapters)
 
 
+def _passage_tokens(novel, passages):
+    return [novel.chapters[p.chapter_index - 1].tokens[slice(*p.span)]
+            for p in passages]
+
+
+def _cluster(novel, min_tokens):
+    """`cluster_chapters` of `novel` and two passages of each of its
+    chapters, the moved passages checked to keep their tokens."""
+    passages = [cp.Passage(id=f"p{t}{k}", chapter_index=t, span=span)
+                for t, ch in enumerate(novel.chapters, 1)
+                for k, span in enumerate([(0, 1), (len(ch.tokens) // 2, len(ch.tokens))])]
+    out, moved = cp.cluster_chapters(novel, passages, min_tokens)
+    assert [p.id for p in moved] == [p.id for p in passages]
+    assert _passage_tokens(out, moved) == _passage_tokens(novel, passages)
+    return out, moved
+
+
 def test_cluster_merges_short_tail_backward():
-    out = cp.cluster_chapters(_novel_of_sizes([500, 30, 500]), 100)
+    out, moved = _cluster(_novel_of_sizes([500, 30, 500]), 100)
     assert [len(ch.tokens) for ch in out.chapters] == [500, 530]
-    assert out.chapters[1].source_indices == [2, 3]
+    assert [p.chapter_index for p in moved] == [1, 1, 2, 2, 2, 2]
+    assert moved[4].span == (30, 31)
 
 
 def test_cluster_noop_when_all_long_enough():
-    out = cp.cluster_chapters(_novel_of_sizes([200, 150, 300]), 100)
+    out, moved = _cluster(_novel_of_sizes([200, 150, 300]), 100)
     assert [len(ch.tokens) for ch in out.chapters] == [200, 150, 300]
+    assert [p.chapter_index for p in moved] == [1, 1, 2, 2, 3, 3]
 
 
 def test_cluster_collapses_all_short_chapters_to_one():
-    out = cp.cluster_chapters(_novel_of_sizes([10, 10, 10]), 100)
+    out, moved = _cluster(_novel_of_sizes([10, 10, 10]), 100)
     assert out.num_chapters == 1
     assert len(out.chapters[0].tokens) == 30
-    assert out.chapters[0].source_indices == [1, 2, 3]
+    assert [p.span for p in moved] == [(0, 1), (5, 10), (10, 11), (15, 20),
+                                       (20, 21), (25, 30)]
 
 
 def test_cluster_preserves_token_and_mention_counts(tmp_path):
@@ -184,10 +208,19 @@ def test_cluster_preserves_token_and_mention_counts(tmp_path):
     lexicon = cp.load_lexicon(files[1])
     total_tokens = sum(len(ch.tokens) for ch in novel.chapters)
     n_mentions = len(cp.match_mentions(novel, lexicon, "word"))
-    clustered = cp.cluster_chapters(novel, 5)
+    clustered, _ = cp.cluster_chapters(novel, [], 5)
     assert clustered.num_chapters < novel.num_chapters
     assert sum(len(ch.tokens) for ch in clustered.chapters) == total_tokens
     assert len(cp.match_mentions(clustered, lexicon, "word")) == n_mentions
+
+
+def _joined(novel):
+    """The novel's tokens joined, and its paragraphs in joined coordinates."""
+    tokens, paragraphs = [], []
+    for ch in novel.chapters:
+        paragraphs += [(s + len(tokens), e + len(tokens)) for s, e in ch.paragraphs]
+        tokens += ch.tokens
+    return tokens, paragraphs
 
 
 @pytest.mark.parametrize("min_tokens", [1, 160, 1000])
@@ -195,36 +228,30 @@ def test_cluster_joins_tokens_and_shifts_paragraphs(min_tokens):
     # chapter 2 has no paragraph break and more than 100 tokens, so it is
     # cut into 100-token windows, and it keeps them inside its group
     novel = cp.Novel(id="n", title="", chapters=[
-        cp._make_chapter(1, "ab\n\ncde", "char"),
-        cp._make_chapter(2, "f" * 150, "char"),
-        cp._make_chapter(3, "gh\n\n i", "char")])
+        cp._make_chapter("ab\n\ncde", "char"),
+        cp._make_chapter("f" * 150, "char"),
+        cp._make_chapter("gh\n\n i", "char")])
     assert novel.chapters[1].paragraphs == [(0, 100), (100, 150)]
-    out = cp.cluster_chapters(novel, min_tokens)
-    assert [s for ch in out.chapters for s in ch.source_indices] == [1, 2, 3]
-    for ch in out.chapters:
-        sources = [novel.chapters[s - 1] for s in ch.source_indices]
-        tokens, paragraphs = [], []
-        for src in sources:
-            paragraphs += [(s + len(tokens), e + len(tokens)) for s, e in src.paragraphs]
-            tokens += src.tokens
-        assert ch.tokens == tokens
-        assert ch.paragraphs == paragraphs
+    out, _ = _cluster(novel, min_tokens)
+    assert _joined(out) == _joined(novel)
+    if min_tokens == 1:
+        assert out.chapters == novel.chapters
     if min_tokens == 1000:
         assert out.chapters[0].paragraphs == [(0, 2), (2, 5), (5, 105), (105, 155),
                                               (155, 157), (157, 158)]
 
 
-def test_remap_passages_translates_spans(tmp_path):
+def test_cluster_moves_passages_into_merged_chapters(tmp_path):
     files = write_corpus_files(
         tmp_path, ["aaa", "bbb", "ccc"], [(0, "a", [])],
         [{"chapter": 2, "start": 1, "end": 3,
           "comments": [{"text": "x", "upvotes": 1}]}])
     novel, _, passages = cp.load_corpus(*files)
-    clustered = cp.cluster_chapters(novel, 100)
-    out = cp.remap_passages(passages, novel, clustered)
+    clustered, out = cp.cluster_chapters(novel, passages, 100)
     assert out[0].chapter_index == 1
     assert out[0].span == (4, 6)
     assert clustered.chapters[0].tokens[4:6] == ["b", "b"]
+    assert out[0].comments == passages[0].comments
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +286,7 @@ def test_match_no_aliases_yields_empty(tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(st.text(alphabet="abX", min_size=0, max_size=40))
 def test_match_mentions_sorted_and_non_overlapping(text):
-    novel = cp.Novel(id="n", title="", chapters=[cp._make_chapter(1, text or "z", "char")])
+    novel = cp.Novel(id="n", title="", chapters=[cp._make_chapter(text or "z", "char")])
     lexicon = cp.EntityLexicon([cp.LexiconEntry(0, "X", ["ab"], "person"),
                                 cp.LexiconEntry(1, "b", [], "person")])
     mentions = cp.match_mentions(novel, lexicon)

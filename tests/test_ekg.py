@@ -11,8 +11,7 @@ from ekgen.ekg import GlobalEKG, TemporalKG, build_global_ekg, extract_local_ekg
 
 
 def _novel(chapter_texts, mode="word"):
-    chapters = [cp._make_chapter(i + 1, t, mode)
-                for i, t in enumerate(chapter_texts)]
+    chapters = [cp._make_chapter(t, mode) for t in chapter_texts]
     return cp.Novel(id="n", title="", chapters=chapters)
 
 
@@ -62,18 +61,18 @@ def test_edge_count_matches_brute_force_recount(data):
         n_paras = data.draw(st.integers(1, 4))
         texts.append("\n\n".join("w " * 5 for _ in range(n_paras)))
     novel = _novel(texts)
-    for ch in novel.chapters:
+    for t, ch in enumerate(novel.chapters, 1):
         for (ps, pe) in ch.paragraphs:
             for eid in data.draw(st.lists(st.integers(0, 4), max_size=4)):
                 pos = data.draw(st.integers(ps, pe - 1))
-                all_mentions.append(Mention(eid, ch.index, (pos, pos + 1)))
+                all_mentions.append(Mention(eid, t, (pos, pos + 1)))
     ekg = build_global_ekg(novel, all_mentions)
 
     expected = 0
-    for ch in novel.chapters:
+    for t, ch in enumerate(novel.chapters, 1):
         for (ps, pe) in ch.paragraphs:
             here = {m.entity_id for m in all_mentions
-                    if m.chapter_index == ch.index
+                    if m.chapter_index == t
                     and m.span[0] >= ps and m.span[1] <= pe}
             expected += len(list(itertools.combinations(sorted(here), 2)))
     got = sum(len(ev) for g in ekg.graphs for ev in g.edges.values())

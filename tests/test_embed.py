@@ -310,7 +310,7 @@ def test_negative_sampling_unsatisfiable_yields_none():
 
 def _tiny_corpus():
     texts = ["A x B\n\nB y C", "A z C\n\nB w"]
-    chapters = [_make_chapter(i + 1, t, "word") for i, t in enumerate(texts)]
+    chapters = [_make_chapter(t, "word") for t in texts]
     novel = Novel(id="n", title="", chapters=chapters)
     mentions = [Mention(0, 1, (0, 1)), Mention(1, 1, (2, 3)),
                 Mention(1, 1, (3, 4)), Mention(2, 1, (5, 6)),
@@ -373,7 +373,7 @@ def test_materialize_shapes_and_determinism():
     T, d = 3, 8
     table = VertexEmbeddingTable(T=T, n_e=9, d_f=d, seed=1)
     artifact = EkgEmbeddings(table=table, rn=RelationNetwork(d_f=d, seed=2))
-    local = LocalEKG(passage_id="p", t=2, vertex_ids=[0, 2, 4, 6, 8],
+    local = LocalEKG(t=2, vertex_ids=[0, 2, 4, 6, 8],
                      edges=[(0, 2), (2, 4), (4, 6), (6, 8)])
     tables = materialize_embeddings(artifact, [local])
     assert tables.vertex is table.w.data          # the table, not a copy
@@ -411,10 +411,8 @@ def test_materialize_matches_per_pair_reference(vertex_ids, edges):
         id="f", chapter_index=2, span=(0, 1), entity_ids={1, 5, 7},
         comments=[]))
     assert fallback.edges == [(1, 5), (1, 7), (5, 7)]
-    locals_ = [LocalEKG(passage_id="p", t=1, vertex_ids=vertex_ids,
-                        edges=edges), fallback,
-               LocalEKG(passage_id="s", t=3, vertex_ids=[0, 1, 5],
-                        edges=[(0, 1), (1, 5)])]
+    locals_ = [LocalEKG(t=1, vertex_ids=vertex_ids, edges=edges), fallback,
+               LocalEKG(t=3, vertex_ids=[0, 1, 5], edges=[(0, 1), (1, 5)])]
     tables = materialize_embeddings(artifact, locals_)
     pairs = list(dict.fromkeys(pair for l in locals_ for pair in l.edges))
     assert list(tables.column.items()) == [(p, i) for i, p in enumerate(pairs)]

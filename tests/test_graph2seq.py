@@ -39,7 +39,7 @@ def _tiny_model(vocab_size=13, T=3, **kw):
 
 
 def _tiny_local(c_e=3, t=2):
-    return LocalEKG(passage_id="p", t=t, vertex_ids=list(range(c_e)),
+    return LocalEKG(t=t, vertex_ids=list(range(c_e)),
                     edges=[(i, i + 1) for i in range(c_e - 1)])
 
 
@@ -257,11 +257,9 @@ def test_one_lstm_column_per_entity_id_and_pair(monkeypatch):
     """Locals that name one entity, or one entity pair, read one Bi-LSTM
     column of it, each at its own chapter."""
     model = _tiny_model()
-    a = LocalEKG(passage_id="a", t=2, vertex_ids=[0, 1, 2],
-                 edges=[(0, 1), (1, 2)])
-    b = LocalEKG(passage_id="b", t=3, vertex_ids=[1, 2, 4],
-                 edges=[(1, 2), (2, 4)])
-    c = LocalEKG(passage_id="c", t=1, vertex_ids=[2], edges=[])
+    a = LocalEKG(t=2, vertex_ids=[0, 1, 2], edges=[(0, 1), (1, 2)])
+    b = LocalEKG(t=3, vertex_ids=[1, 2, 4], edges=[(1, 2), (2, 4)])
+    c = LocalEKG(t=1, vertex_ids=[2], edges=[])
     calls = _spy_picks(monkeypatch)
     v, e = model.temporal_encode(a, b, c)
     (v_shape, (v_times, v_cols)), (e_shape, (e_times, e_cols)) = calls
@@ -469,7 +467,7 @@ def _stack_batch(T=6):
     and one shared by two comments, as a passage's comments share its
     local."""
     def local(vertex_ids, n_edges, t):
-        return LocalEKG(passage_id="p", t=t, vertex_ids=vertex_ids,
+        return LocalEKG(t=t, vertex_ids=vertex_ids,
                         edges=[(vertex_ids[i], vertex_ids[i + 1])
                                for i in range(n_edges)])
     shared = local([0, 1, 2, 3], 3, 2)

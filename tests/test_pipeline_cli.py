@@ -12,7 +12,7 @@ from ekgen import cli, pipeline
 from ekgen import diffkit as dk
 from ekgen.config import load_config
 from ekgen.corpus import Comment, Passage
-from ekgen.ekg import GlobalEKG, build_global_ekg
+from ekgen.ekg import GlobalEKG, TemporalKG, build_global_ekg
 from ekgen.embed import TrainingDiverged
 
 
@@ -500,7 +500,9 @@ ARTIFACT_READERS = [("corpus/corpus.json", "stats"),
                     ("manifest.json", "stats")]
 
 # (artifact, stage that reads it, where the bad value goes, the value):
-# entity ids, and the chapter `t` of a graph (None deletes the graph)
+# entity ids, chapters and spans of passages and mentions, spans of
+# paragraphs, and, in the EKG that no stage reads back, entity ids of edges
+# and the chapter `t` of a graph (None deletes the graph)
 BAD_VALUES = (
     [("ekg/global.json", "train-g2s", "edge", i) for i in (99, -1, 1.5)]
     + [("corpus/corpus.json", "train-g2s", "passage", 99)]
@@ -511,15 +513,23 @@ BAD_VALUES = (
     + [("corpus/corpus.json", "train-g2s", "passage-chapter", t) for t in (99, 0, -1)]
     + [("corpus/corpus.json", "train-ekg", "mention-chapter", t) for t in (99, 0)]
     + [("corpus/corpus.json", "train-g2s", "passage-span", "-past-end"),
-       ("corpus/corpus.json", "train-ekg", "mention-span", "-past-end")])
+       ("corpus/corpus.json", "train-ekg", "mention-span", "-past-end")]
+    + [("corpus/corpus.json", stage, "paragraph", damage)
+       for stage in ("build-ekg", "train-ekg")
+       for damage in ("-past-end", "-reversed")])
 
 
 def _bad_value_id(where, value):
     if where == "chapter":
         return "chapter-deleted" if value is None else f"chapter{value}"
-    if "-" in where:
+    if isinstance(value, str) or "-" in where:
         return f"{where}{value}"
     return ("" if where == "edge" else f"{where}-") + f"entity{value}"
+
+
+# what each stage that is handed a damaged `ekg/global.json` writes
+STAGE_OUTPUTS = {"train-ekg": ["embed/ekg_embed.bin", "embed/history.json"],
+                 "train-g2s": ["g2s/model.bin", "g2s/history.json"]}
 
 
 @pytest.mark.parametrize("artifact, stage, damage", [
@@ -532,14 +542,17 @@ def _bad_value_id(where, value):
 def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
                                      damage):
     """A crash halfway through writing the last line, a byte that is not
-    UTF-8 halfway along it, an entity id in an edge, a passage or a mention
-    that is not an integer in the corpus's [0, n_e), graphs whose chapters
-    are not the corpus's 1..T in order, or a passage or mention whose chapter
-    is not one of 1..T or whose span leaves its chapter's tokens: the stage
-    exits 3 with one error line that names the file and, for the byte, its
-    position, but quotes none of the file."""
+    UTF-8 halfway along it, an entity id in a passage or a mention that is
+    not an integer in the corpus's [0, n_e), a passage or mention whose
+    chapter is not one of 1..T or whose span leaves its chapter's tokens, or
+    a paragraph past its chapter's end or reversed: the stage exits 3 with
+    one error line that names the file and, for the byte, its position, but
+    quotes none of the file. `ekg/global.json` is written for reading only:
+    torn, not UTF-8, with a bad entity id in an edge or with graphs whose
+    chapters are not 1..T, the stage exits 0 and writes the same bytes."""
     ws, args = generated_ws
     path = ws / artifact
+    written = [(ws / rel).read_bytes() for rel in STAGE_OUTPUTS.get(stage, [])]
     data = path.read_bytes().rstrip(b"\n")
     start = data.rfind(b"\n") + 1                 # of the last line
     half = (len(data) + start) // 2
@@ -569,18 +582,30 @@ def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
             passage = raw["passages"][0]
             n = len(raw["novel"]["chapters"][passage["chapter"] - 1]["tokens"])
             passage["span"] = [n, n + 5]
-        else:
+        elif where == "mention-span":
             mention = raw["mentions"][0]
             n = len(raw["novel"]["chapters"][mention[1] - 1]["tokens"])
             mention[2:] = [n, n + 3]
+        elif value == "-past-end":
+            chapter = raw["novel"]["chapters"][0]
+            n = len(chapter["tokens"])
+            chapter["paragraphs"][0] = [n, n + 5]
+        else:
+            chapter = raw["novel"]["chapters"][-1]
+            chapter["paragraphs"][0].reverse()
         path.write_text(json.dumps(raw), encoding="utf-8")
     capsys.readouterr()
+    if artifact == "ekg/global.json":
+        assert cli.main([stage, "--workspace", str(ws)] + args) == 0
+        assert [(ws / rel).read_bytes() for rel in STAGE_OUTPUTS[stage]] == written
+        return
     assert cli.main([stage, "--workspace", str(ws)] + args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert len(err) < len(f"error: {path}") + 200, err
-    if isinstance(damage, tuple) and damage[0] == "chapter":
-        assert "] are not the corpus's 1..2 in order" in err, err
+    if isinstance(damage, tuple) and damage[0] == "paragraph":
+        assert " paragraph 0 span [" in err, err
+        assert "is not within tokens [0, " in err, err
     elif isinstance(damage, tuple) and damage[0].endswith("-chapter"):
         assert f"chapter {damage[1]} is not the corpus's 1..2" in err, err
     elif isinstance(damage, tuple) and damage[0].endswith("-span"):
@@ -592,6 +617,42 @@ def test_cli_torn_artifact_exit_code(generated_ws, capsys, artifact, stage,
         # lines of a .jsonl file are read one at a time
         at = half - start if artifact.endswith(".jsonl") else half
         assert f"byte 0xff in position {at}:" in err, err
+
+
+def test_cli_stages_after_build_ekg_do_not_read_global_json(generated_ws):
+    """train-ekg, train-g2s and generate derive the global EKG from the
+    corpus: with `ekg/global.json` intact, overwritten with garbage or
+    deleted, each exits 0 and writes the same bytes."""
+    ws, args = generated_ws
+    global_json = ws / "ekg" / "global.json"
+    intact = global_json.read_bytes()
+    outputs = ["embed/ekg_embed.bin", "embed/history.json", "g2s/model.bin",
+               "g2s/history.json", "generate/comments.jsonl"]
+    written = []
+    for damage in ("intact", "garbage", "deleted"):
+        global_json.write_bytes(b"\xff{not json" if damage == "garbage" else intact)
+        if damage == "deleted":
+            global_json.unlink()
+        for stage in ("train-ekg", "train-g2s", "generate"):
+            assert cli.main([stage, "--workspace", str(ws)] + args) == 0, (damage, stage)
+        written.append([(ws / rel).read_bytes() for rel in outputs])
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_workspace_ekg_is_what_build_ekg_writes(generated_ws):
+    """`Workspace.ekg`, built from the corpus, holds the graphs and entity
+    frequencies that `ekg/global.json` records, one graph per chapter."""
+    ws, _ = generated_ws
+    w = pipeline.Workspace(ws, _cfg())
+    raw = json.loads((ws / "ekg" / "global.json").read_text(encoding="utf-8"))
+    recorded = [TemporalKG(t=g["t"], vertices=set(g["vertices"]),
+                           edges={tuple(e["pair"]): [tuple(s) for s in e["evidence"]]
+                                  for e in g["edges"]})
+                for g in raw["graphs"]]
+    assert w.ekg.graphs == recorded
+    assert [g.t for g in recorded] == list(range(1, w.corpus.novel.num_chapters + 1))
+    assert w.ekg.entity_frequency == {int(k): v for k, v in raw["frequency"].items()}
+    assert w.ekg.novel_id == raw["novel_id"]
 
 
 def test_cli_evaluate_unknown_passage_exit_code(generated_ws, capsys):

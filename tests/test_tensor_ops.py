@@ -48,6 +48,38 @@ def test_matmul_shape_error():
         a @ b
 
 
+def _matmul_backward(a, b, a_learned, b_learned):
+    ta = dk.Tensor(a, requires_grad=a_learned)
+    tb = dk.Tensor(b, requires_grad=b_learned)
+    (ta @ tb).sum().backward()
+    return ta, tb
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 5, 3), (2, 3, 4)), ((5, 3), (3, 4)), ((2, 5, 3), (3, 4)),
+    ((3,), (3, 4)), ((5, 3), (3,))])
+@pytest.mark.parametrize("constant", ["left", "right"])
+def test_matmul_backward_computes_no_gradient_for_a_constant(
+        monkeypatch, a_shape, b_shape, constant):
+    """The backward of `a @ b` does not compute the gradient of an operand
+    that needs none, such as phase 1's constant feature block, and computes
+    the other's as when both are wanted."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+    both = _matmul_backward(a, b, True, True)
+    handed = []
+    accum = dk.Tensor._accum
+
+    def spy(self, grad):
+        handed.append((self, grad))
+        accum(self, grad)
+    monkeypatch.setattr(dk.Tensor, "_accum", spy)
+    ta, tb = _matmul_backward(a, b, constant == "right", constant == "left")
+    k = 0 if constant == "left" else 1
+    assert [g is None for t, g in handed if t is (ta, tb)[k]] == [True]
+    np.testing.assert_array_equal((ta, tb)[1 - k].grad, both[1 - k].grad)
+
+
 def test_backward_through_concat_and_slice():
     v = dk.Tensor([1.0, 2.0], requires_grad=True)
     w = dk.Tensor([3.0, 4.0], requires_grad=True)

@@ -20,7 +20,6 @@ ARGS = [a for item in SMALL + ["g2s_steps=1"] for a in ("--set", item)]
 # artifact -> a stage that reads it
 READER = {
     "corpus/corpus.json": "stats",
-    "ekg/global.json": "train-ekg",
     "embed/ekg_embed.bin": "generate",
     "g2s/model.bin": "generate",
     "generate/comments.jsonl": "evaluate",
