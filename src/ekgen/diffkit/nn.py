@@ -303,11 +303,14 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                                                       n_heads, mask)
     out = _child(y, (q, k, v))
     if out.requires_grad:
+        # the backward reads the shape and dtype of `heads`, not the array
+        heads_shape, heads_dtype = heads.shape, heads.dtype
+        merged_shape = np.swapaxes(heads, -3, -2).shape
+
         def _bw():
             scale = _const(1.0 / np.sqrt(d // n_heads))
-            merged_shape = np.swapaxes(heads, -3, -2).shape
             g_heads = _node_grad(np.swapaxes(
-                out.grad.reshape(merged_shape), -3, -2), heads)
+                out.grad.reshape(merged_shape), -3, -2), heads_shape, heads_dtype)
             g_weights, g_vh = _matmul_grads(weights, vh, g_heads)
             g_scores = _softmax_grad(weights, g_weights, -1) * scale
             g_qh, g_kt = _matmul_grads(qh, kt, g_scores)

@@ -82,12 +82,12 @@ def _const(value) -> np.ndarray:
     return np.asarray(value, dtype=_DTYPE)
 
 
-def _node_grad(grad: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """The gradient an interior node of `data`'s shape and dtype would hold
+def _node_grad(grad: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """The gradient an interior node of `shape` and `dtype` would hold
     after its first `_accum(grad)`, up to memory order: C-contiguous, as
     that node's copy is, so later sums and matmuls see the same layout."""
     return np.ascontiguousarray(
-        _unbroadcast(np.asarray(grad, dtype=data.dtype), data.shape))
+        _unbroadcast(np.asarray(grad, dtype=dtype), shape))
 
 
 def _check_matmul(a: np.ndarray, b: np.ndarray):
@@ -176,7 +176,10 @@ class Tensor:
 
         Each node's backward closure is dropped once it has run, which breaks
         the node -> closure -> node cycle so the graph is freed by reference
-        counting; a graph can therefore be backpropagated only once.
+        counting; a graph can therefore be backpropagated only once. So is
+        the gradient of every interior node but `self`, once its closure has
+        passed it on: afterwards an interior node's `.grad` is None, as for
+        a non-leaf tensor in PyTorch, and only leaves hold gradients.
         `_parents` stay, so the graph can still be walked afterwards.
         """
         if grad is None:
@@ -207,6 +210,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward()
             node._backward = None
+            if node._parents and node is not self:
+                node.grad = None
 
     def _accum(self, grad: np.ndarray):
         if not self.requires_grad:
@@ -486,7 +491,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if out.requires_grad:
         def _bw():
             b._accum(out.grad)
-            g = _node_grad(out.grad, out.data)
+            g = _node_grad(out.grad, out.data.shape, out.data.dtype)
             w._accum(x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
             if x.requires_grad:       # not, e.g., rows of a frozen table
                 x._accum(g @ w.data.T)
@@ -496,15 +501,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                     eps: float = 1e-5):
-    """Forward kernel of `layer_norm`: the output, then the parts its
-    backward reads, (normed, centered, inv, var_eps)."""
+    """Forward kernel of `layer_norm`: the output, then the per-row parts
+    its backward reads, (mu, inv, var_eps)."""
     inv_n = _const(1.0 / x.shape[-1])
     mu = x.sum(axis=-1, keepdims=True) * inv_n
     centered = x + (-mu)
     var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_n + _const(eps)
     inv = var_eps ** -0.5
     normed = centered * inv
-    return normed * gain + bias, (normed, centered, inv, var_eps)
+    return normed * gain + bias, (mu, inv, var_eps)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -513,19 +518,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     One graph node; its numbers are those of
     `centered * (var + eps) ** -0.5 * gain + bias` with
     `centered = x - x.mean(-1)` and `var = (centered * centered).mean(-1)`
-    built from elementary ops.
+    built from elementary ops. It keeps only per-row arrays: the backward
+    recomputes `centered` and `normed` from `x` with the forward's
+    expressions, so they are bitwise the forward's.
     """
     x = as_tensor(x)
-    y, (normed, centered, inv, var_eps) = layer_norm_data(
-        x.data, gain.data, bias.data, eps)
+    y, (mu, inv, var_eps) = layer_norm_data(x.data, gain.data, bias.data, eps)
     out = _child(y, (x, gain, bias))
     if out.requires_grad:
         def _bw():
             p = -0.5
             inv_n = _const(1.0 / x.data.shape[-1])
+            centered = x.data + (-mu)
+            normed = centered * inv
             g = out.grad
             bias._accum(g)
-            g_scaled = _node_grad(g, normed)
+            g_scaled = _node_grad(g, normed.shape, normed.dtype)
             g_normed = g_scaled * gain.data
             gain._accum(g_scaled * normed)
             g_centered = g_normed * inv

@@ -6,6 +6,7 @@ changes. The array decode step, which runs the fused ops' forward kernels,
 must be bitwise equal to the same graphs too."""
 
 import contextlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,45 @@ def _probe(rng, shape, strided):
     if not strided:
         return rng.standard_normal(shape).astype(np.float32)
     return rng.standard_normal(shape[::-1]).astype(np.float32).T
+
+
+# ---------------------------------------------------------------------------
+# what a node keeps for its backward
+
+def _gelu(x):
+    return x.gelu(), 0
+
+
+def _layer_norm(x):
+    d = x.shape[-1]
+    gain = dk.Tensor(np.ones(d), requires_grad=True)
+    return dk.layer_norm(x, gain, dk.zeros(d)), 0
+
+
+def _attention(x):
+    n_heads = 4
+    rows = x.shape[-2]
+    weights = n_heads * rows * rows * x.data.itemsize
+    return dk.multi_head_attention(x, x, x, n_heads), weights
+
+
+@pytest.mark.parametrize("op", [_layer_norm, _attention])
+def test_node_keeps_no_array_the_size_of_its_input(op):
+    """Beyond its output (and, for attention, its softmax weights), a fused
+    node retains less than one input-sized array for its backward: what it
+    reads there is recomputed from its parents or is per row."""
+    rng = np.random.default_rng(5)
+    x = dk.Tensor(rng.standard_normal((64, 64)), requires_grad=True)
+    op(x)                                     # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out, weights = op(x)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept - out.data.nbytes - weights < x.data.nbytes
 
 
 # ---------------------------------------------------------------------------

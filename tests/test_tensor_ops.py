@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,3 +226,36 @@ def test_backward_frees_closures_and_refuses_a_second_pass():
     # a new output over part of the spent graph cannot reach `w` either
     with pytest.raises(RuntimeError, match="already backpropagated"):
         (hidden * 2).sum().backward()
+
+
+def _perfbench_graph_nodes():
+    """`graph_nodes` of perfbench's spans, which its `after_backward` hook
+    calls on a loss after `backward()` has run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.graph_nodes
+
+
+def test_backward_frees_interior_gradients_and_keeps_leaf_gradients():
+    graph_nodes = _perfbench_graph_nodes()
+    rng = np.random.default_rng(4)
+    layer = dk.TransformerEncoderLayer(rng, 8, 2, 16)
+    x = dk.Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+    loss = (layer(x) * dk.Tensor(rng.standard_normal((5, 8)))).sum()
+    nodes, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    interior = [t for t in nodes.values() if t._parents and t is not loss]
+    leaves = [t for t in nodes.values() if not t._parents and t.requires_grad]
+    before = graph_nodes(loss)
+    loss.backward()
+    assert len(interior) > 10 and len(leaves) == len(layer.parameters()) + 1
+    assert all(t.grad is None for t in interior)
+    assert all(t.grad is not None for t in leaves)
+    assert loss.grad is not None
+    assert graph_nodes(loss) == before
