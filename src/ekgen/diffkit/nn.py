@@ -424,7 +424,7 @@ class TransformerDecoderLayer(Module):
         x = self.ln1.apply(x + sa.wo.apply(a))
         a = attention_data(ca.wq.apply(x), mem_keys, mem_values, ca.n_heads)[0]
         x = self.ln2.apply(x + ca.wo.apply(a))
-        h = gelu_data(self.ff.l1.apply(x))[0]
+        h = gelu_data(self.ff.l1.apply(x))
         return self.ln3.apply(x + self.ff.l2.apply(h)), (keys, values)
 
 

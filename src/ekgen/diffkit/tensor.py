@@ -7,6 +7,7 @@ switches the whole graph to float64 via `use_dtype`.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,17 +121,22 @@ def softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-# float64, so gelu's tanh and products run in float64 on float32 inputs
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu_data(x: np.ndarray):
-    """Forward kernel of `Tensor.gelu`: the output in `x`'s dtype, then the
-    tanh its backward reads. The cube is `x * x * x`: a float32 `x ** 3`
-    calls `powf` per element and takes two orders of magnitude longer."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    y = 0.5 * x * (1.0 + t)
-    return y.astype(x.dtype, copy=False), t
+def _gelu_sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid(2u) in `x`'s dtype, with gelu's u = c·(x + 0.044715·x³), so
+    that gelu(x) = 0.5·x·(1 + tanh u) = x·sigmoid(2u). Far in the negative
+    tail exp(−2u) overflows to inf and the sigmoid is exactly 0. The cube
+    is `x * x * x`: a float32 `x ** 3` calls `powf` per element and takes
+    two orders of magnitude longer."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-2.0 * _GELU_C * (x + 0.044715 * (x * x * x))))
+
+
+def gelu_data(x: np.ndarray) -> np.ndarray:
+    """Forward kernel of `Tensor.gelu`, in `x`'s dtype."""
+    return x * _gelu_sigmoid(x)
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -364,14 +370,18 @@ class Tensor:
         return self.leaky_relu(0.0)
 
     def gelu(self) -> "Tensor":
-        """tanh-approximated gelu; smooth, so finite differences stay clean."""
+        """tanh-approximated gelu; smooth, so finite differences stay clean.
+        The backward recomputes the sigmoid from the input and stores
+        nothing."""
         x = self.data
-        y, t = gelu_data(x)
-        out = _child(y, (self,))
+        out = _child(gelu_data(x), (self,))
         if out.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-            dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            out._backward = lambda: self._accum(out.grad * dy)
+            def _bw():
+                # d/dx x·s(2u) = s + x·s·(1 − s)·2u', u' = c·(1 + 3·0.044715·x²)
+                s = _gelu_sigmoid(x)
+                self._accum(out.grad * (s + 2.0 * _GELU_C * x * s * (1.0 - s)
+                                        * (1.0 + 3 * 0.044715 * (x * x))))
+            out._backward = _bw
         return out
 
     def sqrt(self) -> "Tensor":

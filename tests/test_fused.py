@@ -144,7 +144,7 @@ def _attention(x):
     return dk.multi_head_attention(x, x, x, n_heads), weights
 
 
-@pytest.mark.parametrize("op", [_layer_norm, _attention])
+@pytest.mark.parametrize("op", [_gelu, _layer_norm, _attention])
 def test_node_keeps_no_array_the_size_of_its_input(op):
     """Beyond its output (and, for attention, its softmax weights), a fused
     node retains less than one input-sized array for its backward: what it

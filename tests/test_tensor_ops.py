@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekgen import diffkit as dk
+from ekgen.diffkit.tensor import gelu_data
 
 
 def test_softmax_symmetry():
@@ -153,6 +154,29 @@ def test_gelu_float32_matches_the_float64_formula():
     assert y.dtype == np.float32
     # below 1e-8, in the negative tail, the float32 cube's round-off shows
     np.testing.assert_allclose(y, _gelu_float64(x), rtol=1e-6, atol=1e-8)
+
+
+class _DtypeSpy(np.ndarray):
+    """An array that records the dtype of every ufunc result computed from
+    it, and passes itself on to those results."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, _DtypeSpy) else a
+                 for a in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        _DtypeSpy.seen.append(result.dtype)
+        return result.view(_DtypeSpy)
+
+
+def test_gelu_data_on_float32_creates_no_float64_array():
+    x = np.linspace(-6, 6, 101, dtype=np.float32).view(_DtypeSpy)
+    _DtypeSpy.seen = []
+    y = gelu_data(x)
+    assert len(_DtypeSpy.seen) > 5
+    assert set(_DtypeSpy.seen) == {np.dtype(np.float32)}
+    assert y.dtype == np.float32
 
 
 def test_gelu_where_the_cube_overflows_matches_the_powf_form():
