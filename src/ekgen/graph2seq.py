@@ -30,10 +30,11 @@ class GATLayer(dk.Module):
 
     slope = 0.2                  # of the leaky ReLU on the logits
 
-    def __init__(self, rng, d: int):
+    def __init__(self, rng, d: int, edge_attention: bool = True):
         self.w = dk.Linear(rng, d, d, bias=False)
         self.a_g = dk.parameter(rng, 2 * d)
-        self.a_h = dk.parameter(rng, 2 * d)
+        # the vertex-edge logits' weights; a GAT_V layer has none
+        self.a_h = dk.parameter(rng, 2 * d) if edge_attention else None
         # per vertex, post-softmax, in column order: the vertex itself and
         # its neighbours by position, then its incident edges by edge index
         self.last_coefficients: list[np.ndarray] = []
@@ -62,6 +63,8 @@ class GATLayer(dk.Module):
         wv = self.w(vfeats)
         wr = self.w(efeats) if (use_edges and efeats is not None
                                 and efeats.shape[0]) else None
+        if wr is not None and self.a_h is None:
+            raise ValueError("edge attention on a layer built without it")
         logits = self._logits(self.a_g, wv, wv)
         values = wv
         if wr is not None:
@@ -92,8 +95,9 @@ class Graph2SeqModel(dk.Module):
         # the two directions' concat is d_model wide, so one projection per
         # GAT layer applies to vertex and edge features alike
         self.lstm = dk.BiLSTM(rng, cfg.d_f, d // 2, cfg.bilstm_layers)
-        self.gat = [GATLayer(rng, d) for _ in range(cfg.gat_layers)
-                    if cfg.mode != "EKG"]     # the last draws from rng; EKG has none
+        # the last draws from rng; EKG has no GAT layers
+        self.gat = [GATLayer(rng, d, edge_attention=cfg.mode == "GAT_VE")
+                    for _ in range(cfg.gat_layers) if cfg.mode != "EKG"]
         self.pos = dk.sinusoidal_positions(max(cfg.max_passage, cfg.max_len) + 2, d)
         self.tables: EmbeddingTables | None = None   # set by the caller; not saved
 

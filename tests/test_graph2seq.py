@@ -94,6 +94,26 @@ def test_gat_ve_mode_sensitive_to_edge_features():
     assert np.abs(out1 - out2).max() > 1e-6
 
 
+def test_gat_v_model_builds_no_edge_attention_weights():
+    """GAT_V never reads `a_h`, so its layers hold none, and a call that
+    would read it is refused; the draws before the first `a_h` are
+    GAT_VE's."""
+    v_model = _tiny_model(mode="GAT_V", gat_layers=2)
+    ve_model = _tiny_model(mode="GAT_VE", gat_layers=2)
+    v_names, ve_names = set(v_model.parameters()), set(ve_model.parameters())
+    assert ve_names - v_names == {"gat.0.a_h", "gat.1.a_h"}
+    assert v_names < ve_names
+    np.testing.assert_array_equal(v_model.gat[0].a_g.data,
+                                  ve_model.gat[0].a_g.data)
+    layer = v_model.gat[0]
+    d = layer.a_g.shape[0] // 2
+    v = dk.Tensor(np.ones((2, d)))
+    e = dk.Tensor(np.ones((1, d)))
+    gat_layer(v, e, [(0, 1)], layer, "GAT_V")
+    with pytest.raises(ValueError, match="edge attention"):
+        gat_layer(v, e, [(0, 1)], layer, "GAT_VE")
+
+
 def _reference_gat(layer, vfeats, efeats, edges, use_edges):
     """Per-vertex, per-neighbor loop of tiny ops: the reference for the dense
     masked softmax of `GATLayer`. Returns the output and each vertex's
