@@ -24,17 +24,14 @@ class ConfigError(ValueError):
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    token_mode: str = "char"          # char | word
     min_chapter_tokens: int = 50
     K: int = 5
     # embedding training
     d_f: int = 64
     lambda0: float = 0.5
-    lambda1: float = 1.0
     lambda2: float = 0.3
     eps_ls: float = 0.1
     alpha: float = 0.0                # triplet margin
-    lambda_r: float = 1.0
     phase1_steps: int = 150
     phase2_steps: int = 40
     embed_lr: float = 0.05
@@ -63,9 +60,7 @@ class PipelineConfig:
     synth_comments: int = 5
 
     def validate(self):
-        if self.lambda1 <= 0:
-            raise ConfigError("lambda1 must be positive")
-        for name in ("lambda0", "lambda2", "lambda_r", "alpha", "eps_ls",
+        for name in ("lambda0", "lambda2", "alpha", "eps_ls",
                      "lr_scale", "embed_lr", "rn_lr", "phase2_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -79,8 +74,6 @@ class PipelineConfig:
             raise ConfigError("eps_ls must be < 1")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.token_mode not in ("char", "word"):
-            raise ConfigError("token_mode must be 'char' or 'word'")
         if self.d_model % (2 * self.n_heads):
             raise ConfigError("d_model must be divisible by 2*n_heads")
         try:
@@ -92,7 +85,10 @@ class PipelineConfig:
 
     @property
     def lambdas(self) -> tuple[float, float, float]:
-        return (self.lambda0, self.lambda1, self.lambda2)
+        """Weights of the terms of chapters t-1, t and t+1. Chapter t's is
+        1: Adam steps do not depend on the loss's scale, only the ratios
+        reach training, and `lambda0` and `lambda2` set those."""
+        return (self.lambda0, 1.0, self.lambda2)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

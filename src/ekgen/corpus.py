@@ -1,8 +1,8 @@
 """Corpus ingestion: novels, entity lexicons, passages and comments.
 
-Chapters are tokenized character-by-character by default (CJK-safe);
-whitespace-word mode is available for Latin-script fixtures. Filtering and
-merging rules operate on token spans within a chapter.
+Chapters and comments are tokenized character by character (CJK-safe),
+whitespace dropped. Filtering and merging rules operate on token spans within
+a chapter.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ class ReferenceError_(ValueError):
     """Dangling entity id, out-of-range chapter index, or duplicate alias."""
 
 
-def tokenize(text: str, mode: str = "char") -> list[str]:
-    """Character tokens by default; `mode='word'` splits on whitespace."""
-    if mode == "word":
-        return text.split()
+def tokenize(text: str) -> list[str]:
+    """The characters of `text` that are not whitespace, one token each."""
     return [ch for ch in text if not ch.isspace()]
 
 
@@ -66,11 +64,11 @@ class EntityLexicon:
     def num_entities(self) -> int:
         return len(self.entries)
 
-    def alias_map(self, mode: str = "char") -> dict[tuple[str, ...], int]:
+    def alias_map(self) -> dict[tuple[str, ...], int]:
         out: dict[tuple[str, ...], int] = {}
         for e in self.entries:
             for alias in [e.name] + e.aliases:
-                key = tuple(tokenize(alias, mode))
+                key = tuple(tokenize(alias))
                 if key in out and out[key] != e.entity_id:
                     raise ReferenceError_(
                         f"alias {alias!r} maps to entities {out[key]} and {e.entity_id}")
@@ -120,12 +118,12 @@ class Vocabulary:
         return hashlib.sha256("\x00".join(self.id_to_token).encode()).hexdigest()[:16]
 
 
-def _make_chapter(text: str, mode: str, fallback_window: int = 100) -> Chapter:
+def _make_chapter(text: str, fallback_window: int = 100) -> Chapter:
     """Tokenize a chapter; blank lines separate its paragraphs."""
     tokens: list[str] = []
     spans: list[tuple[int, int]] = []
     for p in re.split(r"\n\s*\n", text):
-        ptoks = tokenize(p, mode)
+        ptoks = tokenize(p)
         if ptoks:               # a blank paragraph has no tokens
             spans.append((len(tokens), len(tokens) + len(ptoks)))
             tokens.extend(ptoks)
@@ -136,13 +134,13 @@ def _make_chapter(text: str, mode: str, fallback_window: int = 100) -> Chapter:
     return Chapter(tokens=tokens, paragraphs=spans)
 
 
-def load_corpus(novel_path, lexicon_path, passages_path,
-                mode: str = "char") -> tuple[Novel, EntityLexicon, list[Passage]]:
+def load_corpus(novel_path, lexicon_path,
+                passages_path) -> tuple[Novel, EntityLexicon, list[Passage]]:
     """Load and cross-validate the three input files."""
-    novel = load_novel(novel_path, mode)
+    novel = load_novel(novel_path)
     lexicon = load_lexicon(lexicon_path)
-    lexicon.alias_map(mode)  # raises on duplicate aliases
-    passages = load_passages(passages_path, novel, mode)
+    lexicon.alias_map()  # raises on duplicate aliases
+    passages = load_passages(passages_path, novel)
     return novel, lexicon, passages
 
 
@@ -172,7 +170,7 @@ def _read_json(path: Path):
         raise CorpusParseError(f"{path}:{e.lineno}: {e.msg}") from e
 
 
-def load_novel(path, mode: str = "char") -> Novel:
+def load_novel(path) -> Novel:
     path = Path(path)
     raw = _read_json(path)
     where = str(path)
@@ -187,7 +185,7 @@ def load_novel(path, mode: str = "char") -> Novel:
     if indices != list(range(1, len(indices) + 1)):
         raise ReferenceError_(f"{where}: chapter indices must be "
                               f"1..{len(indices)} in any order, got {indices}")
-    built = [_make_chapter(text, mode) for _, text in chapters]
+    built = [_make_chapter(text) for _, text in chapters]
     for t, ch in enumerate(built, 1):
         if not ch.tokens:
             raise CorpusParseError(f"{path}: chapter {t} is empty")
@@ -233,7 +231,7 @@ def _field(raw: dict, key: str, kind: type, where: str):
     return value
 
 
-def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
+def load_passages(path, novel: Novel) -> list[Passage]:
     """One passage per non-blank line; its `id`, a string, defaults to
     `p<line>`, and no two passages share one."""
     path = Path(path)
@@ -260,7 +258,7 @@ def load_passages(path, novel: Novel, mode: str = "char") -> list[Passage]:
         if not (isinstance(raw_comments, list)
                 and all(isinstance(c, dict) for c in raw_comments)):
             raise CorpusParseError(f"{where}: 'comments' must be a list of objects")
-        comments = [Comment(text=tokenize(_field(c, "text", str, where), mode),
+        comments = [Comment(text=tokenize(_field(c, "text", str, where)),
                             upvotes=_field(c, "upvotes", int, where))
                     for c in raw_comments]
         for c in comments:
@@ -319,10 +317,9 @@ def cluster_chapters(novel: Novel, passages: list[Passage],
     return Novel(id=novel.id, title=novel.title, chapters=merged), moved
 
 
-def match_mentions(novel: Novel, lexicon: EntityLexicon,
-                   mode: str = "char") -> list[Mention]:
+def match_mentions(novel: Novel, lexicon: EntityLexicon) -> list[Mention]:
     """Leftmost-longest non-overlapping alias matches per chapter."""
-    amap = lexicon.alias_map(mode)
+    amap = lexicon.alias_map()
     if not amap:
         return []
     by_len = sorted({len(k) for k in amap}, reverse=True)
@@ -410,13 +407,11 @@ def filter_passages(passages: list[Passage]) -> list[Passage]:
     return kept
 
 
-def build_vocab(token_streams, min_freq: int = 1) -> Vocabulary:
+def build_vocab(token_streams) -> Vocabulary:
     """Frequency-then-lexicographic id assignment after the special tokens."""
     freq = Counter()
     for stream in token_streams:
         freq.update(stream)
-    toks = [t for t, c in freq.items() if c >= min_freq]
-    toks.sort(key=lambda t: (-freq[t], t))
-    id_to_token = SPECIALS + toks
+    id_to_token = SPECIALS + sorted(freq, key=lambda t: (-freq[t], t))
     return Vocabulary(token_to_id={t: i for i, t in enumerate(id_to_token)},
                       id_to_token=id_to_token)

@@ -343,17 +343,16 @@ def train_ekg(novel: Novel, mentions: list[Mention], global_ekg: GlobalEKG,
                                   cfg.d_f, cfg.seed)
     table.w.requires_grad = False
     rn_opt = dk.Adam(rn.parameters())
-    for step in range(cfg.phase2_steps if cfg.lambda_r > 0 else 0):
+    for step in range(cfg.phase2_steps):
         rng = np.random.default_rng((cfg.seed, 7919, step))
         sample_negatives(e_examples, global_ekg, rng)
         rn_opt.zero_grad()
         history["skipped_negatives"].append(
             sum(ex.negative is None for ex in e_examples))
-        total = edge_triplet_loss(e_examples, table, rn, cls_features,
-                                  cfg.alpha)
-        if total is None:
+        loss = edge_triplet_loss(e_examples, table, rn, cls_features,
+                                 cfg.alpha)
+        if loss is None:
             break
-        loss = cfg.lambda_r * total
         val = loss.item()
         if not np.isfinite(val):
             raise TrainingDiverged(f"phase 2 loss became {val} at step {step}")

@@ -22,10 +22,11 @@ from .embed import EmbeddingTables, TrainingDiverged
 class GATLayer(dk.Module):
     """Single-head graph attention with edge-feature terms.
 
-    Vertex i's logits cover itself, every neighbour j and (in GAT_VE mode)
-    every incident edge; one joint softmax per vertex normalizes them. All
-    vertices share one dense softmax over the columns [vertices | edges],
-    masked by an identity block, the edge pairs' cells and an incidence block.
+    Vertex i's logits cover itself, every neighbour j and, when the layer
+    is given edge features, every incident edge; one joint softmax per
+    vertex normalizes them. All vertices share one dense softmax over the
+    columns [vertices | edges], masked by an identity block, the edge
+    pairs' cells and an incidence block.
     """
 
     slope = 0.2                  # of the leaky ReLU on the logits
@@ -47,7 +48,7 @@ class GATLayer(dk.Module):
         return (src + dst).leaky_relu(self.slope)
 
     def __call__(self, vfeats: dk.Tensor, efeats: dk.Tensor | None,
-                 edges: list[tuple[int, int]], use_edges: bool) -> dk.Tensor:
+                 edges: list[tuple[int, int]]) -> dk.Tensor:
         c_e = vfeats.shape[0]
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         low, high = np.sort(pairs, axis=1).T
@@ -61,8 +62,7 @@ class GATLayer(dk.Module):
         allowed[pairs, pairs[:, ::-1]] = True                     # neighbours
         allowed[pairs, c_e + np.arange(len(pairs))[:, None]] = True   # edges
         wv = self.w(vfeats)
-        wr = self.w(efeats) if (use_edges and efeats is not None
-                                and efeats.shape[0]) else None
+        wr = self.w(efeats) if efeats is not None and efeats.shape[0] else None
         if wr is not None and self.a_h is None:
             raise ValueError("edge attention on a layer built without it")
         logits = self._logits(self.a_g, wv, wv)
@@ -78,7 +78,7 @@ class GATLayer(dk.Module):
 
 
 def gat_layer(vfeats, efeats, edges, layer: GATLayer, mode: str) -> dk.Tensor:
-    return layer(vfeats, efeats, edges, use_edges=(mode == "GAT_VE"))
+    return layer(vfeats, efeats if mode == "GAT_VE" else None, edges)
 
 
 class Graph2SeqModel(dk.Module):
@@ -147,7 +147,7 @@ class Graph2SeqModel(dk.Module):
             edges += [(pos[a], pos[b]) for (a, b) in local.edges]
             base += len(pos)
         for layer in self.gat:
-            vfeats = gat_layer(vfeats, efeats, edges, layer, self.config.mode)
+            vfeats = layer(vfeats, efeats, edges)
         return vfeats
 
     def encode_passage(self, token_ids) -> dk.Tensor:
@@ -224,8 +224,7 @@ class Graph2SeqModel(dk.Module):
         The distinct locals go through one `graph_encode`. The examples of
         one shape (passage length after truncation, target length and
         vertex count) go through one `encode_passage`, one `_decode` and
-        one cross-entropy, stacked on a leading axis without padding; an
-        example of a shape of its own keeps its unstacked 2-D arrays.
+        one cross-entropy, stacked on a leading axis without padding.
         """
         if not examples:
             raise ValueError("no examples")
@@ -245,8 +244,7 @@ class Graph2SeqModel(dk.Module):
         loss = None
         for group in groups.values():
             passage, dec_in, target, graph_rows = (
-                np.asarray(col if len(group) > 1 else col[0])
-                for col in zip(*group))
+                np.asarray(col) for col in zip(*group))
             memory = dk.concat([graph[graph_rows], self.encode_passage(passage)],
                                axis=-2)
             term = dk.cross_entropy_label_smoothed(

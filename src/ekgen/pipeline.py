@@ -161,10 +161,8 @@ def _write_text(path: Path, text: str):
 # ---------------------------------------------------------------------------
 # artifact (de)serialization and the workspace reader
 
-def _save_corpus(path: Path, novel: cp.Novel, passages, mentions, vocab, n_e,
-                 mode: str):
+def _save_corpus(path: Path, novel: cp.Novel, passages, mentions, vocab, n_e):
     payload = {
-        "token_mode": mode,
         "n_e": n_e,
         "novel": {
             "id": novel.id, "title": novel.title,
@@ -193,7 +191,6 @@ class Corpus:
     mentions: list[cp.Mention]
     vocab: cp.Vocabulary
     n_e: int
-    token_mode: str
 
     def tokens(self, p: cp.Passage) -> list[str]:
         """The passage's tokens: its span of its chapter's tokens."""
@@ -256,7 +253,7 @@ def _parse_corpus(raw: dict) -> Corpus:
     _check_paragraphs(novel)
     vocab = cp.Vocabulary(token_to_id={t: i for i, t in enumerate(raw["vocab"])},
                           id_to_token=raw["vocab"])
-    return Corpus(novel, passages, mentions, vocab, raw["n_e"], raw["token_mode"])
+    return Corpus(novel, passages, mentions, vocab, raw["n_e"])
 
 
 def _save_ekg(path: Path, ekg: GlobalEKG):
@@ -379,11 +376,10 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     novel_path = Path(novel_path) if novel_path else _require(data / "novel.json", "synth")
     lexicon_path = Path(lexicon_path) if lexicon_path else data / "lexicon.json"
     passages_path = Path(passages_path) if passages_path else data / "passages.jsonl"
-    novel, lexicon, passages = cp.load_corpus(novel_path, lexicon_path,
-                                              passages_path, cfg.token_mode)
+    novel, lexicon, passages = cp.load_corpus(novel_path, lexicon_path, passages_path)
     clustered, passages = cp.cluster_chapters(novel, passages,
                                               cfg.min_chapter_tokens)
-    mentions = cp.match_mentions(clustered, lexicon, cfg.token_mode)
+    mentions = cp.match_mentions(clustered, lexicon)
     if not mentions:
         raise cp.CorpusParseError(f"{lexicon_path}: no entity name or alias "
                                   f"occurs in {novel_path}")
@@ -398,8 +394,7 @@ def run_ingest(ws: Path, cfg: PipelineConfig, novel_path=None, lexicon_path=None
     streams += [c.text for p in passages for c in p.comments]
     vocab = cp.build_vocab(streams)
     out = ws / "corpus" / "corpus.json"
-    _save_corpus(out, clustered, passages, mentions, vocab,
-                 lexicon.num_entities, cfg.token_mode)
+    _save_corpus(out, clustered, passages, mentions, vocab, lexicon.num_entities)
     _record(ws, "ingest", cfg, [out])
     return out
 
@@ -485,13 +480,12 @@ def teacher_forced_accuracy(ws: Path, cfg: PipelineConfig) -> float:
 def run_generate(ws: Path, cfg: PipelineConfig, limit: int | None = None) -> Path:
     w = Workspace(ws, cfg)
     c, model = w.corpus, w.model
-    sep = "" if c.token_mode == "char" else " "
     lines = []
     for p in c.passages[:limit]:
         beams = beam_decode(c.vocab.encode(c.tokens(p)), w.locals[p.id], model,
                             beam=cfg.beam, max_len=cfg.max_len)
         record = {"passage_id": p.id,
-                  "comments": [{"text": sep.join(c.vocab.decode(toks)),
+                  "comments": [{"text": "".join(c.vocab.decode(toks)),
                                 "score": round(score, 6)}
                                for toks, score in beams]}
         lines.append(json.dumps(record, sort_keys=True) + "\n")
@@ -516,8 +510,7 @@ def run_evaluate(ws: Path, cfg: PipelineConfig) -> dict:
                     raise TypeError(f"comment texts {texts!r} are not all "
                                     "strings")
                 # best-scoring non-empty beam; beams are sorted by score
-                hyp = next((cp.tokenize(t, corpus.token_mode)
-                            for t in texts if t), None)
+                hyp = next((cp.tokenize(t) for t in texts if t), None)
             except (ValueError, KeyError, TypeError) as e:
                 raise CorruptArtifact(f"{gen_path}:{lineno}: unreadable "
                                       f"record ({_reason(e)})") from e

@@ -140,7 +140,7 @@ def test_criterion_04_gat_normalization_and_edge_invariance(capsys):
             pairs = [(a, b) for a in range(c_e) for b in range(a + 1, c_e)
                      if rng.random() < 0.4]
             e = dk.Tensor(rng.standard_normal((len(pairs), d)))
-            layer(v, e if pairs else None, pairs, use_edges=bool(pairs))
+            layer(v, e if pairs else None, pairs)
             assert len(layer.last_coefficients) == c_e
             for coefs in layer.last_coefficients:
                 assert abs(coefs.sum() - 1.0) <= 1e-6
@@ -312,7 +312,7 @@ def test_criterion_10_smoothing_direction(capsys, desk_run):
 
         def mean_adjacent_cosine(lambda0, lambda2):
             cfg = PipelineConfig(d_f=64, lambda0=lambda0, lambda2=lambda2,
-                                 eps_ls=0.1, lambda_r=0.0, phase1_steps=150,
+                                 eps_ls=0.1, phase2_steps=0, phase1_steps=150,
                                  seed=0)
             art = train_ekg(novel, mentions, ekg, cfg, n_e=n_e)
             W = art.table.w.data

@@ -146,7 +146,7 @@ def test_chapter_indices_load_in_index_order(tmp_path):
 
 def test_tokenize_char_drops_whitespace_keeps_cjk():
     assert cp.tokenize("萧炎 来了") == ["萧", "炎", "来", "了"]
-    assert cp.tokenize("a b c", mode="word") == ["a", "b", "c"]
+    assert cp.tokenize(" a\tb\nc ") == ["a", "b", "c"]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def _novel_of_sizes(sizes):
     chapters, used = [], 0
     for n in sizes:
         chapters.append(cp._make_chapter(
-            "".join(chr(0x4E00 + used + k) for k in range(n)), "char"))
+            "".join(chr(0x4E00 + used + k) for k in range(n))))
         used += n
     return cp.Novel(id="n", title="", chapters=chapters)
 
@@ -204,14 +204,14 @@ def test_cluster_preserves_token_and_mention_counts(tmp_path):
     chapters = ["A x y\n\nB z", "q A r", "B B s", "t u v"]
     files = write_corpus_files(tmp_path, chapters,
                                [(0, "A", []), (1, "B", [])], [])
-    novel = cp.load_novel(files[0], mode="word")
+    novel = cp.load_novel(files[0])
     lexicon = cp.load_lexicon(files[1])
     total_tokens = sum(len(ch.tokens) for ch in novel.chapters)
-    n_mentions = len(cp.match_mentions(novel, lexicon, "word"))
+    n_mentions = len(cp.match_mentions(novel, lexicon))
     clustered, _ = cp.cluster_chapters(novel, [], 5)
     assert clustered.num_chapters < novel.num_chapters
     assert sum(len(ch.tokens) for ch in clustered.chapters) == total_tokens
-    assert len(cp.match_mentions(clustered, lexicon, "word")) == n_mentions
+    assert len(cp.match_mentions(clustered, lexicon)) == n_mentions
 
 
 def _joined(novel):
@@ -228,9 +228,9 @@ def test_cluster_joins_tokens_and_shifts_paragraphs(min_tokens):
     # chapter 2 has no paragraph break and more than 100 tokens, so it is
     # cut into 100-token windows, and it keeps them inside its group
     novel = cp.Novel(id="n", title="", chapters=[
-        cp._make_chapter("ab\n\ncde", "char"),
-        cp._make_chapter("f" * 150, "char"),
-        cp._make_chapter("gh\n\n i", "char")])
+        cp._make_chapter("ab\n\ncde"),
+        cp._make_chapter("f" * 150),
+        cp._make_chapter("gh\n\n i")])
     assert novel.chapters[1].paragraphs == [(0, 100), (100, 150)]
     out, _ = _cluster(novel, min_tokens)
     assert _joined(out) == _joined(novel)
@@ -260,10 +260,10 @@ def test_cluster_moves_passages_into_merged_chapters(tmp_path):
 def test_match_simple_word_aliases(tmp_path):
     files = write_corpus_files(tmp_path, ["A met B"],
                                [(0, "A", []), (1, "B", [])], [])
-    novel = cp.load_novel(files[0], mode="word")
+    novel = cp.load_novel(files[0])
     lexicon = cp.load_lexicon(files[1])
-    mentions = cp.match_mentions(novel, lexicon, "word")
-    assert [(m.entity_id, m.span) for m in mentions] == [(0, (0, 1)), (1, (2, 3))]
+    mentions = cp.match_mentions(novel, lexicon)
+    assert [(m.entity_id, m.span) for m in mentions] == [(0, (0, 1)), (1, (4, 5))]
 
 
 def test_match_prefers_longest_alias_at_same_locus(tmp_path):
@@ -278,15 +278,15 @@ def test_match_prefers_longest_alias_at_same_locus(tmp_path):
 
 def test_match_no_aliases_yields_empty(tmp_path):
     files = write_corpus_files(tmp_path, ["plain text"], [(0, "Z", [])], [])
-    novel = cp.load_novel(files[0], mode="word")
+    novel = cp.load_novel(files[0])
     lexicon = cp.load_lexicon(files[1])
-    assert cp.match_mentions(novel, lexicon, "word") == []
+    assert cp.match_mentions(novel, lexicon) == []
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.text(alphabet="abX", min_size=0, max_size=40))
 def test_match_mentions_sorted_and_non_overlapping(text):
-    novel = cp.Novel(id="n", title="", chapters=[cp._make_chapter(text or "z", "char")])
+    novel = cp.Novel(id="n", title="", chapters=[cp._make_chapter(text or "z")])
     lexicon = cp.EntityLexicon([cp.LexiconEntry(0, "X", ["ab"], "person"),
                                 cp.LexiconEntry(1, "b", [], "person")])
     mentions = cp.match_mentions(novel, lexicon)
@@ -439,7 +439,7 @@ def test_filter_never_increases_comments_and_enforces_predicates(ups, n_ent):
 # ---------------------------------------------------------------------------
 # vocabulary
 
-def test_vocab_contains_every_char_at_min_freq_one():
+def test_vocab_contains_every_token():
     vocab = cp.build_vocab([["a", "b", "a"], ["c"]])
     for t in "abc":
         assert t in vocab.token_to_id
@@ -447,7 +447,7 @@ def test_vocab_contains_every_char_at_min_freq_one():
 
 
 def test_vocab_rare_token_maps_to_unk():
-    vocab = cp.build_vocab([["a", "a", "b"]], min_freq=2)
+    vocab = cp.build_vocab([["a"]])
     assert vocab.encode(["a", "b"]) == [vocab.token_to_id["a"], cp.UNK]
 
 

@@ -10,8 +10,8 @@ from ekgen.corpus import Mention
 from ekgen.ekg import GlobalEKG, TemporalKG, build_global_ekg, extract_local_ekg
 
 
-def _novel(chapter_texts, mode="word"):
-    chapters = [cp._make_chapter(t, mode) for t in chapter_texts]
+def _novel(chapter_texts):
+    chapters = [cp._make_chapter(t) for t in chapter_texts]
     return cp.Novel(id="n", title="", chapters=chapters)
 
 

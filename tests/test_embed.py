@@ -310,7 +310,7 @@ def test_negative_sampling_unsatisfiable_yields_none():
 
 def _tiny_corpus():
     texts = ["A x B\n\nB y C", "A z C\n\nB w"]
-    chapters = [_make_chapter(t, "word") for t in texts]
+    chapters = [_make_chapter(t) for t in texts]
     novel = Novel(id="n", title="", chapters=chapters)
     mentions = [Mention(0, 1, (0, 1)), Mention(1, 1, (2, 3)),
                 Mention(1, 1, (3, 4)), Mention(2, 1, (5, 6)),
@@ -345,9 +345,9 @@ def test_train_ekg_learns_and_freezes_table():
     assert all(np.isfinite(v) for v in h1)
 
 
-def test_train_ekg_lambda_r_zero_skips_phase_two():
+def test_train_ekg_zero_phase2_steps_skips_phase_two():
     novel, mentions, ekg = _tiny_corpus()
-    cfg = PipelineConfig(d_f=8, phase1_steps=3, phase2_steps=5, lambda_r=0.0)
+    cfg = PipelineConfig(d_f=8, phase1_steps=3, phase2_steps=0)
     artifact = train_ekg(novel, mentions, ekg, cfg, n_e=3)
     assert artifact.history["phase2"] == []
 

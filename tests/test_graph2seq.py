@@ -50,7 +50,7 @@ def test_single_vertex_self_loop_only():
     rng = np.random.default_rng(0)
     layer = GATLayer(rng, 4)
     v = dk.Tensor(rng.standard_normal((1, 4)))
-    out = layer(v, None, [], use_edges=True)
+    out = layer(v, None, [])
     np.testing.assert_allclose(out.numpy(), layer.w(v).numpy(), atol=1e-6)
     np.testing.assert_allclose(layer.last_coefficients[0], [1.0], atol=1e-7)
 
@@ -64,7 +64,7 @@ def test_coefficients_sum_to_one_per_vertex():
         all_pairs = [(a, b) for a in range(c_e) for b in range(a + 1, c_e)]
         take = [p for p in all_pairs if rng.random() < 0.5]
         e = dk.Tensor(rng.standard_normal((len(take), 6)))
-        layer(v, e if take else None, take, use_edges=True)
+        layer(v, e if take else None, take)
         for coefs in layer.last_coefficients:
             assert abs(coefs.sum() - 1.0) <= 1e-6
             assert (coefs > 0).all()
@@ -114,15 +114,14 @@ def test_gat_v_model_builds_no_edge_attention_weights():
         gat_layer(v, e, [(0, 1)], layer, "GAT_VE")
 
 
-def _reference_gat(layer, vfeats, efeats, edges, use_edges):
+def _reference_gat(layer, vfeats, efeats, edges):
     """Per-vertex, per-neighbor loop of tiny ops: the reference for the dense
     masked softmax of `GATLayer`. Returns the output and each vertex's
     coefficients, reordered from the loop's (self, neighbours, edges) into
     the dense layer's column order: vertices by position, then edges."""
     c_e = vfeats.shape[0]
     wv = layer.w(vfeats)
-    wr = layer.w(efeats) if (use_edges and efeats is not None
-                             and efeats.shape[0]) else None
+    wr = layer.w(efeats) if efeats is not None and efeats.shape[0] else None
     neighbors = {i: [] for i in range(c_e)}
     incident = {i: [] for i in range(c_e)}
     for e_idx, (a, b) in enumerate(edges):
@@ -166,7 +165,7 @@ def test_gat_matches_per_vertex_reference(c_e, edges, mode):
         return gat_layer(v, e, edges, layer, mode), layer.last_coefficients
 
     def loop(v, e):
-        return _reference_gat(layer, v, e, edges, mode == "GAT_VE")
+        return _reference_gat(layer, v, e if mode == "GAT_VE" else None, edges)
 
     results = []
     for run in (dense, loop):
@@ -208,7 +207,7 @@ def test_gat_rejects_repeated_pair_and_self_loop(edges):
     v = dk.Tensor(rng.standard_normal((3, 4)))
     e = dk.Tensor(rng.standard_normal((len(edges), 4)))
     with pytest.raises(ValueError):
-        layer(v, e, edges, use_edges=True)
+        layer(v, e, edges)
 
 
 @pytest.mark.parametrize("mode", ["EKG", "GAT_V"])

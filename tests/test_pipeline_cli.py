@@ -80,7 +80,6 @@ def test_corpus_roundtrip_through_workspace(tmp_path):
     pipeline.run_synth(ws, cfg)
     pipeline.run_ingest(ws, cfg)
     c = pipeline.Workspace(ws, cfg).corpus
-    assert c.token_mode == "char"
     assert c.n_e == 4
     assert c.passages and c.mentions
     assert all(len(p.comments) >= 3 for p in c.passages)
@@ -139,10 +138,14 @@ def test_cli_config_error_exit_code(tmp_path):
     (None, "synth_comments=2"),
     (None, "synth_chapters=0"),
     (None, "seed=-1"),                  # numpy's generators refuse it later
+    ('{"token_mode": "char"}', None),   # keys of no field
+    ('{"lambda_r": 1.0}', None),
+    (None, "lambda1=1.0"),
 ], ids=["missing-file", "torn-json", "not-an-object", "string-for-int",
         "bool-for-float", "set-float-for-int", "set-bool-for-float",
         "set-nan", "set-synth-entities", "set-synth-comments",
-        "set-synth-chapters", "set-negative-seed"])
+        "set-synth-chapters", "set-negative-seed", "token-mode", "lambda-r",
+        "set-lambda1"])
 def test_cli_config_error_is_one_line_exit_2(tmp_path, capsys, config_text,
                                              override):
     args = ["stats", "--workspace", str(tmp_path / "ws")]
